@@ -9,65 +9,52 @@ cargo build --release --offline --workspace
 cargo build --offline --examples
 cargo test -q --offline --workspace
 
-# Observability: unit tests for the in-tree tracing/metrics crate, then an
-# end-to-end smoke run of `detect --log-json --metrics-out` validated with
-# the in-tree JSON parser (crates/cli/tests/smoke.rs).
-cargo test -q --offline -p hdoutlier-obs
-cargo test -q --offline -p hdoutlier-cli --test smoke
-
-# Live telemetry: launch `stream --serve-metrics` on an ephemeral port,
-# scrape /metrics over raw TCP (std-only client), assert the records
-# counter and histogram buckets; validate `--trace-out` parses as Chrome
-# trace-event JSON (crates/cli/tests/live.rs).
-cargo test -q --offline -p hdoutlier-cli --test live
-
-# Determinism: every pooled path (detect brute + seeded evolutionary,
-# explain, baseline) must emit byte-identical --json reports at --threads
-# 1/2/8 (crates/cli/tests/determinism.rs); the stream --batch equivalence
-# lives in the stream command's unit tests, covered by the workspace run.
-cargo test -q --offline -p hdoutlier-cli --test determinism
-
-# Fault tolerance: checkpoint atomicity under simulated kills
-# (crates/stream/tests/faults.rs) and the scripted-I/O harness driving the
-# stream error policies, circuit breaker, and kill/resume equivalence
-# (crates/cli/tests/fault_injection.rs).
-cargo test -q --offline -p hdoutlier-stream --test faults
-cargo test -q --offline -p hdoutlier-cli --test fault_injection
-
-# The serving stack, bottom-up: HTTP wire edge cases against the std-only
-# server (fragmented reads, 413/431 caps, keep-alive, the connection
-# budget, drain races, X-Request-Id assignment — crates/net/tests/http.rs);
-# session registry, byte-identity with a direct scorer, isolation, trip
-# ladder, and checkpoint/resume at the ServeApp level
-# (crates/serve/tests/serve.rs); then the compiled binary over real TCP:
-# concurrent sessions byte-identical to `stream`, kill -9 → restart →
-# resume continuation equivalence, graceful drain on SIGTERM and POST
-# /shutdown, and the observability smoke — serve under --trace-out + SLO
-# flags, request-id echo/propagation into the NDJSON access log and Chrome
-# trace args, /status healthy, generated ids unique under concurrency
-# (crates/cli/tests/serve_e2e.rs).
-cargo test -q --offline -p hdoutlier-net --test http
-cargo test -q --offline -p hdoutlier-serve --test serve
-cargo test -q --offline -p hdoutlier-cli --test serve_e2e
-
-# Overload & crash chaos harness: deterministic scripted fault clients
-# against the HTTP server — stalled heads past the wall-clock deadline,
-# torn mid-body writes, vanishing clients, burst floods past the
-# connection budget, and a mixed storm that must never pin a worker
-# (crates/net/tests/chaos.rs) — then the serve-level drills: duplicate
-# X-Request-Id retries replay byte-identical without re-scoring, SLO- and
-# concurrency-cap shedding with 503 + Retry-After and recovery, and
-# checkpoint corruption / kill-during-save recovery via the .prev
-# generation with .corrupt quarantine (crates/serve/tests/chaos.rs).
-cargo test -q --offline -p hdoutlier-net --test chaos
-cargo test -q --offline -p hdoutlier-serve --test chaos
-
-# Continuous profiling: the span-stack sampling profiler end to end — the
-# compiled binary under `detect --profile-out --profile-hz` must write
-# non-empty folded stacks naming a hdoutlier.core.* frame, plus the
-# allocation-weighted twin fed by the counting allocator
-# (crates/cli/tests/profile_e2e.rs).
-cargo test -q --offline -p hdoutlier-cli --test profile_e2e
+# The workspace run above builds and runs every test target once, the root
+# package's included. Among them:
+#
+# - Observability: unit tests for the in-tree tracing/metrics crate
+#   (hdoutlier-obs), then an end-to-end smoke run of `detect --log-json
+#   --metrics-out` validated with the in-tree JSON parser
+#   (crates/cli/tests/smoke.rs).
+# - Live telemetry: launch `stream --serve-metrics` on an ephemeral port,
+#   scrape /metrics over raw TCP (std-only client), assert the records
+#   counter and histogram buckets; validate `--trace-out` parses as Chrome
+#   trace-event JSON (crates/cli/tests/live.rs).
+# - Determinism: every pooled path (detect brute + seeded evolutionary,
+#   explain, baseline) must emit byte-identical --json reports at --threads
+#   1/2/8 (crates/cli/tests/determinism.rs); the stream --batch equivalence
+#   lives in the stream command's unit tests.
+# - Fault tolerance: checkpoint atomicity under simulated kills
+#   (crates/stream/tests/faults.rs) and the scripted-I/O harness driving the
+#   stream error policies, circuit breaker, kill/resume equivalence, and
+#   stream-vs-serve byte identity with bad records
+#   (crates/cli/tests/fault_injection.rs).
+# - The serving stack, bottom-up: HTTP wire edge cases against the std-only
+#   server (fragmented reads, 413/431 caps, keep-alive, the connection
+#   budget, drain races, X-Request-Id assignment — crates/net/tests/http.rs);
+#   session registry, byte-identity with a direct scorer, isolation, trip
+#   ladder, quarantine envelopes, and checkpoint/resume at the ServeApp
+#   level (crates/serve/tests/serve.rs); then the compiled binary over real
+#   TCP: concurrent sessions byte-identical to `stream`, kill -9 → restart →
+#   resume continuation equivalence, graceful drain on SIGTERM and POST
+#   /shutdown, and the observability smoke — serve under --trace-out + SLO
+#   flags, request-id echo/propagation into the NDJSON access log and
+#   Chrome trace args, /status healthy, generated ids unique under
+#   concurrency (crates/cli/tests/serve_e2e.rs).
+# - Overload & crash chaos harness: deterministic scripted fault clients
+#   against the HTTP server — stalled heads past the wall-clock deadline,
+#   torn mid-body writes, vanishing clients, burst floods past the
+#   connection budget, and a mixed storm that must never pin a worker
+#   (crates/net/tests/chaos.rs) — then the serve-level drills: duplicate
+#   X-Request-Id retries replay byte-identical without re-scoring, SLO- and
+#   concurrency-cap shedding with 503 + Retry-After and recovery, and
+#   checkpoint corruption / kill-during-save recovery via the .prev
+#   generation with .corrupt quarantine (crates/serve/tests/chaos.rs).
+# - Continuous profiling: the span-stack sampling profiler end to end — the
+#   compiled binary under `detect --profile-out --profile-hz` must write
+#   non-empty folded stacks naming a hdoutlier.core.* frame, plus the
+#   allocation-weighted twin fed by the counting allocator
+#   (crates/cli/tests/profile_e2e.rs).
 
 # Scenario packs: seeded end-to-end runs of the real pipelines (detect
 # brute + evolutionary, drill-down/explain, baselines + CFOF/DOD referees,

@@ -2,9 +2,9 @@
 
 use super::parse_or_usage;
 use crate::exit;
-use crate::json::{FieldChain, Json};
 use crate::obs_setup::{self, ObsSession};
 use hdoutlier_core::params::advise;
+use hdoutlier_json::{FieldChain, Json};
 use hdoutlier_stats::{significance_of, sparsity_coefficient};
 
 /// Per-command help.

@@ -3,12 +3,12 @@
 
 use super::{load_dataset, parse_or_usage, usage_err};
 use crate::exit;
-use crate::json::{FieldChain, Json};
 use crate::obs_setup::{self, ObsSession};
 use hdoutlier_baselines::{
     knorr_ng_outliers, lof::lof_top_n_threaded, ramaswamy_top_n_threaded, suggest_lambda, Metric,
 };
 use hdoutlier_data::clean::impute_mean;
+use hdoutlier_json::{FieldChain, Json};
 
 /// Per-command help.
 pub const HELP: &str = "\

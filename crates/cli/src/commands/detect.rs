@@ -2,12 +2,12 @@
 
 use super::{load_dataset, parse_or_usage, usage_err};
 use crate::exit;
-use crate::json::{FieldChain, Json, JsonError};
 use crate::obs_setup::{self, ObsSession};
 use hdoutlier_core::crossover::CrossoverKind;
 use hdoutlier_core::detector::{OutlierDetector, SearchMethod};
 use hdoutlier_core::params::advise;
 use hdoutlier_data::discretize::{DiscretizeStrategy, Discretized};
+use hdoutlier_json::{FieldChain, Json, JsonError};
 
 /// Per-command help.
 pub const HELP: &str = "\
@@ -187,7 +187,7 @@ pub fn run_to(argv: &[String], sink: &mut impl std::io::Write) -> (i32, String) 
             hdoutlier_data::GridSpec::from_discretized(&disc),
             report.projections.clone(),
         );
-        let json = match crate::model_io::to_json(&model) {
+        let json = match hdoutlier_stream::model_io::to_json(&model) {
             Ok(json) => json,
             Err(e) => return (exit::RUNTIME, format!("failed to serialize model: {e}")),
         };

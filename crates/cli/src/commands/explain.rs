@@ -3,12 +3,12 @@
 
 use super::{load_dataset, parse_or_usage, usage_err};
 use crate::exit;
-use crate::json::{FieldChain, Json};
 use crate::obs_setup::{self, ObsSession};
 use hdoutlier_core::drill::record_profile_threaded;
 use hdoutlier_core::params::advise;
 use hdoutlier_data::discretize::{DiscretizeStrategy, Discretized};
 use hdoutlier_index::BitmapCounter;
+use hdoutlier_json::{FieldChain, Json};
 
 /// Per-command help.
 pub const HELP: &str = "\

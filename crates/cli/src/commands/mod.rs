@@ -47,6 +47,15 @@ pub(crate) fn emit_report(sink: &mut impl std::io::Write, rendered: &str) -> Res
     }
 }
 
+/// The `--delimiter` flag (default `,`); `Err` is the usage message.
+pub(crate) fn delimiter(parsed: &Parsed) -> Result<char, String> {
+    match parsed.get("delimiter") {
+        None => Ok(','),
+        Some(d) if d.chars().count() == 1 => Ok(d.chars().next().expect("one char")),
+        Some(d) => Err(format!("--delimiter must be a single character, got {d:?}")),
+    }
+}
+
 /// Loads the dataset named by the positional argument, honoring the shared
 /// input flags (`--no-header`, `--label-column`, `--delimiter`).
 pub(crate) fn load_dataset(parsed: &Parsed, help: &str) -> Result<Dataset, (i32, String)> {
@@ -54,16 +63,7 @@ pub(crate) fn load_dataset(parsed: &Parsed, help: &str) -> Result<Dataset, (i32,
         .positional()
         .first()
         .ok_or_else(|| (exit::USAGE, format!("missing input CSV path\n\n{help}")))?;
-    let delimiter = match parsed.get("delimiter") {
-        None => ',',
-        Some(d) if d.chars().count() == 1 => d.chars().next().expect("one char"),
-        Some(d) => {
-            return Err((
-                exit::USAGE,
-                format!("--delimiter must be a single character, got {d:?}\n\n{help}"),
-            ))
-        }
-    };
+    let delimiter = delimiter(parsed).map_err(|e| (exit::USAGE, format!("{e}\n\n{help}")))?;
     let options = CsvOptions {
         has_header: !parsed.has("no-header"),
         delimiter,

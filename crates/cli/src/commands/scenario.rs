@@ -102,7 +102,7 @@ fn select_packs(names: &[String]) -> Result<Vec<Scenario>, String> {
 }
 
 fn list(packs: &[Scenario], as_json: bool, sink: &mut impl std::io::Write) -> (i32, String) {
-    use crate::json::{FieldChain, Json};
+    use hdoutlier_json::{FieldChain, Json};
     let rendered = if as_json {
         let items: Vec<Json> = packs
             .iter()
@@ -281,7 +281,7 @@ mod tests {
     use hdoutlier_scenario::{Invariant, Outcome, ScenarioError};
 
     fn broken(_: &RunConfig) -> Result<Outcome, ScenarioError> {
-        use crate::json::Json;
+        use hdoutlier_json::Json;
         Ok(Outcome {
             report: Json::object().field("verdict", "wrong").unwrap(),
             invariants: vec![Invariant::check("always-fails", false, "synthetic failure")],

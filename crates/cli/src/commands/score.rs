@@ -3,9 +3,9 @@
 
 use super::{load_dataset, parse_or_usage};
 use crate::exit;
-use crate::json::{FieldChain, Json};
-use crate::model_io;
 use crate::obs_setup::{self, ObsSession};
+use hdoutlier_json::{FieldChain, Json};
+use hdoutlier_stream::model_io;
 
 /// Per-command help.
 pub const HELP: &str = "\

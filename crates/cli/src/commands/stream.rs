@@ -11,13 +11,14 @@
 use super::parse_or_usage;
 use crate::args::Parsed;
 use crate::exit;
-use crate::model_io;
 use crate::obs_setup::{self, ObsSession};
-use hdoutlier_obs as obs;
-use hdoutlier_stream::ndjson::{error_json, verdict_json};
-use hdoutlier_stream::{Checkpoint, OnlineScorer};
+use hdoutlier_stream::model_io;
+use hdoutlier_stream::{
+    ErrorPolicy, OnlineScorer, OpenError, Pipeline, RecordFormat, RecoveredFrom, Settings, Sink,
+    Stop,
+};
 use std::io::{BufRead, Write};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// Per-command help.
 pub const HELP: &str = "\
@@ -72,9 +73,6 @@ OPTIONS:
     --serve-metrics <a>  serve /metrics, /healthz, /snapshot over HTTP on <a>
                          while the stream runs (e.g. 127.0.0.1:9184)
 ";
-
-/// Event target for the streaming command.
-const TARGET: &str = "hdoutlier.stream";
 
 /// Runs the subcommand against real stdin, writing each verdict to stdout
 /// as soon as it is computed (flushed per record, so `tail -f | hdoutlier
@@ -139,26 +137,6 @@ pub fn run_streaming(argv: &[String], input: impl BufRead, sink: &mut impl Write
     }
 }
 
-/// What to do with a record that cannot be parsed or scored.
-enum ErrorPolicy {
-    /// Stop the stream with a runtime error (the default).
-    Abort,
-    /// Emit an NDJSON error verdict and keep scoring.
-    Skip,
-    /// Like skip, and also append the raw line to the file at this path.
-    Quarantine(String),
-}
-
-impl ErrorPolicy {
-    fn action(&self) -> &'static str {
-        match self {
-            ErrorPolicy::Abort => "abort",
-            ErrorPolicy::Skip => "skip",
-            ErrorPolicy::Quarantine(_) => "quarantine",
-        }
-    }
-}
-
 /// The post-session-init half of the command: flag validation, model load,
 /// resume, and the scoring loop.
 fn stream_under_session(
@@ -175,497 +153,135 @@ fn stream_under_session(
     let Some(model_path) = parsed.get("model") else {
         return (exit::USAGE, format!("--model is required\n\n{HELP}"));
     };
-    let delimiter = match parsed.get("delimiter") {
-        None => ',',
-        Some(d) if d.chars().count() == 1 => d.chars().next().expect("one char"),
-        Some(d) => {
-            return (
-                exit::USAGE,
-                format!("--delimiter must be a single character, got {d:?}\n\n{HELP}"),
-            )
-        }
-    };
-    let policy = match parsed.get("on-error") {
-        None | Some("abort") => ErrorPolicy::Abort,
-        Some("skip") => ErrorPolicy::Skip,
-        Some(spec) => match spec.strip_prefix("quarantine:") {
-            Some(path) if !path.is_empty() => ErrorPolicy::Quarantine(path.to_string()),
-            _ => {
-                return (
-                    exit::USAGE,
-                    format!(
-                        "--on-error must be abort|skip|quarantine:<path>, got {spec:?}\n\n{HELP}"
-                    ),
-                )
-            }
-        },
-    };
-    let batch: usize = match parsed.or("batch", "integer", 1) {
-        Ok(0) => return (exit::USAGE, format!("--batch must be >= 1\n\n{HELP}")),
-        Ok(b) => b,
-        Err(e) => return super::usage_err(e, HELP),
-    };
-    let threads: usize = match parsed.or("threads", "integer", hdoutlier_pool::default_threads()) {
-        Ok(0) => return (exit::USAGE, format!("--threads must be >= 1\n\n{HELP}")),
-        Ok(t) => t,
-        Err(e) => return super::usage_err(e, HELP),
-    };
-    let max_consecutive: u64 = match parsed.opt::<u64>("max-consecutive-errors", "integer") {
-        Ok(Some(0)) => {
-            return (
-                exit::USAGE,
-                format!("--max-consecutive-errors must be positive\n\n{HELP}"),
-            )
-        }
-        Ok(Some(n)) => n,
-        Ok(None) => 100,
-        Err(e) => return super::usage_err(e, HELP),
-    };
-    let checkpoint_path: Option<PathBuf> = parsed.get("checkpoint").map(PathBuf::from);
-    let checkpoint_every: u64 = match parsed.opt::<u64>("checkpoint-every", "integer") {
-        Ok(Some(0)) => {
-            return (
-                exit::USAGE,
-                format!("--checkpoint-every must be positive\n\n{HELP}"),
-            )
-        }
-        Ok(Some(n)) if checkpoint_path.is_none() => {
-            let _ = n;
-            return (
-                exit::USAGE,
-                format!("--checkpoint-every requires --checkpoint <path>\n\n{HELP}"),
-            );
-        }
-        Ok(Some(n)) => n,
-        Ok(None) => 1000,
-        Err(e) => return super::usage_err(e, HELP),
-    };
-
-    let text = match std::fs::read_to_string(model_path) {
-        Ok(t) => t,
-        Err(e) => return (exit::RUNTIME, format!("failed to read {model_path}: {e}")),
-    };
-    let model = match model_io::from_json_text(&text) {
-        Ok(m) => m,
-        Err(e) => return (exit::RUNTIME, format!("failed to load model: {e}")),
-    };
-    let mut scorer = match OnlineScorer::new(model) {
+    let settings = match settings(parsed) {
         Ok(s) => s,
-        Err(e) => return (exit::RUNTIME, format!("model unusable for streaming: {e}")),
+        Err(e) => return (exit::USAGE, format!("{e}\n\n{HELP}")),
     };
-
-    // Resume first, then explicit drift flags: a flag given on the resumed
-    // invocation deliberately overrides the checkpointed cadence/alpha.
-    let mut skipped_total = 0u64;
-    let mut quarantined_total = 0u64;
-    if let Some(path) = parsed.get("resume") {
-        let (cp, recovered) = match Checkpoint::load_with_recovery(std::path::Path::new(path)) {
-            Ok(loaded) => loaded,
-            Err(e) => return (exit::RUNTIME, format!("cannot resume from {path}: {e}")),
-        };
-        if let hdoutlier_stream::RecoveredFrom::Previous { quarantined } = &recovered {
-            // The primary was corrupt or missing; say so loudly — the
-            // resumed run is one checkpoint generation behind.
-            match quarantined {
-                Some(corrupt) => eprintln!(
-                    "stream: checkpoint {path} was unreadable (quarantined to {}); \
-                     resumed from its .prev generation",
-                    corrupt.display()
-                ),
-                None => eprintln!(
-                    "stream: checkpoint {path} was missing; resumed from its .prev generation"
-                ),
-            }
-            obs::event(
-                obs::Level::Warn,
-                TARGET,
-                "checkpoint_recovered",
-                &[
-                    ("from", obs::Value::Str("prev")),
-                    ("quarantined", obs::Value::Bool(quarantined.is_some())),
-                ],
-            );
-        }
-        if let Err(e) = cp.restore(&mut scorer) {
-            return (exit::RUNTIME, format!("cannot resume from {path}: {e}"));
-        }
-        skipped_total = cp.skipped;
-        quarantined_total = cp.quarantined;
-        obs::event(
-            obs::Level::Info,
-            TARGET,
-            "resumed",
-            &[
-                ("record", obs::Value::U64(cp.records_scored)),
-                ("skipped", obs::Value::U64(cp.skipped)),
-                ("quarantined", obs::Value::U64(cp.quarantined)),
-            ],
-        );
-    }
-    match parsed.opt::<f64>("drift-alpha", "number") {
-        Ok(Some(alpha)) => {
-            if let Err(e) = scorer.set_drift_alpha(alpha) {
-                return (exit::USAGE, format!("{e}\n\n{HELP}"));
-            }
-        }
-        Ok(None) => {}
-        Err(e) => return super::usage_err(e, HELP),
-    }
-    match parsed.opt::<u64>("drift-every", "integer") {
-        Ok(Some(every)) => {
-            if let Err(e) = scorer.set_check_every(every) {
-                return (exit::USAGE, format!("{e}\n\n{HELP}"));
-            }
-        }
-        Ok(None) => {}
-        Err(e) => return super::usage_err(e, HELP),
-    }
-
-    // The quarantine file opens up front so a bad path fails fast, before
-    // any record is consumed, and appends so restarts accumulate.
-    let mut quarantine_file = match &policy {
-        ErrorPolicy::Quarantine(path) => match std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-        {
-            Ok(f) => Some(f),
-            Err(e) => {
-                return (
-                    exit::RUNTIME,
-                    format!("cannot open quarantine file {path}: {e}"),
-                )
-            }
-        },
-        _ => None,
+    let scorer = std::fs::read_to_string(model_path)
+        .map_err(|e| format!("failed to read {model_path}: {e}"))
+        .and_then(|text| {
+            model_io::from_json_text(&text).map_err(|e| format!("failed to load model: {e}"))
+        })
+        .and_then(|model| {
+            OnlineScorer::new(model).map_err(|e| format!("model unusable for streaming: {e}"))
+        });
+    let scorer = match scorer {
+        Ok(s) => s,
+        Err(e) => return (exit::RUNTIME, e),
     };
-
-    let registry = obs::registry();
-    let skipped_ctr = registry.counter("hdoutlier.stream.skipped");
-    let quarantined_ctr = registry.counter("hdoutlier.stream.quarantined");
-    let checkpoints_ctr = registry.counter("hdoutlier.stream.checkpoints");
-
-    let n_dims = scorer.model().grid().n_dims();
-    let missing = hdoutlier_data::csv::CsvOptions::default().missing_markers;
-    let outliers_only = parsed.has("outliers-only");
-    let mut skip_header = !parsed.has("no-header");
-    let mut line_no = 0usize;
-    let mut consecutive_errors = 0u64;
-
-    // One closure owns the skip/quarantine/abort decision so the three
-    // failure points (read, parse, score) behave identically.
-    macro_rules! bad_record {
-        ($reason:expr, $raw:expr) => {{
-            let reason: String = $reason;
-            let raw: Option<&str> = $raw;
-            consecutive_errors += 1;
-            if matches!(policy, ErrorPolicy::Abort) {
-                return (exit::RUNTIME, format!("line {line_no}: {reason}"));
+    let resume = parsed.get("resume").unwrap_or_default();
+    let (mut pipeline, recovered) =
+        match Pipeline::open(scorer, settings, parsed.get("resume").map(Path::new)) {
+            Ok(opened) => opened,
+            Err(OpenError::Load(e) | OpenError::Restore(e)) => {
+                return (exit::RUNTIME, format!("cannot resume from {resume}: {e}"))
             }
-            if consecutive_errors > max_consecutive {
-                return (
-                    exit::RUNTIME,
-                    format!(
-                        "line {line_no}: {reason} ({consecutive_errors} consecutive bad \
-                         records exceed --max-consecutive-errors {max_consecutive}; aborting)"
-                    ),
-                );
-            }
-            obs::event(
-                obs::Level::Warn,
-                TARGET,
-                "record_error",
-                &[
-                    ("line", obs::Value::U64(line_no as u64)),
-                    ("action", obs::Value::Str(policy.action())),
-                ],
-            );
-            if let ErrorPolicy::Quarantine(path) = &policy {
-                if let Some(raw) = raw {
-                    let file = quarantine_file.as_mut().expect("opened above");
-                    if let Err(e) = writeln!(file, "{raw}") {
-                        return (
-                            exit::RUNTIME,
-                            format!("failed to quarantine line {line_no} to {path}: {e}"),
-                        );
-                    }
-                }
-                quarantined_ctr.inc();
-                quarantined_total += 1;
-            } else {
-                skipped_ctr.inc();
-                skipped_total += 1;
-            }
-            let verdict = match error_json(line_no, &reason, policy.action()) {
-                Ok(j) => j.render(),
-                Err(e) => return (exit::RUNTIME, format!("line {line_no}: {e}")),
-            };
-            match emit_line(sink, &verdict) {
-                Ok(true) => continue,
-                Ok(false) => break, // consumer hung up
-                Err(e) => return (exit::RUNTIME, e),
-            }
-        }};
+            Err(OpenError::Drift(e)) => return (exit::USAGE, format!("{e}\n\n{HELP}")),
+            Err(OpenError::Quarantine(e)) => return (exit::RUNTIME, e),
+        };
+    // The primary was corrupt or missing; say so loudly — the resumed run
+    // is one checkpoint generation behind.
+    match recovered {
+        Some(RecoveredFrom::Previous {
+            quarantined: Some(corrupt),
+        }) => eprintln!(
+            "stream: checkpoint {resume} was unreadable (quarantined to {}); \
+             resumed from its .prev generation",
+            corrupt.display()
+        ),
+        Some(RecoveredFrom::Previous { quarantined: None }) => {
+            eprintln!("stream: checkpoint {resume} was missing; resumed from its .prev generation")
+        }
+        _ => {}
     }
 
-    // Parsed records waiting for a pooled `score_batch` call (only ever
-    // non-empty under `--batch <n>` with n > 1).
-    let mut pending: Vec<(usize, String, Vec<f64>)> = Vec::with_capacity(batch);
-
-    // Scores everything buffered in `pending` with one pooled call, then
-    // emits the verdicts in arrival order. Evaluates to `true` when the
-    // consumer hung up mid-emission. Must run before any error verdict or
-    // shutdown so output order matches the record-at-a-time path exactly.
-    macro_rules! flush_batch {
-        () => {{
-            let mut hung_up = false;
-            if !pending.is_empty() {
-                let rows: Vec<Vec<f64>> = pending.iter().map(|(_, _, r)| r.clone()).collect();
-                let results = {
-                    let _span = obs::span(obs::Level::Trace, "hdoutlier.cli", "score_batch");
-                    scorer.score_batch(&rows, threads)
-                };
-                for ((b_line, raw, _), result) in pending.drain(..).zip(results) {
-                    match result {
-                        Ok(verdict) => {
-                            consecutive_errors = 0;
-                            if !(outliers_only && !verdict.outlier && verdict.drift.is_none()) {
-                                let rendered = match verdict_json(&verdict, &scorer) {
-                                    Ok(j) => j.render(),
-                                    Err(e) => {
-                                        return (exit::RUNTIME, format!("line {b_line}: {e}"))
-                                    }
-                                };
-                                match emit_line(sink, &rendered) {
-                                    Ok(true) => {}
-                                    Ok(false) => {
-                                        hung_up = true;
-                                        break; // consumer hung up
-                                    }
-                                    Err(e) => return (exit::RUNTIME, e),
-                                }
-                            }
-                            if let Some(path) = &checkpoint_path {
-                                if scorer.records_scored() % checkpoint_every == 0 {
-                                    let cp = Checkpoint::capture(
-                                        &scorer,
-                                        skipped_total,
-                                        quarantined_total,
-                                    );
-                                    if let Err(e) = cp.save_atomic(path) {
-                                        return (
-                                            exit::RUNTIME,
-                                            format!(
-                                                "failed to checkpoint to {}: {e}",
-                                                path.display()
-                                            ),
-                                        );
-                                    }
-                                    checkpoints_ctr.inc();
-                                }
-                            }
-                        }
-                        Err(e) => {
-                            // Same policy ladder as `bad_record!`, but scoped
-                            // to the buffered line and without the outer-loop
-                            // `continue` (the batch keeps draining).
-                            let reason = e.to_string();
-                            consecutive_errors += 1;
-                            if matches!(policy, ErrorPolicy::Abort) {
-                                return (exit::RUNTIME, format!("line {b_line}: {reason}"));
-                            }
-                            if consecutive_errors > max_consecutive {
-                                return (
-                                    exit::RUNTIME,
-                                    format!(
-                                        "line {b_line}: {reason} ({consecutive_errors} \
-                                         consecutive bad records exceed \
-                                         --max-consecutive-errors {max_consecutive}; aborting)"
-                                    ),
-                                );
-                            }
-                            obs::event(
-                                obs::Level::Warn,
-                                TARGET,
-                                "record_error",
-                                &[
-                                    ("line", obs::Value::U64(b_line as u64)),
-                                    ("action", obs::Value::Str(policy.action())),
-                                ],
-                            );
-                            if let ErrorPolicy::Quarantine(path) = &policy {
-                                let file = quarantine_file.as_mut().expect("opened above");
-                                if let Err(e) = writeln!(file, "{raw}") {
-                                    return (
-                                        exit::RUNTIME,
-                                        format!(
-                                            "failed to quarantine line {b_line} to {path}: {e}"
-                                        ),
-                                    );
-                                }
-                                quarantined_ctr.inc();
-                                quarantined_total += 1;
-                            } else {
-                                skipped_ctr.inc();
-                                skipped_total += 1;
-                            }
-                            let verdict = match error_json(b_line, &reason, policy.action()) {
-                                Ok(j) => j.render(),
-                                Err(e) => return (exit::RUNTIME, format!("line {b_line}: {e}")),
-                            };
-                            match emit_line(sink, &verdict) {
-                                Ok(true) => {}
-                                Ok(false) => {
-                                    hung_up = true;
-                                    break;
-                                }
-                                Err(e) => return (exit::RUNTIME, e),
-                            }
-                        }
-                    }
-                }
-            }
-            hung_up
-        }};
+    let lines = input
+        .lines()
+        .map(|line| line.map_err(|e| format!("stdin read failed: {e}")));
+    if let Err(stop) = pipeline.run(lines, &mut Stdout(sink)) {
+        let message = match stop {
+            Stop::Abort { line, reason } => format!("line {line}: {reason}"),
+            Stop::Breaker {
+                line,
+                reason,
+                count,
+                limit,
+            } => format!(
+                "line {line}: {reason} ({count} consecutive bad records exceed \
+                 --max-consecutive-errors {limit}; aborting)"
+            ),
+            Stop::Fatal(message) => message,
+        };
+        return (exit::RUNTIME, message);
     }
-
-    let mut lines = input.lines();
-    loop {
-        line_no += 1;
-        let line = match lines.next() {
-            None => break,
-            Some(Ok(l)) => l,
-            Some(Err(e)) => {
-                if flush_batch!() {
-                    break;
-                }
-                bad_record!(format!("stdin read failed: {e}"), None)
-            }
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
-        if skip_header {
-            skip_header = false;
-            continue;
-        }
-        let row = match parse_row(&line, delimiter, &missing, n_dims) {
-            Ok(r) => r,
-            Err(msg) => {
-                // Drain buffered records first so the error verdict lands at
-                // its arrival position in the output.
-                if flush_batch!() {
-                    break;
-                }
-                bad_record!(msg, Some(&line))
-            }
-        };
-        if batch > 1 {
-            pending.push((line_no, line, row));
-            if pending.len() >= batch && flush_batch!() {
-                break;
-            }
-            continue;
-        }
-        let verdict = {
-            let _span = obs::span(obs::Level::Trace, "hdoutlier.cli", "score_record");
-            match scorer.score_record(&row) {
-                Ok(v) => v,
-                Err(e) => bad_record!(e.to_string(), Some(&line)),
-            }
-        };
-        consecutive_errors = 0;
-        if !(outliers_only && !verdict.outlier && verdict.drift.is_none()) {
-            let rendered = match verdict_json(&verdict, &scorer) {
-                Ok(j) => j.render(),
-                Err(e) => return (exit::RUNTIME, format!("line {line_no}: {e}")),
-            };
-            match emit_line(sink, &rendered) {
-                Ok(true) => {}
-                Ok(false) => break, // consumer hung up
-                Err(e) => return (exit::RUNTIME, e),
-            }
-        }
-        if let Some(path) = &checkpoint_path {
-            if scorer.records_scored() % checkpoint_every == 0 {
-                let cp = Checkpoint::capture(&scorer, skipped_total, quarantined_total);
-                if let Err(e) = cp.save_atomic(path) {
-                    return (
-                        exit::RUNTIME,
-                        format!("failed to checkpoint to {}: {e}", path.display()),
-                    );
-                }
-                checkpoints_ctr.inc();
-            }
-        }
-    }
-    // Score any partial batch left at EOF (or hang-up: the verdicts go
-    // nowhere, but the records were accepted and belong in the checkpoint).
-    let _ = flush_batch!();
     // A final checkpoint at EOF (or consumer hang-up) so a clean restart
     // resumes from the last record, not the last cadence boundary.
-    if let Some(path) = &checkpoint_path {
-        let cp = Checkpoint::capture(&scorer, skipped_total, quarantined_total);
-        if let Err(e) = cp.save_atomic(path) {
-            return (
-                exit::RUNTIME,
-                format!("failed to checkpoint to {}: {e}", path.display()),
-            );
+    match pipeline.checkpoint() {
+        Ok(_) => (exit::OK, String::new()),
+        Err(e) => (exit::RUNTIME, e),
+    }
+}
+
+/// The pipeline settings the flags ask for; `Err` is the usage message.
+fn settings(parsed: &Parsed) -> Result<Settings, String> {
+    let policy = ErrorPolicy::parse(parsed.get("on-error").unwrap_or("abort"))
+        .map_err(|e| format!("--on-error {e}"))?;
+    let positive = |flag: &str, default: u64, zero: &str| -> Result<u64, String> {
+        match parsed.or(flag, "integer", default) {
+            Ok(0) => Err(format!("--{flag} {zero}")),
+            Ok(n) => Ok(n),
+            Err(e) => Err(e.to_string()),
         }
-        checkpoints_ctr.inc();
-    }
-    (exit::OK, String::new())
-}
-
-/// Writes one NDJSON line, flushed immediately. `Ok(false)` means the
-/// consumer closed the pipe (`| head`) — a normal way to stop, not an
-/// error.
-fn emit_line(sink: &mut impl Write, rendered: &str) -> Result<bool, String> {
-    match writeln!(sink, "{rendered}").and_then(|()| sink.flush()) {
-        Ok(()) => Ok(true),
-        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => Ok(false),
-        Err(e) => Err(format!("stdout write failed: {e}")),
-    }
-}
-
-/// Splits one CSV line into `n_dims` numbers (missing markers become NaN).
-fn parse_row(
-    line: &str,
-    delimiter: char,
-    missing: &[String],
-    n_dims: usize,
-) -> Result<Vec<f64>, String> {
-    let records = hdoutlier_data::csv::parse_records(line, delimiter)
-        .map_err(|e| format!("malformed CSV: {e}"))?;
-    let fields = match records.as_slice() {
-        [one] => one,
-        _ => return Err("expected exactly one record".to_string()),
     };
-    if fields.len() != n_dims {
-        return Err(format!(
-            "expected {n_dims} fields (the model's dimensionality), got {}",
-            fields.len()
-        ));
+    let batch = positive("batch", 1, "must be >= 1")? as usize;
+    let threads = hdoutlier_pool::default_threads() as u64;
+    let threads = positive("threads", threads, "must be >= 1")? as usize;
+    let max_consecutive = positive("max-consecutive-errors", 100, "must be positive")?;
+    let checkpoint_every = positive("checkpoint-every", 1000, "must be positive")?;
+    let checkpoint = parsed.get("checkpoint").map(PathBuf::from);
+    if checkpoint.is_none() && parsed.get("checkpoint-every").is_some() {
+        return Err("--checkpoint-every requires --checkpoint <path>".into());
     }
-    fields
-        .iter()
-        .map(|f| {
-            let f = f.trim();
-            if missing.iter().any(|m| m == f) {
-                Ok(f64::NAN)
-            } else {
-                f.parse::<f64>()
-                    .map_err(|_| format!("cannot parse {f:?} as a number"))
-            }
-        })
-        .collect()
+    Ok(Settings {
+        format: RecordFormat::Csv {
+            delimiter: super::delimiter(parsed)?,
+            header: !parsed.has("no-header"),
+        },
+        batch,
+        threads,
+        outliers_only: parsed.has("outliers-only"),
+        policy,
+        max_consecutive,
+        checkpoint,
+        checkpoint_every,
+        drift_alpha: parsed
+            .opt("drift-alpha", "number")
+            .map_err(|e| e.to_string())?,
+        drift_every: parsed
+            .opt("drift-every", "integer")
+            .map_err(|e| e.to_string())?,
+    })
+}
+
+/// Stdout as a verdict sink: each line is flushed as it is written, and a
+/// closed pipe (`| head`) is a normal way to stop, not an error.
+struct Stdout<'a, W>(&'a mut W);
+
+impl<W: Write> Sink for Stdout<'_, W> {
+    fn emit(&mut self, line: &str) -> Result<bool, String> {
+        match writeln!(self.0, "{line}").and_then(|()| self.0.flush()) {
+            Ok(()) => Ok(true),
+            Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => Ok(false),
+            Err(e) => Err(format!("stdout write failed: {e}")),
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::super::test_support::planted_csv;
     use crate::exit;
-    use crate::json::Json;
+    use hdoutlier_json::Json;
 
     fn argv(parts: &[&str]) -> Vec<String> {
         parts.iter().map(|s| s.to_string()).collect()
@@ -1087,74 +703,5 @@ mod tests {
         );
         assert_eq!(code, exit::RUNTIME);
         assert!(out.contains("cannot resume"), "{out}");
-    }
-
-    // ---- parse_row edge cases ------------------------------------------
-
-    fn markers() -> Vec<String> {
-        hdoutlier_data::csv::CsvOptions::default().missing_markers
-    }
-
-    #[test]
-    fn parse_row_missing_markers_tolerate_surrounding_whitespace() {
-        let row = super::parse_row(" ? , NA ,  NaN , 1.5", ',', &markers(), 4).unwrap();
-        assert!(row[0].is_nan());
-        assert!(row[1].is_nan());
-        assert!(row[2].is_nan());
-        assert_eq!(row[3], 1.5);
-        // An entirely blank field is the empty-string marker after trimming.
-        let row = super::parse_row("1,   ,3", ',', &markers(), 3).unwrap();
-        assert!(row[1].is_nan());
-    }
-
-    #[test]
-    fn parse_row_wrong_delimiter_is_a_field_count_error() {
-        // Semicolon data split on commas collapses into one un-parseable
-        // field — report the count mismatch, not a panic.
-        let err = super::parse_row("1;2;3", ',', &markers(), 3).unwrap_err();
-        assert!(err.contains("expected 3 fields"), "{err}");
-        // The right delimiter parses.
-        let row = super::parse_row("1;2;3", ';', &markers(), 3).unwrap();
-        assert_eq!(row, vec![1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn parse_row_field_count_mismatches() {
-        let err = super::parse_row("1,2", ',', &markers(), 3).unwrap_err();
-        assert!(err.contains("expected 3 fields"), "{err}");
-        assert!(err.contains("got 2"), "{err}");
-        let err = super::parse_row("1,2,3,4", ',', &markers(), 3).unwrap_err();
-        assert!(err.contains("got 4"), "{err}");
-    }
-
-    #[test]
-    fn parse_row_quoted_fields_and_utf8() {
-        // Quoted numeric fields parse; quoted text (UTF-8 included) is a
-        // per-field error naming the offending content.
-        let row = super::parse_row("\"1.5\",2", ',', &markers(), 2).unwrap();
-        assert_eq!(row, vec![1.5, 2.0]);
-        let err = super::parse_row("\"héllo, wörld\",2", ',', &markers(), 2).unwrap_err();
-        assert!(err.contains("héllo, wörld"), "{err}");
-        // A quoted missing marker still reads as missing.
-        let row = super::parse_row("\"?\",2", ',', &markers(), 2).unwrap();
-        assert!(row[0].is_nan());
-        // An unterminated quote is malformed CSV, not a panic.
-        let err = super::parse_row("\"1,2", ',', &markers(), 2).unwrap_err();
-        assert!(err.contains("malformed CSV"), "{err}");
-    }
-
-    #[test]
-    fn parse_row_inf_and_nan_literals() {
-        // Rust's f64 parser accepts inf/-inf/infinity case-insensitively;
-        // they flow through as infinities (the grid clamps them to the
-        // outermost ranges), while NaN spellings hit the missing-marker
-        // list first and become missing.
-        let row = super::parse_row("inf,-inf,Infinity", ',', &markers(), 3).unwrap();
-        assert_eq!(row[0], f64::INFINITY);
-        assert_eq!(row[1], f64::NEG_INFINITY);
-        assert_eq!(row[2], f64::INFINITY);
-        let row = super::parse_row("NaN,nan", ',', &markers(), 2).unwrap();
-        assert!(row[0].is_nan()); // marker
-        assert!(row[1].is_nan()); // f64 parse of "nan"
     }
 }

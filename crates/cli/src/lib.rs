@@ -7,10 +7,6 @@
 //! - [`args`]: a small, dependency-free command-line parser (flags with
 //!   values, `--flag=value` and `--flag value` forms, positional arguments,
 //!   typed getters with error messages);
-//! - [`json`]: re-export of the workspace `hdoutlier-json` crate — a minimal
-//!   JSON value with writer and parser (the workspace builds hermetically
-//!   with no external dependencies; reports, model files, and checkpoints
-//!   are simple enough that escaping + nesting is all that is needed);
 //! - [`commands`]: the `detect`, `score`, `stream`, `serve`, `explain`,
 //!   `advise` and `baseline` subcommands, returning their output as a
 //!   string so tests can assert on it;
@@ -19,8 +15,6 @@
 
 pub mod args;
 pub mod commands;
-pub mod json;
-pub mod model_io;
 pub mod obs_setup;
 
 /// Exit codes used by the binary.

@@ -5,7 +5,7 @@
 //! reports.
 
 use crate::args::{Parsed, Spec};
-use crate::json::{FieldChain, Json, JsonError};
+use hdoutlier_json::{FieldChain, Json, JsonError};
 use hdoutlier_obs as obs;
 use std::sync::Arc;
 use std::time::Duration;

@@ -6,6 +6,8 @@
 use hdoutlier_cli::commands::stream;
 use hdoutlier_cli::exit;
 use hdoutlier_data::generators::{planted_outliers, PlantedConfig};
+use hdoutlier_json::Json;
+use hdoutlier_serve::session::{Session, SessionConfig};
 use hdoutlier_stream::checkpoint::staging_path;
 use hdoutlier_stream::Checkpoint;
 use std::collections::VecDeque;
@@ -405,4 +407,59 @@ fn stale_staging_file_from_a_killed_run_is_harmless() {
     assert_eq!(code, exit::OK, "{out}");
     assert!(!staging_path(&ckpt).exists());
     assert_eq!(Checkpoint::load(&ckpt).unwrap().records_scored, 30);
+}
+
+/// `stream` and a serve session run the same pipeline, so the same records
+/// — wrong-arity ones included — give the same bytes: CSV on stdin in one
+/// run versus NDJSON arrays posted to a session in two requests, at batch
+/// sizes 1 and 7.
+#[test]
+fn stream_and_serve_session_agree_byte_for_byte_on_bad_records() {
+    let (model, lines) = train("stream-vs-serve", 70);
+    let mut csv = String::new();
+    let mut ndjson = Vec::new();
+    for (i, line) in lines.iter().take(200).enumerate() {
+        // Every 20th record loses its last field: 10 of 200 (5%).
+        let fields: Vec<&str> = line.split(',').collect();
+        let fields = if i % 20 == 7 {
+            &fields[..fields.len() - 1]
+        } else {
+            &fields[..]
+        };
+        csv.push_str(&fields.join(","));
+        csv.push('\n');
+        let values = fields
+            .iter()
+            .map(|f| Json::from(f.parse::<f64>().expect("numeric field")))
+            .collect();
+        ndjson.push(Json::Array(values).render());
+    }
+    let model_text = std::fs::read_to_string(&model).unwrap();
+    for batch in ["1", "7"] {
+        let (code, streamed) = stream::run_with_input(
+            &stream_args(
+                &model,
+                &["--on-error", "skip", "--batch", batch, "--threads", "2"],
+            ),
+            csv.as_bytes(),
+        );
+        assert_eq!(code, exit::OK, "{streamed}");
+        assert_eq!(streamed.matches("\"error\":").count(), 10, "{streamed}");
+
+        let body = Json::parse(&format!(
+            "{{\"on_error\": \"skip\", \"batch\": {batch}, \"model_path\": \"m\"}}"
+        ))
+        .unwrap();
+        let mut config =
+            SessionConfig::from_json(&body, "s".into(), &|_| Ok(model_text.clone())).unwrap();
+        config.settings.threads = 2;
+        let mut session = Session::create(config, None, 0).unwrap_or_else(|e| panic!("{e}"));
+        let mut served = String::new();
+        for request in ndjson.chunks(113) {
+            let outcome = session.score_lines(&(request.join("\n") + "\n"));
+            assert!(outcome.tripped.is_none() && outcome.fatal.is_none());
+            served.push_str(&outcome.ndjson);
+        }
+        assert_eq!(served, streamed, "--batch {batch}");
+    }
 }

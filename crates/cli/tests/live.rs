@@ -2,7 +2,7 @@
 //! binary: scrape a running `stream --serve-metrics` over real TCP, and
 //! validate `--trace-out` output with the in-tree JSON parser.
 
-use hdoutlier_cli::json::Json;
+use hdoutlier_json::Json;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::process::{Command, Stdio};

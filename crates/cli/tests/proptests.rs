@@ -3,7 +3,7 @@
 //! arbitrary argument vectors.
 
 use hdoutlier_cli::args::Spec;
-use hdoutlier_cli::json::Json;
+use hdoutlier_json::Json;
 use proptest::prelude::*;
 
 proptest! {

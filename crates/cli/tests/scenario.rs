@@ -3,8 +3,8 @@
 //! missing file), the deliberate update path, and the cross-thread
 //! byte-identity property the whole suite rests on.
 
-use hdoutlier_cli::json::Json;
 use hdoutlier_cli::{exit, run};
+use hdoutlier_json::Json;
 
 /// The checked-in goldens, relative to this crate's manifest.
 const GOLDENS: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/goldens");

@@ -2,8 +2,8 @@
 //! documents them: run `detect` with `--log-json --metrics-out` on a tiny
 //! dataset and validate every produced artifact with the in-tree parser.
 
-use hdoutlier_cli::json::Json;
 use hdoutlier_cli::{exit, run};
+use hdoutlier_json::Json;
 
 fn argv(parts: &[&str]) -> Vec<String> {
     parts.iter().map(|s| s.to_string()).collect()

@@ -70,8 +70,9 @@ pub fn correlated(config: &CorrelatedConfig) -> Dataset {
 }
 
 /// Standard normal sampling via Box–Muller, keeping the workspace free of a
-/// `rand_distr` dependency. Shared by the sibling generators.
-pub(crate) fn standard_normal<R: Rng>(rng: &mut R) -> f64 {
+/// `rand_distr` dependency. Shared by the sibling generators and the
+/// scenario packs, so their datasets share one marginal.
+pub fn standard_normal<R: Rng>(rng: &mut R) -> f64 {
     // Box–Muller: u1 in (0,1], u2 in [0,1).
     let u1: f64 = 1.0 - rng.gen::<f64>();
     let u2: f64 = rng.gen();
@@ -198,6 +199,19 @@ mod tests {
             strength: 1.5,
             ..CorrelatedConfig::default()
         });
+    }
+
+    #[test]
+    fn normals_have_plausible_moments() {
+        use hdoutlier_rng::rngs::StdRng;
+        use hdoutlier_rng::SeedableRng;
+        let mut rng = StdRng::seed_from_u64(7);
+        let samples: Vec<f64> = (0..20_000).map(|_| standard_normal(&mut rng)).collect();
+        let mean = samples.iter().sum::<f64>() / samples.len() as f64;
+        let var =
+            samples.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / samples.len() as f64;
+        assert!(mean.abs() < 0.05, "mean {mean}");
+        assert!((var - 1.0).abs() < 0.05, "var {var}");
     }
 
     #[test]

@@ -22,7 +22,7 @@ pub mod planted;
 pub mod uci_like;
 pub mod uniform;
 
-pub use correlated::{correlated, CorrelatedConfig};
+pub use correlated::{correlated, standard_normal, CorrelatedConfig};
 pub use planted::{planted_outliers, PlantedConfig, PlantedOutliers};
 pub use uniform::uniform;
 

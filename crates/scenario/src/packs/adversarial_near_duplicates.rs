@@ -8,12 +8,13 @@
 //! is the paper's §1 argument as an executable artifact.
 
 use crate::report::{dataset_json, detect_json, envelope, metrics_json, recall, top_rows};
-use crate::synth::{factor_row, standard_normal};
+use crate::synth::factor_row;
 use crate::{pipe, Invariant, Outcome, RunConfig, Scenario, ScenarioError};
 use hdoutlier_baselines::{
     cfof_scores_threaded, lof_scores_threaded, ramaswamy_top_n_threaded, Metric,
 };
 use hdoutlier_core::{OutlierDetector, SearchMethod};
+use hdoutlier_data::generators::standard_normal;
 use hdoutlier_data::Dataset;
 use hdoutlier_json::{FieldChain, Json};
 use hdoutlier_rng::rngs::StdRng;

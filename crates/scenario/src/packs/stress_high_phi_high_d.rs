@@ -14,10 +14,11 @@ use crate::report::{
     dataset_json, detect_json, envelope, fingerprint_text, metrics_json, recall, rows_json,
     top_rows,
 };
-use crate::synth::{factor_row, standard_normal};
+use crate::synth::factor_row;
 use crate::{http, pipe, Invariant, Outcome, RunConfig, Scenario, ScenarioError};
 use hdoutlier_baselines::{dod_scores_threaded, Metric};
 use hdoutlier_core::{OutlierDetector, SearchMethod};
+use hdoutlier_data::generators::standard_normal;
 use hdoutlier_data::Dataset;
 use hdoutlier_json::{FieldChain, Json};
 use hdoutlier_rng::rngs::StdRng;

@@ -1,16 +1,9 @@
-//! Seeded synthesis helpers the custom packs share: Box–Muller normals and
-//! correlated factor-group rows, matching the construction in
-//! `hdoutlier_data::generators` (whose own sampler is crate-private).
+//! Seeded synthesis helpers the custom packs share: correlated factor-group
+//! rows, matching the construction in `hdoutlier_data::generators` and
+//! drawn from its Box–Muller sampler.
 
+use hdoutlier_data::generators::standard_normal;
 use hdoutlier_rng::Rng;
-
-/// Standard normal via Box–Muller — the same transform the data crate's
-/// generators use, so scenario datasets share their marginals.
-pub fn standard_normal<R: Rng>(rng: &mut R) -> f64 {
-    let u1: f64 = 1.0 - rng.gen::<f64>();
-    let u2: f64 = rng.gen();
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
-}
 
 /// One row of the correlated factor-group model: dimensions are covered by
 /// consecutive groups of `group_size`, each sharing a latent factor with
@@ -38,17 +31,6 @@ mod tests {
     use super::*;
     use hdoutlier_rng::rngs::StdRng;
     use hdoutlier_rng::SeedableRng;
-
-    #[test]
-    fn normals_have_plausible_moments() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let samples: Vec<f64> = (0..20_000).map(|_| standard_normal(&mut rng)).collect();
-        let mean = samples.iter().sum::<f64>() / samples.len() as f64;
-        let var =
-            samples.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / samples.len() as f64;
-        assert!(mean.abs() < 0.05, "mean {mean}");
-        assert!((var - 1.0).abs() < 0.05, "var {var}");
-    }
 
     #[test]
     fn strong_groups_correlate_and_weak_groups_do_not() {

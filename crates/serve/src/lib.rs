@@ -1,8 +1,8 @@
 #![warn(missing_docs)]
 
 //! `hdoutlier serve` — a long-running network scoring server hosting many
-//! concurrent sessions, each the serve-side twin of one `hdoutlier stream`
-//! process.
+//! concurrent sessions, each running the record pipeline
+//! ([`hdoutlier_stream::Pipeline`]) one `hdoutlier stream` process runs.
 //!
 //! The HTTP surface (over [`hdoutlier_net`]):
 //!
@@ -272,16 +272,6 @@ impl ServeApp {
         self.draining.store(true, Ordering::SeqCst);
     }
 
-    /// Live session ids, sorted.
-    pub fn session_ids(&self) -> Vec<String> {
-        self.sessions
-            .lock()
-            .expect("session registry poisoned")
-            .keys()
-            .cloned()
-            .collect()
-    }
-
     /// Writes a final checkpoint for every session that has one configured.
     /// Returns `(sessions, checkpointed, errors)`; write failures are
     /// collected rather than aborting the drain (the other sessions still
@@ -299,9 +289,9 @@ impl ServeApp {
         let mut errors = Vec::new();
         for session in sessions {
             let session = session.lock().expect("session poisoned");
-            match session.checkpoint_if_configured() {
-                Ok(true) => checkpointed += 1,
-                Ok(false) => {}
+            match session.checkpoint() {
+                Ok(Some(_)) => checkpointed += 1,
+                Ok(None) => {}
                 Err(e) => errors.push(format!("session {}: {e}", session.id())),
             }
         }
@@ -482,10 +472,11 @@ impl ServeApp {
         let read_model = |path: &str| {
             std::fs::read_to_string(path).map_err(|e| format!("cannot read model_path {path}: {e}"))
         };
-        let config = match SessionConfig::from_json(&json, default_id, &read_model) {
+        let mut config = match SessionConfig::from_json(&json, default_id, &read_model) {
             Ok(c) => c,
             Err(e) => return error_response(400, &e),
         };
+        config.settings.threads = self.config.threads;
         let id = config.id.clone();
         // Hold the registry lock across create so two concurrent creates of
         // the same id cannot both pass the duplicate check; session
@@ -691,7 +682,7 @@ impl ServeApp {
         if let Some(reason) = session.tripped() {
             return error_response(409, &format!("session tripped: {reason}"));
         }
-        let outcome = session.score_lines(body, self.config.threads);
+        let outcome = session.score_lines(body);
         activity.records = outcome.records;
         activity.outliers = outcome.outliers;
         activity.errors = outcome.errors;
@@ -747,10 +738,12 @@ impl ServeApp {
             return error_response(404, &format!("no session {id:?}"));
         };
         let session = session.lock().expect("session poisoned");
-        match session.checkpoint_now() {
-            Err(e) if e.contains("checkpoint directory") => error_response(400, &e),
+        match session.checkpoint() {
+            Ok(None) => {
+                error_response(400, "server has no checkpoint directory (--checkpoint-dir)")
+            }
             Err(e) => error_response(500, &e),
-            Ok(path) => {
+            Ok(Some(path)) => {
                 let body = Json::object()
                     .field("checkpoint", path.display().to_string())
                     .and_then(|j| j.field("records_scored", session.records_scored()));
@@ -769,7 +762,7 @@ impl ServeApp {
         };
         {
             let session = session.lock().expect("session poisoned");
-            if let Err(e) = session.checkpoint_if_configured() {
+            if let Err(e) = session.checkpoint() {
                 return error_response(500, &e);
             }
         }

@@ -1,66 +1,24 @@
-//! One scoring session: a model, its online-scorer state, and the
-//! request-scoped scoring loop.
+//! One scoring session: an id, a record pipeline, its replay cache and
+//! its status document.
 //!
-//! A session is the serve-side twin of one `hdoutlier stream` process. It
-//! owns everything that process would: an [`OnlineScorer`] (drift monitor
-//! included), an error policy with a consecutive-failure breaker, skip and
-//! quarantine totals, a persistent line counter, and an optional checkpoint
-//! cadence. Nothing here is shared between sessions — a tripped breaker,
-//! a drifted grid, or a checkpoint failure in one session is invisible to
-//! every other.
-//!
-//! [`Session::score_lines`] mirrors the CLI stream loop exactly — same
-//! batch discipline (pooled read-only scoring, serial in-order apply), same
-//! policy ladder at each failure point, same checkpoint cadence, and the
-//! same NDJSON renderers ([`hdoutlier_stream::ndjson`]) — which is what
-//! makes a session's verdict stream byte-identical to `hdoutlier stream`
-//! run over the same records.
+//! Everything between a posted record line and its verdict line — parsing,
+//! batching, the error policy and its consecutive-failure breaker, skip and
+//! quarantine totals, the checkpoint cadence — is the
+//! [`hdoutlier_stream::Pipeline`] that `hdoutlier stream` also runs, so a
+//! session's verdict stream is byte-identical to `hdoutlier stream` over
+//! the same records. The session adds only what is specific to serving:
+//! NDJSON input, line numbers that continue across requests and restarts,
+//! the trip state, and request idempotency. Nothing here is shared between
+//! sessions — a tripped breaker, a drifted grid, or a checkpoint failure in
+//! one session is invisible to every other.
 
 use hdoutlier_json::{FieldChain, Json, JsonError};
-use hdoutlier_obs as obs;
-use hdoutlier_stream::ndjson::{error_json, verdict_json};
-use hdoutlier_stream::{Checkpoint, OnlineScorer, RecoveredFrom, Verdict};
+use hdoutlier_stream::checkpoint::prev_path;
+use hdoutlier_stream::{
+    CheckpointError, ErrorPolicy, OnlineScorer, OpenError, Pipeline, RecordFormat, Settings, Stop,
+};
 use std::collections::VecDeque;
-use std::io::Write;
-use std::path::{Path, PathBuf};
-
-/// What to do with a record that cannot be parsed or scored — the same
-/// ladder as the CLI's `--on-error`.
-#[derive(Debug, Clone)]
-pub enum ErrorPolicy {
-    /// Trip the session on the first bad record (the default).
-    Abort,
-    /// Emit an NDJSON error verdict and keep scoring.
-    Skip,
-    /// Like skip, and also append the raw line to the file at this path.
-    Quarantine(String),
-}
-
-impl ErrorPolicy {
-    /// Parses the `on_error` config value (`abort`, `skip`,
-    /// `quarantine:<path>`).
-    pub fn parse(spec: &str) -> Result<Self, String> {
-        match spec {
-            "abort" => Ok(ErrorPolicy::Abort),
-            "skip" => Ok(ErrorPolicy::Skip),
-            other => match other.strip_prefix("quarantine:") {
-                Some(path) if !path.is_empty() => Ok(ErrorPolicy::Quarantine(path.to_string())),
-                _ => Err(format!(
-                    "on_error must be abort|skip|quarantine:<path>, got {spec:?}"
-                )),
-            },
-        }
-    }
-
-    /// The `action` string written into error verdicts.
-    pub fn action(&self) -> &'static str {
-        match self {
-            ErrorPolicy::Abort => "abort",
-            ErrorPolicy::Skip => "skip",
-            ErrorPolicy::Quarantine(_) => "quarantine",
-        }
-    }
-}
+use std::path::Path;
 
 /// Validated configuration for one session, parsed from the
 /// `POST /sessions` body by [`SessionConfig::from_json`].
@@ -69,22 +27,10 @@ pub struct SessionConfig {
     pub id: String,
     /// The fitted model this session scores against.
     pub model: hdoutlier_core::FittedModel,
-    /// Drift-test significance override (`None` keeps the scorer default
-    /// or, on resume, the checkpointed value).
-    pub drift_alpha: Option<f64>,
-    /// Drift-check cadence override.
-    pub drift_every: Option<u64>,
-    /// Records per pooled `score_batch` call (`1` = record-at-a-time).
-    pub batch: usize,
-    /// Emit only outlier (and cadence-drift) verdicts.
-    pub outliers_only: bool,
-    /// Bad-record policy.
-    pub policy: ErrorPolicy,
-    /// Consecutive-failure circuit breaker threshold.
-    pub max_consecutive: u64,
-    /// Records between automatic checkpoints (when the server has a
-    /// checkpoint directory).
-    pub checkpoint_every: u64,
+    /// The record pipeline's settings. The checkpoint path is filled in by
+    /// [`Session::create`] from the server's checkpoint directory, and
+    /// `threads` by the server.
+    pub settings: Settings,
     /// Restore state from an existing checkpoint file when one is present.
     pub resume: bool,
 }
@@ -137,10 +83,10 @@ impl SessionConfig {
                     .ok_or(format!("{key} must be a number")),
             }
         };
-        let count = |key: &str, default: u64| -> Result<u64, String> {
+        let count = |key: &str| -> Result<Option<u64>, String> {
             match number(key)? {
-                None => Ok(default),
-                Some(v) if v >= 1.0 && v.fract() == 0.0 => Ok(v as u64),
+                None => Ok(None),
+                Some(v) if v >= 1.0 && v.fract() == 0.0 => Ok(Some(v as u64)),
                 Some(v) => Err(format!("{key} must be a positive integer, got {v}")),
             }
         };
@@ -151,25 +97,26 @@ impl SessionConfig {
                 Some(_) => Err(format!("{key} must be a boolean")),
             }
         };
-        let drift_every = match number("drift_every")? {
-            None => None,
-            Some(v) if v >= 1.0 && v.fract() == 0.0 => Some(v as u64),
-            Some(v) => return Err(format!("drift_every must be a positive integer, got {v}")),
-        };
         let policy = match body.get("on_error") {
             None => ErrorPolicy::Abort,
-            Some(j) => ErrorPolicy::parse(j.as_str().ok_or("on_error must be a string")?)?,
+            Some(j) => ErrorPolicy::parse(j.as_str().ok_or("on_error must be a string")?)
+                .map_err(|e| format!("on_error {e}"))?,
         };
         Ok(SessionConfig {
             id,
             model,
-            drift_alpha: number("drift_alpha")?,
-            drift_every,
-            batch: count("batch", 1)? as usize,
-            outliers_only: flag("outliers_only")?,
-            policy,
-            max_consecutive: count("max_consecutive_errors", 100)?,
-            checkpoint_every: count("checkpoint_every", 1000)?,
+            settings: Settings {
+                format: RecordFormat::Ndjson,
+                batch: count("batch")?.unwrap_or(1) as usize,
+                threads: 1,
+                outliers_only: flag("outliers_only")?,
+                policy,
+                max_consecutive: count("max_consecutive_errors")?.unwrap_or(100),
+                checkpoint: None,
+                checkpoint_every: count("checkpoint_every")?.unwrap_or(1000),
+                drift_alpha: number("drift_alpha")?,
+                drift_every: count("drift_every")?,
+            },
             resume: flag("resume")?,
         })
     }
@@ -212,14 +159,6 @@ pub struct ScoreOutcome {
     /// Set on an environmental failure (checkpoint write, quarantine
     /// append); the session stays usable.
     pub fatal: Option<String>,
-}
-
-/// Control flow inside the scoring loop.
-enum Stop {
-    /// Policy/breaker trip: stop scoring, poison the session.
-    Tripped(String),
-    /// Environmental failure: stop scoring, keep the session.
-    Fatal(String),
 }
 
 /// What the replay cache knows about a request id.
@@ -322,20 +261,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// One live scoring session.
 pub struct Session {
     id: String,
-    scorer: OnlineScorer,
-    batch: usize,
-    outliers_only: bool,
-    policy: ErrorPolicy,
-    max_consecutive: u64,
-    consecutive_errors: u64,
-    skipped: u64,
-    quarantined: u64,
-    /// 1-based input line counter, persistent across requests (and across
-    /// restarts via resume) so error verdicts number lines exactly as one
-    /// continuous `stream` run would.
-    line_no: u64,
-    checkpoint_path: Option<PathBuf>,
-    checkpoint_every: u64,
+    pipeline: Pipeline,
     tripped: Option<String>,
     resumed: bool,
     replay: ReplayCache,
@@ -351,69 +277,38 @@ impl Session {
         checkpoint_dir: Option<&Path>,
         replay_capacity: usize,
     ) -> Result<Session, CreateError> {
-        let mut scorer = OnlineScorer::new(config.model)
+        let scorer = OnlineScorer::new(config.model)
             .map_err(|e| CreateError::Config(format!("model unusable for streaming: {e}")))?;
-        let checkpoint_path = checkpoint_dir.map(|d| d.join(format!("{}.ckpt.json", config.id)));
-        let mut skipped = 0u64;
-        let mut quarantined = 0u64;
-        let mut resumed = false;
-        if config.resume {
-            // The primary may be absent while a rotated generation exists
-            // (a crash inside save_atomic's rename window) — recovery must
-            // still run then.
-            let has_state =
-                |p: &&Path| p.exists() || hdoutlier_stream::checkpoint::prev_path(p).exists();
-            if let Some(path) = checkpoint_path.as_deref().filter(has_state) {
-                let (cp, recovered) = Checkpoint::load_with_recovery(path).map_err(|e| {
-                    CreateError::Io(format!("cannot resume from {}: {e}", path.display()))
-                })?;
-                if let RecoveredFrom::Previous { quarantined } = &recovered {
-                    obs::event(
-                        obs::Level::Warn,
-                        "hdoutlier.serve",
-                        "checkpoint_recovered",
-                        &[
-                            ("from", obs::Value::Str("prev")),
-                            ("quarantined", obs::Value::Bool(quarantined.is_some())),
-                        ],
-                    );
-                }
-                cp.restore(&mut scorer).map_err(|e| {
-                    CreateError::Resume(format!("cannot resume from {}: {e}", path.display()))
-                })?;
-                skipped = cp.skipped;
-                quarantined = cp.quarantined;
-                resumed = true;
-            }
-        }
-        // Explicit drift settings override the checkpointed ones — the same
-        // precedence as `stream --resume --drift-every`.
-        if let Some(alpha) = config.drift_alpha {
-            scorer
-                .set_drift_alpha(alpha)
-                .map_err(|e| CreateError::Config(e.to_string()))?;
-        }
-        if let Some(every) = config.drift_every {
-            scorer
-                .set_check_every(every)
-                .map_err(|e| CreateError::Config(e.to_string()))?;
-        }
-        let line_no = scorer.records_scored() + skipped + quarantined;
+        let mut settings = config.settings;
+        settings.checkpoint = checkpoint_dir.map(|d| d.join(format!("{}.ckpt.json", config.id)));
+        // The primary may be absent while a rotated generation exists (a
+        // crash inside save_atomic's rename window) — recovery must still
+        // run then.
+        let resume = settings
+            .checkpoint
+            .clone()
+            .filter(|p| config.resume && (p.exists() || prev_path(p).exists()));
+        let cannot_resume = |e: CheckpointError| {
+            let path = resume.as_deref().unwrap_or(Path::new(""));
+            format!("cannot resume from {}: {e}", path.display())
+        };
+        let (mut pipeline, recovered) = Pipeline::open(scorer, settings, resume.as_deref())
+            .map_err(|e| match e {
+                OpenError::Load(e) => CreateError::Io(cannot_resume(e)),
+                OpenError::Restore(e) => CreateError::Resume(cannot_resume(e)),
+                OpenError::Drift(e) => CreateError::Config(e.to_string()),
+                OpenError::Quarantine(e) => CreateError::Io(e),
+            })?;
+        // Lines continue from the checkpointed totals, exactly as one
+        // continuous `stream` run would number them.
+        let lines_read =
+            pipeline.scorer().records_scored() + pipeline.skipped() + pipeline.quarantined();
+        pipeline.set_line_no(lines_read);
         Ok(Session {
             id: config.id,
-            scorer,
-            batch: config.batch.max(1),
-            outliers_only: config.outliers_only,
-            policy: config.policy,
-            max_consecutive: config.max_consecutive,
-            consecutive_errors: 0,
-            skipped,
-            quarantined,
-            line_no,
-            checkpoint_path,
-            checkpoint_every: config.checkpoint_every,
+            pipeline,
             tripped: None,
-            resumed,
+            resumed: recovered.is_some(),
             replay: ReplayCache::new(replay_capacity),
         })
     }
@@ -448,206 +343,59 @@ impl Session {
 
     /// Records scored over the session's lifetime (including resumed state).
     pub fn records_scored(&self) -> u64 {
-        self.scorer.records_scored()
+        self.pipeline.scorer().records_scored()
     }
 
     /// Scores one request body of NDJSON records (one JSON array of
     /// numbers/nulls per line; `null` is a missing value). Verdicts are
     /// appended to the outcome in arrival order — the same order, and the
     /// same bytes, as `hdoutlier stream` would write for these records.
-    pub fn score_lines(&mut self, body: &str, threads: usize) -> ScoreOutcome {
-        let n_dims = self.scorer.model().grid().n_dims();
-        let mut out = String::new();
-        let mut records = 0u64;
-        let outliers_before = self.scorer.outliers_flagged();
-        let errors_before = self.skipped + self.quarantined;
-        let mut pending: Vec<(u64, String, Vec<f64>)> = Vec::new();
-
-        let mut run = || -> Result<(), Stop> {
-            for line in body.lines() {
-                self.line_no += 1;
-                if line.trim().is_empty() {
-                    continue;
-                }
-                let row = match parse_record_line(line, n_dims) {
-                    Ok(row) => row,
-                    Err(msg) => {
-                        // Drain buffered records first so the error verdict
-                        // lands at its arrival position in the output.
-                        self.flush_batch(&mut pending, threads, &mut out, &mut records)?;
-                        self.record_error(self.line_no, &msg, Some(line), &mut out)?;
-                        continue;
-                    }
-                };
-                if self.batch > 1 {
-                    pending.push((self.line_no, line.to_string(), row));
-                    if pending.len() >= self.batch {
-                        self.flush_batch(&mut pending, threads, &mut out, &mut records)?;
-                    }
-                    continue;
-                }
-                match self.scorer.score_record(&row) {
-                    Ok(verdict) => self.emit_verdict(&verdict, &mut out, &mut records)?,
-                    Err(e) => {
-                        self.record_error(self.line_no, &e.to_string(), Some(line), &mut out)?
-                    }
-                }
-            }
-            // Score any partial batch left at end-of-body so the response
-            // is complete and state is consistent before it is sent.
-            self.flush_batch(&mut pending, threads, &mut out, &mut records)
-        };
-        let (tripped, fatal) = match run() {
+    pub fn score_lines(&mut self, body: &str) -> ScoreOutcome {
+        let errors = |p: &Pipeline| p.skipped() + p.quarantined();
+        let records_before = self.records_scored();
+        let outliers_before = self.pipeline.scorer().outliers_flagged();
+        let errors_before = errors(&self.pipeline);
+        let mut ndjson = String::new();
+        let result = self
+            .pipeline
+            .run(body.lines().map(Ok::<_, String>), &mut ndjson);
+        let (tripped, fatal) = match result {
             Ok(()) => (None, None),
-            Err(Stop::Tripped(reason)) => {
-                self.tripped = Some(reason.clone());
-                (Some(reason), None)
-            }
+            Err(Stop::Abort { line, reason }) => (Some(format!("line {line}: {reason}")), None),
+            Err(Stop::Breaker {
+                line,
+                reason,
+                count,
+                limit,
+            }) => (
+                Some(format!(
+                    "line {line}: {reason} ({count} consecutive bad records exceed \
+                     max_consecutive_errors {limit}; session tripped)"
+                )),
+                None,
+            ),
             Err(Stop::Fatal(reason)) => (None, Some(reason)),
         };
+        if tripped.is_some() {
+            self.tripped.clone_from(&tripped);
+        }
         ScoreOutcome {
-            ndjson: out,
-            records,
-            outliers: self.scorer.outliers_flagged() - outliers_before,
-            errors: self.skipped + self.quarantined - errors_before,
+            ndjson,
+            records: self.records_scored() - records_before,
+            outliers: self.pipeline.scorer().outliers_flagged() - outliers_before,
+            errors: errors(&self.pipeline) - errors_before,
             tripped,
             fatal,
         }
     }
 
-    /// Scores everything buffered in `pending` with one pooled call, then
-    /// emits the verdicts in arrival order.
-    fn flush_batch(
-        &mut self,
-        pending: &mut Vec<(u64, String, Vec<f64>)>,
-        threads: usize,
-        out: &mut String,
-        records: &mut u64,
-    ) -> Result<(), Stop> {
-        if pending.is_empty() {
-            return Ok(());
-        }
-        let rows: Vec<Vec<f64>> = pending.iter().map(|(_, _, r)| r.clone()).collect();
-        let results = self.scorer.score_batch(&rows, threads);
-        for ((line_no, raw, _), result) in pending.drain(..).zip(results) {
-            match result {
-                Ok(verdict) => self.emit_verdict(&verdict, out, records)?,
-                Err(e) => self.record_error(line_no, &e.to_string(), Some(&raw), out)?,
-            }
-        }
-        Ok(())
-    }
-
-    /// Renders one scoring verdict and runs the checkpoint cadence.
-    fn emit_verdict(
-        &mut self,
-        verdict: &Verdict,
-        out: &mut String,
-        records: &mut u64,
-    ) -> Result<(), Stop> {
-        self.consecutive_errors = 0;
-        *records += 1;
-        if !(self.outliers_only && !verdict.outlier && verdict.drift.is_none()) {
-            let rendered = verdict_json(verdict, &self.scorer)
-                .map_err(|e| Stop::Fatal(format!("line {}: {e}", self.line_no)))?
-                .render();
-            out.push_str(&rendered);
-            out.push('\n');
-        }
-        if let Some(path) = self.checkpoint_path.clone() {
-            if self
-                .scorer
-                .records_scored()
-                .is_multiple_of(self.checkpoint_every)
-            {
-                self.save_checkpoint(&path).map_err(Stop::Fatal)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// The skip/quarantine/abort ladder, shared by every failure point.
-    fn record_error(
-        &mut self,
-        line_no: u64,
-        reason: &str,
-        raw: Option<&str>,
-        out: &mut String,
-    ) -> Result<(), Stop> {
-        self.consecutive_errors += 1;
-        if matches!(self.policy, ErrorPolicy::Abort) {
-            return Err(Stop::Tripped(format!("line {line_no}: {reason}")));
-        }
-        if self.consecutive_errors > self.max_consecutive {
-            return Err(Stop::Tripped(format!(
-                "line {line_no}: {reason} ({} consecutive bad records exceed \
-                 max_consecutive_errors {}; session tripped)",
-                self.consecutive_errors, self.max_consecutive
-            )));
-        }
-        if let ErrorPolicy::Quarantine(path) = &self.policy {
-            if let Some(raw) = raw {
-                // Under serve, a request context is installed and each
-                // quarantined line becomes a JSON envelope naming the
-                // request that carried it; the CLI stream path (no
-                // context) keeps writing the raw line verbatim, so its
-                // quarantine files stay replayable as-is.
-                let entry = match obs::current_request_ctx() {
-                    None => raw.to_string(),
-                    Some(ctx) => quarantine_envelope(&ctx, line_no, raw)
-                        .map_err(|e| Stop::Fatal(format!("line {line_no}: {e}")))?,
-                };
-                let append = std::fs::OpenOptions::new()
-                    .create(true)
-                    .append(true)
-                    .open(path)
-                    .and_then(|mut f| writeln!(f, "{entry}"));
-                if let Err(e) = append {
-                    return Err(Stop::Fatal(format!(
-                        "failed to quarantine line {line_no} to {path}: {e}"
-                    )));
-                }
-            }
-            self.quarantined += 1;
-        } else {
-            self.skipped += 1;
-        }
-        let rendered = error_json(line_no as usize, reason, self.policy.action())
-            .map_err(|e| Stop::Fatal(format!("line {line_no}: {e}")))?
-            .render();
-        out.push_str(&rendered);
-        out.push('\n');
-        Ok(())
-    }
-
-    /// Writes the session's current state to `path` atomically.
-    fn save_checkpoint(&self, path: &Path) -> Result<(), String> {
-        Checkpoint::capture(&self.scorer, self.skipped, self.quarantined)
-            .save_atomic(path)
-            .map_err(|e| format!("failed to checkpoint to {}: {e}", path.display()))
-    }
-
-    /// Forces a checkpoint now, returning the path written.
+    /// Writes a checkpoint now, returning the path written; `Ok(None)`
+    /// when the server has no checkpoint directory.
     ///
     /// # Errors
-    /// A message when no checkpoint directory is configured or the write
-    /// fails.
-    pub fn checkpoint_now(&self) -> Result<PathBuf, String> {
-        let path = self
-            .checkpoint_path
-            .clone()
-            .ok_or("server has no checkpoint directory (--checkpoint-dir)")?;
-        self.save_checkpoint(&path)?;
-        Ok(path)
-    }
-
-    /// Final checkpoint for drain/delete: a no-op `Ok(false)` when the
-    /// server has no checkpoint directory.
-    pub fn checkpoint_if_configured(&self) -> Result<bool, String> {
-        match &self.checkpoint_path {
-            None => Ok(false),
-            Some(path) => self.save_checkpoint(path).map(|()| true),
-        }
+    /// A message when the write fails.
+    pub fn checkpoint(&self) -> Result<Option<&Path>, String> {
+        self.pipeline.checkpoint()
     }
 
     /// The session's status document (`GET /sessions/{id}`).
@@ -655,14 +403,15 @@ impl Session {
     /// # Errors
     /// [`JsonError`] on builder misuse (not reachable).
     pub fn status_json(&self) -> Result<Json, JsonError> {
-        let monitor = self.scorer.monitor();
+        let scorer = self.pipeline.scorer();
+        let settings = self.pipeline.settings();
         Json::object()
             .field("id", self.id.as_str())
-            .field("records_scored", self.scorer.records_scored())
-            .field("outliers", self.scorer.outliers_flagged())
-            .field("skipped", self.skipped)
-            .field("quarantined", self.quarantined)
-            .field("line_no", self.line_no)
+            .field("records_scored", scorer.records_scored())
+            .field("outliers", scorer.outliers_flagged())
+            .field("skipped", self.pipeline.skipped())
+            .field("quarantined", self.pipeline.quarantined())
+            .field("line_no", self.pipeline.line_no())
             .field(
                 "tripped",
                 self.tripped
@@ -670,69 +419,24 @@ impl Session {
                     .map_or(Json::Null, |r| Json::String(r.to_string())),
             )
             .field("resumed", self.resumed)
-            .field("batch", self.batch)
-            .field("outliers_only", self.outliers_only)
-            .field("on_error", self.policy.action())
+            .field("batch", settings.batch)
+            .field("outliers_only", settings.outliers_only)
+            .field("on_error", settings.policy.action())
             .field(
                 "drift",
                 Json::object()
-                    .field("alpha", self.scorer.drift_alpha())
-                    .field("check_every", self.scorer.check_every())
-                    .field("records_observed", monitor.records_observed())?,
+                    .field("alpha", scorer.drift_alpha())
+                    .field("check_every", scorer.check_every())
+                    .field("records_observed", scorer.monitor().records_observed())?,
             )
             .field(
                 "checkpoint",
-                match &self.checkpoint_path {
+                match &settings.checkpoint {
                     None => Json::Null,
                     Some(path) => Json::object()
                         .field("path", path.display().to_string())
-                        .field("every", self.checkpoint_every)?,
+                        .field("every", settings.checkpoint_every)?,
                 },
             )
     }
-}
-
-/// Renders the serve-side quarantine line: a JSON envelope carrying the
-/// raw record plus the request identity that delivered it, so a bad line
-/// in a quarantine file can be traced back through the access log.
-fn quarantine_envelope(
-    ctx: &obs::RequestCtx,
-    line_no: u64,
-    raw: &str,
-) -> Result<String, JsonError> {
-    Ok(Json::object()
-        .field("request_id", ctx.request_id())
-        .field(
-            "session_id",
-            ctx.session_id()
-                .map_or(Json::Null, |s| Json::String(s.to_string())),
-        )
-        .field("line", line_no)
-        .field("raw", raw)?
-        .render())
-}
-
-/// Parses one NDJSON record line — a JSON array of `n_dims` numbers, with
-/// `null` standing for a missing value (NaN), mirroring the CSV reader's
-/// missing markers.
-pub fn parse_record_line(line: &str, n_dims: usize) -> Result<Vec<f64>, String> {
-    let json = Json::parse(line).map_err(|e| format!("malformed record: {e}"))?;
-    let fields = json
-        .as_array()
-        .ok_or("record must be a JSON array of numbers")?;
-    if fields.len() != n_dims {
-        return Err(format!(
-            "expected {n_dims} fields (the model's dimensionality), got {}",
-            fields.len()
-        ));
-    }
-    fields
-        .iter()
-        .map(|f| match f {
-            Json::Null => Ok(f64::NAN),
-            other => other
-                .as_number()
-                .ok_or_else(|| format!("record fields must be numbers or null, got {other:?}")),
-        })
-        .collect()
 }

@@ -53,8 +53,3 @@ pub fn install_termination_flag() {
 pub fn termination_requested() -> bool {
     TERM.load(Ordering::SeqCst)
 }
-
-/// Clears the flag (tests re-enter the wait loop within one process).
-pub fn reset_termination_flag() {
-    TERM.store(false, Ordering::SeqCst);
-}

@@ -291,6 +291,44 @@ fn skip_policy_emits_error_lines_and_the_breaker_trips_on_a_run_of_failures() {
 }
 
 #[test]
+fn quarantine_policy_files_a_request_envelope_and_a_bad_path_refuses_the_session() {
+    let (model, ds) = fitted(99);
+    let dir = temp_dir("quarantine");
+    let app = ServeApp::new(ServeConfig::default());
+    let create = |id: &str, path: &std::path::Path| {
+        let extra = format!(
+            "\"id\": \"{id}\", \"on_error\": \"quarantine:{}\"",
+            path.display()
+        );
+        app.handle(&req("POST", "/sessions", create_body(&model, &extra)))
+    };
+    let qpath = dir.join("bad.ndjson");
+    let created = create("q", &qpath);
+    assert_eq!(created.status, 201, "{}", body_text(&created));
+
+    let body = ndjson_rows(&ds, 0..2) + "[1, 2]\n" + &ndjson_rows(&ds, 2..3);
+    let response = app.handle(&req_with_id("POST", "/sessions/q/score", "req-q1", body));
+    assert_eq!(response.status, 200, "{}", body_text(&response));
+    assert!(body_text(&response).contains("\"action\":\"quarantine\""));
+
+    // One envelope naming the request, the session and the line.
+    let filed = std::fs::read_to_string(&qpath).unwrap();
+    let entries: Vec<&str> = filed.lines().collect();
+    assert_eq!(entries.len(), 1, "{filed}");
+    let entry = Json::parse(entries[0]).unwrap();
+    assert_eq!(entry.get("request_id").unwrap().as_str(), Some("req-q1"));
+    assert_eq!(entry.get("session_id").unwrap().as_str(), Some("q"));
+    assert_eq!(entry.get("line").unwrap().as_number(), Some(3.0));
+    assert_eq!(entry.get("raw").unwrap().as_str(), Some("[1, 2]"));
+
+    // A quarantine file that cannot be opened refuses the session up front.
+    let refused = create("q2", &dir.join("missing-dir").join("bad.ndjson"));
+    assert_eq!(refused.status, 500, "{}", body_text(&refused));
+    assert!(body_text(&refused).contains("cannot open quarantine file"));
+    assert_eq!(app.handle(&req("GET", "/sessions/q2", "")).status, 404);
+}
+
+#[test]
 fn checkpoint_resume_round_trip_continues_the_exact_stream() {
     let (model, ds) = fitted(101);
     let dir = temp_dir("resume");

@@ -26,17 +26,19 @@
 //!   statistics.
 
 //!
-//! Two deployment-surface companions also live here so the CLI `stream`
-//! subcommand and the `hdoutlier serve` network server share one
-//! implementation: [`model_io`] (JSON persistence of fitted models) and
-//! [`ndjson`] (the NDJSON verdict wire format — the serve path's
-//! byte-identical-to-`stream` guarantee rests on both transports calling
-//! the same renderer).
+//! The deployment surfaces — the CLI `stream` subcommand and the
+//! `hdoutlier serve` network server — share one implementation of
+//! everything past the transport: [`pipeline`] (the per-record loop: parse,
+//! batch, score, error policy and breaker, quarantine, checkpoint cadence),
+//! [`model_io`] (JSON persistence of fitted models) and [`ndjson`] (the
+//! NDJSON verdict wire format). The serve path's byte-identical-to-`stream`
+//! guarantee rests on both front ends driving the same [`Pipeline`].
 
 pub mod checkpoint;
 pub mod drift;
 pub mod model_io;
 pub mod ndjson;
+pub mod pipeline;
 pub mod scorer;
 pub mod sketch;
 pub mod window;
@@ -44,6 +46,7 @@ pub mod window;
 pub use checkpoint::{Checkpoint, CheckpointError, RecoveredFrom};
 pub use drift::{DriftMonitor, DriftReport};
 pub use model_io::ModelIoError;
+pub use pipeline::{ErrorPolicy, OpenError, Pipeline, RecordFormat, Settings, Sink, Stop};
 pub use scorer::{OnlineScorer, Verdict};
 pub use sketch::{GkSketch, StreamingDiscretizer};
 pub use window::WindowCounter;
