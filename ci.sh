@@ -3,6 +3,13 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# Hermeticity: every package in the lock file is an in-tree path crate. A
+# registry or git dependency would add a `source = ` line.
+if grep -n '^source = ' Cargo.lock; then
+    echo "Cargo.lock names an external source; the workspace must stay hermetic" >&2
+    exit 1
+fi
+
 cargo fmt --check
 cargo clippy --offline --workspace --all-targets -- -D warnings
 cargo build --release --offline --workspace
@@ -12,6 +19,10 @@ cargo test -q --offline --workspace
 # The workspace run above builds and runs every test target once, the root
 # package's included. Among them:
 #
+# - Properties: each crate's seeded property suite (tests/properties.rs)
+#   and folded unit tests on the one in-tree runner,
+#   hdoutlier_rng::for_each_case, which prints the seed that replays a
+#   failing case.
 # - Observability: unit tests for the in-tree tracing/metrics crate
 #   (hdoutlier-obs), then an end-to-end smoke run of `detect --log-json
 #   --metrics-out` validated with the in-tree JSON parser

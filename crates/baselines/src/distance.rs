@@ -108,26 +108,54 @@ mod tests {
         assert!((p100 - 4.0).abs() < 0.1, "{p100}");
     }
 
-    #[test]
-    fn identity_and_symmetry() {
-        for m in [
-            Metric::Manhattan,
-            Metric::Euclidean,
-            Metric::Minkowski(3.0),
-            Metric::Chebyshev,
-        ] {
-            assert_eq!(m.distance(&A, &A), 0.0);
-            assert!((m.distance(&A, &B) - m.distance(&B, &A)).abs() < 1e-12);
-            assert!(m.distance(&A, &B) > 0.0);
-        }
+    const METRICS: [Metric; 4] = [
+        Metric::Manhattan,
+        Metric::Euclidean,
+        Metric::Minkowski(3.0),
+        Metric::Chebyshev,
+    ];
+
+    /// Three random points in `±50³`.
+    fn random_points(rng: &mut hdoutlier_rng::rngs::StdRng) -> [[f64; 3]; 3] {
+        use hdoutlier_rng::Rng;
+        [(); 3].map(|_| [(); 3].map(|_| rng.gen_range(-50.0..50.0)))
     }
 
     #[test]
-    fn triangle_inequality_euclidean() {
+    fn identity_and_symmetry() {
+        let check = |a: &[f64], b: &[f64]| {
+            for m in METRICS {
+                assert_eq!(m.distance(a, a), 0.0, "{m:?} at {a:?}");
+                assert!(
+                    (m.distance(a, b) - m.distance(b, a)).abs() < 1e-12,
+                    "{m:?} at {a:?}, {b:?}"
+                );
+                assert!(m.distance(a, b) > 0.0, "{m:?} at {a:?}, {b:?}");
+            }
+        };
+        check(&A, &B);
+        hdoutlier_rng::for_each_case(0xba5e_0001, 64, |rng| {
+            let [a, b, _] = random_points(rng);
+            check(&a, &b);
+        });
+    }
+
+    #[test]
+    fn triangle_inequality() {
         let c = [0.0, -1.0, 7.0];
         let ab = Metric::Euclidean.distance(&A, &B);
         let bc = Metric::Euclidean.distance(&B, &c);
         let ac = Metric::Euclidean.distance(&A, &c);
         assert!(ac <= ab + bc + 1e-12);
+        // Every metric, on random points.
+        hdoutlier_rng::for_each_case(0xba5e_0002, 64, |rng| {
+            let [a, b, c] = random_points(rng);
+            for m in METRICS {
+                assert!(
+                    m.distance(&a, &c) <= m.distance(&a, &b) + m.distance(&b, &c) + 1e-9,
+                    "{m:?} at {a:?}, {b:?}, {c:?}"
+                );
+            }
+        });
     }
 }

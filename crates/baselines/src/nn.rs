@@ -298,21 +298,32 @@ mod tests {
 
     #[test]
     fn vp_tree_matches_brute_force() {
-        let ds = uniform(300, 4, 17);
-        let tree = VpTree::build(&ds, Metric::Euclidean).unwrap();
-        for query in [0usize, 17, 123, 299] {
-            for k in [1usize, 3, 10] {
-                let brute = knn_brute(&ds, query, k, Metric::Euclidean);
-                let vp = tree.knn_of_row(query, k);
-                assert_eq!(brute.len(), vp.len());
-                for (b, v) in brute.iter().zip(&vp) {
-                    assert!(
-                        (b.distance - v.distance).abs() < 1e-12,
-                        "query {query} k {k}: {b:?} vs {v:?}"
-                    );
+        let check = |ds: &Dataset, queries: &[usize], ks: &[usize]| {
+            let tree = VpTree::build(ds, Metric::Euclidean).unwrap();
+            for &query in queries {
+                for &k in ks {
+                    let brute = knn_brute(ds, query, k, Metric::Euclidean);
+                    let vp = tree.knn_of_row(query, k);
+                    assert_eq!(brute.len(), vp.len(), "query {query} k {k}");
+                    for (b, v) in brute.iter().zip(&vp) {
+                        assert!(
+                            (b.distance - v.distance).abs() < 1e-12,
+                            "query {query} k {k}: {b:?} vs {v:?}"
+                        );
+                    }
                 }
             }
-        }
+        };
+        check(&uniform(300, 4, 17), &[0, 17, 123, 299], &[1, 3, 10]);
+        // Small random datasets in ±100, every row queried.
+        hdoutlier_rng::for_each_case(0xba5e_0003, 64, |rng| {
+            use hdoutlier_rng::Rng;
+            let (n, d) = (rng.gen_range(4..40), rng.gen_range(1..5));
+            let values = (0..n * d).map(|_| rng.gen_range(-100.0..100.0)).collect();
+            let ds = Dataset::new(values, n, d).unwrap();
+            let k = rng.gen_range(1..5usize).min(n - 1);
+            check(&ds, &(0..n).collect::<Vec<_>>(), &[k]);
+        });
     }
 
     #[test]

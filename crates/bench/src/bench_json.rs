@@ -7,13 +7,10 @@
 //! history. The schema is versioned (`hdoutlier-bench/1`) and the key
 //! order is fixed, so trajectory diffs across PRs stay line-stable.
 //!
-//! The renderer is hand-rolled std-only JSON: the workspace is hermetic
-//! and the value space is tame (identifiers, counts, seconds), so the only
-//! escaping that matters is on the git strings, which pass through
-//! [`escape`] anyway.
+//! The datapoint is built as an [`hdoutlier_json::Json`] value and rendered
+//! with its pretty printer, the same writer every other report uses.
 
 use hdoutlier_json::Json;
-use std::fmt::Write as _;
 use std::process::Command;
 
 /// One timed stage: `records` processed in `elapsed_s` seconds.
@@ -93,73 +90,75 @@ impl BenchReport {
 
     /// Renders the datapoint. Derived rates (`records_per_sec`,
     /// `us_per_record`) are computed here so every consumer sees the same
-    /// arithmetic.
+    /// arithmetic. Non-finite numbers render as `null` (JSON has no Inf/NaN).
     pub fn to_json(&self) -> String {
         let (describe, commit) = git_metadata();
         let created = std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
             .map(|d| d.as_secs())
             .unwrap_or(0);
-        let mut out = String::with_capacity(1024);
-        out.push_str("{\n  \"schema\": \"hdoutlier-bench/1\",\n");
-        let _ = writeln!(out, "  \"bench\": \"{}\",", escape(&self.bench));
-        let _ = writeln!(out, "  \"created_unix_s\": {created},");
-        out.push_str("  \"git\": {");
-        let _ = write!(out, "\"describe\": {}, ", quote_opt(&describe));
-        let _ = write!(out, "\"commit\": {}", quote_opt(&commit));
-        out.push_str("},\n");
-        out.push_str("  \"config\": {");
-        for (i, (k, v)) in self.config.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(out, "\"{}\": {}", escape(k), num(*v));
-        }
-        out.push_str("},\n");
-        out.push_str("  \"stages\": [\n");
-        for (i, s) in self.stages.iter().enumerate() {
-            let per_sec = if s.elapsed_s > 0.0 {
-                s.records as f64 / s.elapsed_s
-            } else {
-                0.0
-            };
-            let us_per = if s.records > 0 {
-                s.elapsed_s * 1e6 / s.records as f64
-            } else {
-                0.0
-            };
-            let _ = write!(
-                out,
-                "    {{\"name\": \"{}\", \"records\": {}, \"elapsed_s\": {}, \
-                 \"records_per_sec\": {}, \"us_per_record\": {}}}",
-                escape(&s.name),
-                s.records,
-                num(s.elapsed_s),
-                num(per_sec),
-                num(us_per)
-            );
-            out.push_str(if i + 1 < self.stages.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        out.push_str("  ],\n");
-        match &self.latency_us {
-            Some(p) => {
-                let _ = writeln!(out, "  \"latency_us\": {},", percentiles(p));
-            }
-            None => out.push_str("  \"latency_us\": null,\n"),
-        }
-        out.push_str("  \"phases_us\": {");
-        for (i, (name, p)) in self.phases_us.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(out, "\"{}\": {}", escape(name), percentiles(p));
-        }
-        out.push_str("}\n}\n");
-        out
+        let git_string = |v: Option<String>| v.map_or(Json::Null, Json::String);
+        let stages = self
+            .stages
+            .iter()
+            .map(|s| {
+                let per_sec = if s.elapsed_s > 0.0 {
+                    s.records as f64 / s.elapsed_s
+                } else {
+                    0.0
+                };
+                let us_per = if s.records > 0 {
+                    s.elapsed_s * 1e6 / s.records as f64
+                } else {
+                    0.0
+                };
+                object([
+                    ("name", Json::from(s.name.as_str())),
+                    ("records", s.records.into()),
+                    ("elapsed_s", s.elapsed_s.into()),
+                    ("records_per_sec", per_sec.into()),
+                    ("us_per_record", us_per.into()),
+                ])
+            })
+            .collect();
+        let mut text = object([
+            ("schema", "hdoutlier-bench/1".into()),
+            ("bench", self.bench.as_str().into()),
+            ("created_unix_s", created.into()),
+            (
+                "git",
+                object([
+                    ("describe", git_string(describe)),
+                    ("commit", git_string(commit)),
+                ]),
+            ),
+            (
+                "config",
+                Json::Object(
+                    self.config
+                        .iter()
+                        .map(|(k, v)| (k.clone(), Json::from(*v)))
+                        .collect(),
+                ),
+            ),
+            ("stages", Json::Array(stages)),
+            (
+                "latency_us",
+                self.latency_us.as_ref().map_or(Json::Null, percentiles),
+            ),
+            (
+                "phases_us",
+                Json::Object(
+                    self.phases_us
+                        .iter()
+                        .map(|(name, p)| (name.clone(), percentiles(p)))
+                        .collect(),
+                ),
+            ),
+        ])
+        .pretty();
+        text.push('\n');
+        text
     }
 
     /// Writes [`BenchReport::to_json`] to `path`.
@@ -192,48 +191,19 @@ pub fn baseline_us_per_record(path: &str, stage: &str) -> Result<f64, String> {
         .ok_or_else(|| format!("no {stage} stage with us_per_record"))
 }
 
-fn percentiles(p: &Percentiles) -> String {
-    format!(
-        "{{\"count\": {}, \"p50\": {}, \"p90\": {}, \"p99\": {}, \"max\": {}}}",
-        p.count,
-        num(p.p50),
-        num(p.p90),
-        num(p.p99),
-        num(p.max)
-    )
+/// An object with `fields` in order.
+fn object<const N: usize>(fields: [(&str, Json); N]) -> Json {
+    Json::Object(fields.map(|(k, v)| (k.to_string(), v)).into())
 }
 
-/// JSON number formatting: finite shortest-round-trip, non-finite as null
-/// (JSON has no Inf/NaN).
-fn num(v: f64) -> String {
-    if v.is_finite() {
-        v.to_string()
-    } else {
-        "null".to_string()
-    }
-}
-
-fn quote_opt(v: &Option<String>) -> String {
-    match v {
-        Some(s) => format!("\"{}\"", escape(s)),
-        None => "null".to_string(),
-    }
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
+fn percentiles(p: &Percentiles) -> Json {
+    object([
+        ("count", p.count.into()),
+        ("p50", p.p50.into()),
+        ("p90", p.p90.into()),
+        ("p99", p.p99.into()),
+        ("max", p.max.into()),
+    ])
 }
 
 /// `git describe --always --dirty` and the full commit hash, when the bench
@@ -306,7 +276,7 @@ mod tests {
         );
         let json = r.to_json();
         assert!(
-            json.contains("\"phases_us\": {\"search\": {\"count\": 5"),
+            json.contains("\"phases_us\": {\n    \"search\": {\n      \"count\": 5"),
             "{json}"
         );
         assert!(json.contains("\"latency_us\": null"), "{json}");

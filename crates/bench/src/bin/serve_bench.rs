@@ -23,7 +23,7 @@
 //! path, e.g. per-request allocation storms or accidental lock convoys in
 //! the labeled-metrics layer).
 
-use hdoutlier_bench::bench_json::{BenchReport, Percentiles};
+use hdoutlier_bench::bench_json::{baseline_us_per_record, BenchReport, Percentiles};
 use hdoutlier_core::{OutlierDetector, SearchMethod};
 use hdoutlier_data::generators::{planted_outliers, PlantedConfig};
 use hdoutlier_json::Json;
@@ -179,7 +179,7 @@ fn main() {
 
     if let Some(path) = assert_against {
         let us_per_record = elapsed * 1e6 / scored as f64;
-        let baseline = baseline_score_us(&path).unwrap_or_else(|e| {
+        let baseline = baseline_us_per_record(&path, "serve.score").unwrap_or_else(|e| {
             eprintln!("cannot read baseline {path}: {e}");
             std::process::exit(2);
         });
@@ -197,23 +197,6 @@ fn main() {
             std::process::exit(1);
         }
     }
-}
-
-/// Reads the `serve.score` stage's us/record from a BENCH_serve.json
-/// baseline datapoint.
-fn baseline_score_us(path: &str) -> Result<f64, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
-    let json = Json::parse(&text).map_err(|e| e.to_string())?;
-    json.get("stages")
-        .and_then(Json::as_array)
-        .and_then(|stages| {
-            stages
-                .iter()
-                .find(|s| s.get("name").and_then(Json::as_str) == Some("serve.score"))
-        })
-        .and_then(|s| s.get("us_per_record"))
-        .and_then(Json::as_number)
-        .ok_or_else(|| "no serve.score stage with us_per_record".to_string())
 }
 
 /// One score POST with the idempotent-retry discipline: the request id is

@@ -192,15 +192,23 @@ mod tests {
 
     #[test]
     fn random_is_feasible_and_in_range() {
+        let check = |p: &Projection, d: usize, k: usize, phi: u32| {
+            assert_eq!(p.d(), d, "{p}");
+            assert_eq!(p.k(), k, "{p}");
+            assert!(p.is_feasible(k), "{p}");
+            for pos in p.constrained_positions() {
+                assert!(p.gene(pos).unwrap() < phi as u16, "{p}");
+            }
+        };
         let mut rng = StdRng::seed_from_u64(1);
         for _ in 0..100 {
-            let p = Projection::random(10, 3, 7, &mut rng);
-            assert_eq!(p.d(), 10);
-            assert!(p.is_feasible(3));
-            for pos in p.constrained_positions() {
-                assert!(p.gene(pos).unwrap() < 7);
-            }
+            check(&Projection::random(10, 3, 7, &mut rng), 10, 3, 7);
         }
+        // Every k from 0 to d, including the all-star and no-star strings.
+        hdoutlier_rng::for_each_case(0x9e0b_0001, 64, |rng| {
+            let k = rng.gen_range(0..=8);
+            check(&Projection::random(8, k, 4, rng), 8, k, 4);
+        });
     }
 
     #[test]
@@ -244,6 +252,12 @@ mod tests {
         let back = Projection::from_cube(&cube, 5);
         assert_eq!(back, p);
         assert!(Projection::all_star(4).to_cube().is_none());
+        hdoutlier_rng::for_each_case(0x9e0b_0002, 64, |rng| {
+            let p = Projection::random(8, 3, 4, rng);
+            let cube = p.to_cube().unwrap();
+            assert_eq!(cube.k(), 3, "{p}");
+            assert_eq!(Projection::from_cube(&cube, 8), p);
+        });
     }
 
     #[test]

@@ -38,9 +38,9 @@ impl XorShift {
     }
 }
 
-/// The oracle count: scan every discretized row and check the fixed genes
+/// The oracle rows: scan every discretized row and check the fixed genes
 /// by hand. No bitmaps, no cubes.
-fn naive_recount(disc: &Discretized, genes: &[u16]) -> usize {
+fn naive_rows(disc: &Discretized, genes: &[u16]) -> Vec<usize> {
     (0..disc.n_rows())
         .filter(|&r| {
             disc.row(r)
@@ -48,7 +48,12 @@ fn naive_recount(disc: &Discretized, genes: &[u16]) -> usize {
                 .zip(genes)
                 .all(|(&cell, &g)| g == STAR || cell == g)
         })
-        .count()
+        .collect()
+}
+
+/// The oracle count: how many rows [`naive_rows`] finds.
+fn naive_recount(disc: &Discretized, genes: &[u16]) -> usize {
+    naive_rows(disc, genes).len()
 }
 
 /// Eq. 1 recomputed directly: `S = (n(D) − N·f^k) / sqrt(N·f^k·(1 − f^k))`.
@@ -90,26 +95,30 @@ fn fitness_matches_the_naive_recount_oracle_on_random_grids() {
         (800, 4, 8, 1, 3),
         (120, 7, 5, 4, 4),
     ];
+    // Each grid both complete and with ~5% of its cells missing: a missing
+    // cell never matches a fixed gene, and N in Eq. 1 stays the row count.
     for (n, d, phi, k, seed) in configs {
-        let ds = uniform(n, d, seed);
-        let disc = Discretized::new(&ds, phi, DiscretizeStrategy::EquiDepth).unwrap();
-        let counter = BitmapCounter::new(&disc);
-        let fitness = SparsityFitness::new(&counter, k);
-        let mut rng = XorShift(0xDEADBEEF ^ seed);
-        for trial in 0..40 {
-            let p = random_projection(&mut rng, d, phi, k);
-            let recount = naive_recount(&disc, p.genes());
-            let context = format!("n={n} d={d} phi={phi} k={k} trial={trial} {p}");
-            assert_eq!(
-                fitness.count(&p).unwrap(),
-                recount,
-                "{context}: index disagrees with row scan"
-            );
-            assert_close(
-                fitness.evaluate(&p),
-                oracle_sparsity(recount, n, phi, k),
-                &context,
-            );
+        for ds in [uniform(n, d, seed), with_missing(n, d, seed)] {
+            let disc = Discretized::new(&ds, phi, DiscretizeStrategy::EquiDepth).unwrap();
+            let counter = BitmapCounter::new(&disc);
+            let fitness = SparsityFitness::new(&counter, k);
+            let mut rng = XorShift(0xDEADBEEF ^ seed);
+            for trial in 0..40 {
+                let p = random_projection(&mut rng, d, phi, k);
+                let rows = naive_rows(&disc, p.genes());
+                let context = format!("n={n} d={d} phi={phi} k={k} trial={trial} {p}");
+                assert_eq!(
+                    fitness.count(&p).unwrap(),
+                    rows.len(),
+                    "{context}: index disagrees with row scan"
+                );
+                assert_eq!(fitness.rows(&p), rows, "{context}: covered rows");
+                assert_close(
+                    fitness.evaluate(&p),
+                    oracle_sparsity(rows.len(), n, phi, k),
+                    &context,
+                );
+            }
         }
     }
 }

@@ -1,0 +1,132 @@
+//! Seeded property tests for the detector's genetic operators and fitness:
+//! crossover and mutation keep exactly k non-star genes and build children
+//! from parent material only, and infeasible strings never score. All run
+//! on [`hdoutlier_rng::for_each_case`]; a failing case prints the seed that
+//! replays it alone.
+
+use hdoutlier_core::crossover::{optimized, two_point, two_point_at};
+use hdoutlier_core::fitness::SparsityFitness;
+use hdoutlier_core::mutation::{mutate, MutationConfig};
+use hdoutlier_core::projection::{Projection, STAR};
+use hdoutlier_data::discretize::{DiscretizeStrategy, Discretized};
+use hdoutlier_data::generators::uniform;
+use hdoutlier_index::BitmapCounter;
+use hdoutlier_rng::{for_each_case, Rng};
+
+const D: usize = 8;
+const PHI: u32 = 4;
+
+/// A bitmap counter over 400 uniform rows, the grid the fitness reads.
+fn fixture() -> BitmapCounter {
+    let ds = uniform(400, D, 1234);
+    BitmapCounter::new(&Discretized::new(&ds, PHI, DiscretizeStrategy::EquiDepth).unwrap())
+}
+
+#[test]
+fn mutation_keeps_exactly_k_non_stars() {
+    for_each_case(0xc04e_0001, 64, |rng| {
+        let k = rng.gen_range(1..D);
+        let config = MutationConfig {
+            p1: rng.gen_range(0.0..1.0),
+            p2: rng.gen_range(0.0..1.0),
+            ..MutationConfig::symmetric(1.0, PHI)
+        };
+        let mut q = Projection::random(D, k, PHI, rng);
+        for _ in 0..5 {
+            mutate(&mut q, &config, rng);
+            assert_eq!(q.k(), k, "{q} after mutation with {config:?}");
+            for pos in q.constrained_positions() {
+                assert!(q.gene(pos).unwrap() < PHI as u16, "{q}");
+            }
+        }
+    });
+}
+
+#[test]
+fn two_point_children_partition_the_parents_genes() {
+    for_each_case(0xc04e_0002, 64, |rng| {
+        let a = Projection::random(D, 3, PHI, rng);
+        let b = Projection::random(D, 3, PHI, rng);
+        let (c, d) = two_point(&a, &b, rng);
+        for pos in 0..D {
+            // At each position, {c, d} carry exactly {a, b}'s genes.
+            let mut got = [c.gene(pos), d.gene(pos)];
+            let mut want = [a.gene(pos), b.gene(pos)];
+            got.sort();
+            want.sort();
+            assert_eq!(got, want, "position {pos} of {a} × {b}");
+        }
+    });
+}
+
+#[test]
+fn two_point_at_is_an_involution() {
+    for_each_case(0xc04e_0003, 64, |rng| {
+        let a = Projection::random(D, 2, PHI, rng);
+        let b = Projection::random(D, 2, PHI, rng);
+        let lo = rng.gen_range(0..D - 1);
+        let hi = (lo + rng.gen_range(1usize..4)).min(D);
+        let (c, d) = two_point_at(&a, &b, lo, hi);
+        let (a2, b2) = two_point_at(&c, &d, lo, hi);
+        assert_eq!(a2, a, "cut {lo}..{hi}");
+        assert_eq!(b2, b, "cut {lo}..{hi}");
+    });
+}
+
+#[test]
+fn optimized_crossover_keeps_k_and_uses_only_parent_material() {
+    let counter = fixture();
+    for_each_case(0xc04e_0004, 64, |rng| {
+        let k = rng.gen_range(1..5);
+        let fitness = SparsityFitness::new(&counter, k);
+        let a = Projection::random(D, k, PHI, rng);
+        let b = Projection::random(D, k, PHI, rng);
+        let (c, d) = optimized(&a, &b, &fitness, rng);
+        for child in [&c, &d] {
+            assert!(
+                child.is_feasible(k),
+                "child {child} of {a} × {b} infeasible"
+            );
+            for pos in 0..D {
+                let g = child.gene(pos);
+                assert!(
+                    g.is_none() || g == a.gene(pos) || g == b.gene(pos),
+                    "child {child} of {a} × {b}: position {pos} is new material"
+                );
+            }
+        }
+    });
+}
+
+#[test]
+fn infeasible_strings_score_infinity() {
+    let counter = fixture();
+    let fitness = SparsityFitness::new(&counter, 3);
+    for_each_case(0xc04e_0005, 64, |rng| {
+        let k = rng.gen_range(0..=D);
+        let p = Projection::random(D, k, PHI, rng);
+        if k == 3 {
+            assert!(fitness.evaluate(&p).is_finite(), "{p}");
+        } else {
+            assert_eq!(fitness.evaluate(&p), f64::INFINITY, "{p}");
+        }
+    });
+}
+
+#[test]
+fn projection_display_parses_back() {
+    for_each_case(0xc04e_0006, 64, |rng| {
+        let p = Projection::random(D, 3, PHI, rng);
+        // Display for φ <= 9 is one character per position: `*` or the
+        // 1-based range.
+        let genes: Vec<u16> = p
+            .to_string()
+            .chars()
+            .map(|c| match c {
+                '*' => STAR,
+                c => c.to_digit(10).unwrap() as u16 - 1,
+            })
+            .collect();
+        assert_eq!(Projection::from_genes(genes), p);
+    });
+}

@@ -280,16 +280,24 @@ mod tests {
 
     #[test]
     fn equi_depth_is_order_preserving() {
-        let ds = uniform_dataset(500, 1);
-        let disc = Discretized::new(&ds, 7, DiscretizeStrategy::EquiDepth).unwrap();
         // If value(a) < value(b) then cell(a) <= cell(b).
-        for a in 0..500 {
-            for b in 0..500 {
-                if ds.value(a, 0) < ds.value(b, 0) {
-                    assert!(disc.cell(a, 0) <= disc.cell(b, 0));
+        let check = |ds: &Dataset, phi: u32| {
+            let disc = Discretized::new(ds, phi, DiscretizeStrategy::EquiDepth).unwrap();
+            for a in 0..ds.n_rows() {
+                for b in 0..ds.n_rows() {
+                    if ds.value(a, 0) < ds.value(b, 0) {
+                        assert!(disc.cell(a, 0) <= disc.cell(b, 0), "φ={phi} rows {a}, {b}");
+                    }
                 }
             }
-        }
+        };
+        check(&uniform_dataset(500, 1), 7);
+        hdoutlier_rng::for_each_case(0xd15c_0001, 256, |rng| {
+            use hdoutlier_rng::Rng;
+            let n = rng.gen_range(2..60);
+            let values = (0..n).map(|_| rng.gen_range(-1e3..1e3)).collect();
+            check(&Dataset::new(values, n, 1).unwrap(), rng.gen_range(1..8));
+        });
     }
 
     #[test]

@@ -55,6 +55,18 @@ mod tests {
         let pop = vec![vec![1, 2, 3]; 20];
         assert!(population_converged(&pop, 0.95));
         assert_eq!(gene_convergence(&pop), vec![1.0, 1.0, 1.0]);
+        // Any genome, any population size, any threshold.
+        hdoutlier_rng::for_each_case(0xc0a7_0001, 256, |rng| {
+            use hdoutlier_rng::Rng;
+            let len = rng.gen_range(0..8);
+            let genome: Vec<u32> = (0..len).map(|_| rng.gen_range(0..9)).collect();
+            let pop = vec![genome; rng.gen_range(1..20)];
+            let threshold = rng.gen_range(0.05..1.0);
+            assert!(
+                population_converged(&pop, threshold),
+                "{pop:?} at {threshold}"
+            );
+        });
     }
 
     #[test]

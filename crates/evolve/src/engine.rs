@@ -817,6 +817,21 @@ mod tests {
         assert_eq!((c, d), (vec![7], vec![9]));
         let (c, _) = two_point_crossover::<i32, _>(&[], &[], &mut rng);
         assert!(c.is_empty());
+        // On any parents, each position of the two children carries exactly
+        // the two parents' genes there.
+        hdoutlier_rng::for_each_case(0xe9e0_0001, 256, |rng| {
+            let len = rng.gen_range(2..20);
+            let a: Vec<u8> = (0..len).map(|_| rng.gen_range(0..10)).collect();
+            let b: Vec<u8> = a.iter().map(|&x| (x + 1) % 10).collect();
+            let (c, d) = two_point_crossover(&a, &b, rng);
+            assert_eq!((c.len(), d.len()), (len, len));
+            for i in 0..len {
+                let (mut got, mut want) = ([c[i], d[i]], [a[i], b[i]]);
+                got.sort_unstable();
+                want.sort_unstable();
+                assert_eq!(got, want, "position {i} of {a:?} × {b:?}");
+            }
+        });
     }
 
     #[test]

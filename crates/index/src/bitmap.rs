@@ -246,6 +246,34 @@ mod tests {
             Bitmap::intersection_members(&maps),
             vec![0, 30, 60, 90, 120, 150, 180]
         );
+        // One to three random sets over 0..128 against a reference set.
+        hdoutlier_rng::for_each_case(0x1dec_0003, 256, |rng| {
+            use hdoutlier_rng::Rng;
+            use std::collections::BTreeSet;
+            let sets: Vec<BTreeSet<usize>> = (0..rng.gen_range(1..4))
+                .map(|_| {
+                    let n = rng.gen_range(0..40);
+                    (0..n).map(|_| rng.gen_range(0..128)).collect()
+                })
+                .collect();
+            let maps: Vec<Bitmap> = sets
+                .iter()
+                .map(|set| {
+                    let mut b = Bitmap::new(128);
+                    set.iter().for_each(|&i| b.set(i));
+                    b
+                })
+                .collect();
+            let refs: Vec<&Bitmap> = maps.iter().collect();
+            let want: Vec<usize> = sets[0]
+                .iter()
+                .copied()
+                .filter(|i| sets.iter().all(|s| s.contains(i)))
+                .collect();
+            assert_eq!(Bitmap::intersection_count(&refs), want.len(), "{sets:?}");
+            assert_eq!(Bitmap::intersection(&refs).count(), want.len(), "{sets:?}");
+            assert_eq!(Bitmap::intersection_members(&refs), want, "{sets:?}");
+        });
     }
 
     #[test]
@@ -278,6 +306,20 @@ mod tests {
         let zero_len = Bitmap::new(0);
         assert_eq!(zero_len.iter_ones().count(), 0);
         assert!(zero_len.is_empty());
+        // Random members round-trip through set/iter_ones/count.
+        hdoutlier_rng::for_each_case(0xb17a_0001, 256, |rng| {
+            use hdoutlier_rng::Rng;
+            let n = rng.gen_range(0..50);
+            let mut members: Vec<usize> = (0..n).map(|_| rng.gen_range(0..200)).collect();
+            members.sort_unstable();
+            members.dedup();
+            let mut b = Bitmap::new(200);
+            for &i in &members {
+                b.set(i);
+            }
+            assert_eq!(b.iter_ones().collect::<Vec<_>>(), members);
+            assert_eq!(b.count(), members.len());
+        });
     }
 
     #[test]

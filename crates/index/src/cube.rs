@@ -148,6 +148,19 @@ mod tests {
         assert_eq!(c.to_projection_string(4), "*3*9");
         let c = Cube::new([(0, 0)]).unwrap();
         assert_eq!(c.to_projection_string(3), "1**");
+        // Any cube over d = 6 with φ = 9: one character per dimension, a
+        // star wherever the cube is unconstrained.
+        hdoutlier_rng::for_each_case(0xc0be_0001, 256, |rng| {
+            use hdoutlier_rng::Rng;
+            let mut dims: Vec<u32> = (0..6).filter(|_| rng.gen_bool(0.5)).collect();
+            if dims.is_empty() {
+                dims.push(rng.gen_range(0..6));
+            }
+            let c = Cube::new(dims.iter().map(|&d| (d, rng.gen_range(0..9)))).unwrap();
+            let s = c.to_projection_string(6);
+            assert_eq!(s.chars().count(), 6, "{s}");
+            assert_eq!(s.chars().filter(|&ch| ch == '*').count(), 6 - c.k(), "{s}");
+        });
     }
 
     #[test]

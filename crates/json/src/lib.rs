@@ -198,6 +198,12 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// How deep arrays and objects may nest in a parsed document. The parser
+/// recurses once per level, so an unbounded depth would let one hostile
+/// input (a request body, an NDJSON line) overflow the thread's stack.
+/// Every document the workspace writes nests fewer than 10 levels.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parse failure with byte offset context.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonError {
@@ -220,8 +226,10 @@ impl Json {
     /// whitespace).
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -266,8 +274,11 @@ impl Json {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -308,8 +319,19 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.error(&format!("nesting deeper than {MAX_DEPTH}")));
+                }
+                self.depth += 1;
+                let value = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b'"') => Ok(Json::String(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -413,11 +435,14 @@ impl Parser<'_> {
                     }
                 }
                 _ => {
-                    // Re-decode UTF-8 starting at the byte we consumed.
+                    // Decode the one character starting at the byte just
+                    // consumed (the input is a `str`, so it is valid UTF-8).
                     let start = self.pos - 1;
-                    let s = std::str::from_utf8(&self.bytes[start..])
-                        .map_err(|_| self.error("invalid UTF-8"))?;
-                    let ch = s.chars().next().expect("non-empty");
+                    let ch = self
+                        .text
+                        .get(start..)
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or_else(|| self.error("invalid UTF-8"))?;
                     out.push(ch);
                     self.pos = start + ch.len_utf8();
                 }
@@ -627,6 +652,38 @@ mod tests {
         }
         let err = Json::parse("[1, x]").unwrap_err();
         assert!(err.to_string().contains("byte"));
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.message.contains("nesting deeper than 128"), "{err}");
+        assert_eq!(err.offset, MAX_DEPTH);
+        let objects = "{\"a\":".repeat(MAX_DEPTH + 1) + "1" + &"}".repeat(MAX_DEPTH + 1);
+        assert!(Json::parse(&objects).is_err());
+        // A megabyte of `[` is an error, not a stack overflow, even on a
+        // thread with the default 2 MiB stack.
+        let deep = "[".repeat(1 << 20);
+        let outcome = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || Json::parse(&deep).map(|_| ()))
+            .unwrap()
+            .join()
+            .expect("parser thread survives");
+        assert!(outcome.is_err());
+    }
+
+    #[test]
+    fn long_non_ascii_strings_parse_in_linear_time() {
+        // 1 MiB of two-byte characters: one decode per character, not one
+        // re-validation of the rest of the input per character.
+        let body = "é".repeat(1 << 19);
+        let started = std::time::Instant::now();
+        let parsed = Json::parse(&format!("\"{body}\"")).unwrap();
+        assert_eq!(parsed.as_str(), Some(body.as_str()));
+        assert!(started.elapsed() < std::time::Duration::from_secs(5));
     }
 
     #[test]

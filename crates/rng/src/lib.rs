@@ -13,6 +13,9 @@
 //! - [`Xoshiro256PlusPlus`]: the general-purpose generator behind
 //!   [`rngs::StdRng`].
 //!
+//! [`for_each_case`] is the workspace's one property-test runner: seeded,
+//! with a replay line for the failing case.
+//!
 //! Streams are stable across platforms and releases of this crate: tests
 //! and experiments that fix a seed are reproducible. They are *not* the
 //! same streams `rand`'s `StdRng` (ChaCha12) produced, so seed-pinned
@@ -84,6 +87,36 @@ impl<R: RngCore + ?Sized> Rng for R {}
 pub trait SeedableRng: Sized {
     /// Builds a generator whose stream is a pure function of `seed`.
     fn seed_from_u64(seed: u64) -> Self;
+}
+
+/// The workspace's property-test runner: calls `f` once for each of `cases`
+/// cases, each on its own generator.
+///
+/// Case `i` is seeded with the `i`-th output of a [`SplitMix64`] stream over
+/// `seed`, so one failing case replays alone without re-running the cases
+/// before it. When `f` panics, the runner prints
+/// `case {i}: replay with StdRng::seed_from_u64({case_seed:#018x})` to
+/// stderr and resumes the unwind, leaving the original assertion message as
+/// the test's failure. To replay, call `f` on that generator directly.
+///
+/// ```
+/// use hdoutlier_rng::{for_each_case, Rng};
+/// for_each_case(7, 64, |rng| {
+///     let x: f64 = rng.gen_range(-1.0..1.0);
+///     assert!(x.abs() < 1.0);
+/// });
+/// ```
+pub fn for_each_case(seed: u64, cases: u32, mut f: impl FnMut(&mut rngs::StdRng)) {
+    let mut seeds = SplitMix64::new(seed);
+    for case in 0..cases {
+        let case_seed = seeds.next_u64();
+        let mut rng = rngs::StdRng::seed_from_u64(case_seed);
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut rng)));
+        if let Err(panic) = outcome {
+            eprintln!("case {case}: replay with StdRng::seed_from_u64({case_seed:#018x})");
+            std::panic::resume_unwind(panic);
+        }
+    }
 }
 
 /// Named generators, mirroring `rand::rngs`.
@@ -178,6 +211,41 @@ mod tests {
         assert!((4_500..5_500).contains(&heads), "{heads}");
         let rare = (0..10_000).filter(|_| rng.gen_bool(0.01)).count();
         assert!(rare < 300, "{rare}");
+    }
+
+    #[test]
+    fn for_each_case_gives_each_case_its_own_replayable_seed() {
+        let mut seen = Vec::new();
+        for_each_case(42, 16, |rng| seen.push(rng.next_u64()));
+        assert_eq!(seen.len(), 16);
+        // Case i's generator is StdRng over the i-th SplitMix64 output.
+        let mut seeds = SplitMix64::new(42);
+        for &first in &seen {
+            let mut replay = rngs::StdRng::seed_from_u64(seeds.next_u64());
+            assert_eq!(replay.next_u64(), first);
+        }
+        let mut distinct = seen.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(distinct.len(), seen.len());
+    }
+
+    #[test]
+    fn for_each_case_keeps_the_original_panic_and_stops() {
+        let mut ran = 0;
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            for_each_case(1, 100, |_| {
+                ran += 1;
+                assert!(ran < 3, "third case fails");
+            })
+        }));
+        let payload = outcome.unwrap_err();
+        assert_eq!(
+            payload.downcast_ref::<&str>(),
+            Some(&"third case fails"),
+            "the original payload is resumed"
+        );
+        assert_eq!(ran, 3);
     }
 
     #[test]

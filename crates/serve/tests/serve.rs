@@ -730,3 +730,66 @@ fn replay_cache_evicts_fifo_at_the_capacity_boundary() {
         &expected[expected.len() - rescored.body.len()..]
     );
 }
+
+/// One close-delimited request over a fresh TCP connection; returns the raw
+/// response, status line first.
+fn exchange(addr: std::net::SocketAddr, method: &str, path: &str, body: &str) -> String {
+    use std::io::{Read, Write};
+    let mut conn = std::net::TcpStream::connect(addr).unwrap();
+    write!(
+        conn,
+        "{method} {path} HTTP/1.1\r\nHost: test\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    )
+    .unwrap();
+    let mut response = String::new();
+    conn.read_to_string(&mut response).unwrap();
+    response
+}
+
+#[test]
+fn a_deeply_nested_create_body_is_a_400_and_the_server_keeps_serving() {
+    let handle = ServeHandle::bind("127.0.0.1:0", ServeConfig::default()).unwrap();
+    let addr = handle.local_addr();
+    // 20 KB of `[`: far under the body cap, yet deep enough to overflow a
+    // worker's stack (and abort the process) without the parser's depth
+    // limit.
+    for _ in 0..2 {
+        let response = exchange(addr, "POST", "/sessions", &"[".repeat(20_000));
+        assert!(response.starts_with("HTTP/1.1 400 "), "{response}");
+        assert!(response.contains("nesting deeper than 128"), "{response}");
+    }
+    // Still serving. (Not `/healthz`: its SLO verdict reads the process-wide
+    // metrics, which the other tests in this binary feed bad records.)
+    let response = exchange(addr, "GET", "/sessions", "");
+    assert!(response.starts_with("HTTP/1.1 200 "), "{response}");
+    handle.drain();
+}
+
+#[test]
+fn a_deeply_nested_score_line_goes_through_the_error_policy() {
+    let (model, ds) = fitted(113);
+    let app = ServeApp::new(ServeConfig::default());
+    let created = app.handle(&req(
+        "POST",
+        "/sessions",
+        create_body(&model, "\"id\": \"deep\", \"on_error\": \"skip\""),
+    ));
+    assert_eq!(created.status, 201);
+    let mut body = ndjson_rows(&ds, 0..2);
+    body.push_str(&"[".repeat(20_000));
+    body.push('\n');
+    body.push_str(&ndjson_rows(&ds, 2..4));
+    let response = app.handle(&req("POST", "/sessions/deep/score", body));
+    assert_eq!(response.status, 200);
+    let lines: Vec<&str> = body_text(&response).lines().collect();
+    assert_eq!(lines.len(), 5);
+    let error_line = Json::parse(lines[2]).unwrap();
+    assert_eq!(error_line.get("line").unwrap().as_number(), Some(3.0));
+    assert_eq!(error_line.get("action").unwrap().as_str(), Some("skip"));
+    let message = error_line.get("error").and_then(Json::as_str).unwrap();
+    assert!(message.contains("nesting deeper than 128"), "{message}");
+    let status = body_json(&app.handle(&req("GET", "/sessions/deep", "")));
+    assert_eq!(status.get("skipped").unwrap().as_number(), Some(1.0));
+    assert_eq!(status.get("records_scored").unwrap().as_number(), Some(4.0));
+}

@@ -209,11 +209,17 @@ mod tests {
 
     #[test]
     fn erf_plus_erfc_is_one() {
-        let mut x = -5.0;
-        while x <= 5.0 {
+        let check = |x: f64| {
             let s = erf(x) + erfc(x);
             assert!((s - 1.0).abs() < 1e-12, "erf+erfc at {x} = {s}");
+        };
+        let mut x = -5.0;
+        while x <= 5.0 {
+            check(x);
             x += 0.037;
         }
+        hdoutlier_rng::for_each_case(0xe7f0_0001, 256, |rng| {
+            check(hdoutlier_rng::Rng::gen_range(rng, -6.0..6.0));
+        });
     }
 }

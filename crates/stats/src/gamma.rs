@@ -204,12 +204,21 @@ mod tests {
 
     #[test]
     fn gamma_p_q_sum_to_one() {
+        let check = |a: f64, x: f64, tol: f64| {
+            let (p, q) = (gamma_p(a, x), gamma_q(a, x));
+            assert!((0.0..=1.0 + 1e-12).contains(&p), "P({a}, {x}) = {p}");
+            assert!((0.0..=1.0 + 1e-12).contains(&q), "Q({a}, {x}) = {q}");
+            assert!((p + q - 1.0).abs() < tol, "P+Q at a={a}, x={x} = {}", p + q);
+        };
         for &a in &[0.5, 1.0, 2.5, 10.0, 100.0] {
             for &x in &[0.01, 0.5, 1.0, 5.0, 50.0, 200.0] {
-                let s = gamma_p(a, x) + gamma_q(a, x);
-                assert!((s - 1.0).abs() < 1e-12, "P+Q at a={a}, x={x} = {s}");
+                check(a, x, 1e-12);
             }
         }
+        hdoutlier_rng::for_each_case(0x6a3a_0001, 256, |rng| {
+            use hdoutlier_rng::Rng;
+            check(rng.gen_range(0.1..50.0), rng.gen_range(0.0..100.0), 1e-11);
+        });
     }
 
     #[test]

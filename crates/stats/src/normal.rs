@@ -207,6 +207,11 @@ mod tests {
                 "cdf(quantile({p})) = {back}"
             );
         }
+        hdoutlier_rng::for_each_case(0x9a55_0001, 256, |rng| {
+            let p = hdoutlier_rng::Rng::gen_range(rng, 1e-6..0.999_999);
+            let back = standard_cdf(standard_quantile(p));
+            assert!((back - p).abs() < 1e-11, "cdf(quantile({p})) = {back}");
+        });
     }
 
     #[test]

@@ -208,15 +208,27 @@ mod tests {
 
     #[test]
     fn empty_cube_formula_matches_eq1_at_zero() {
-        for &(n, phi, k) in &[(10_000u64, 10u32, 3u32), (452, 5, 2), (1_000_000, 8, 4)] {
+        let check = |n: u64, phi: u32, k: u32, tol: f64| {
             let p = SparsityParams::new(n, phi, k).unwrap();
             let direct = p.sparsity(0);
             let formula = p.empty_cube_sparsity();
             assert!(
-                (direct - formula).abs() < 1e-9,
+                (direct - formula).abs() < tol,
                 "({n},{phi},{k}): {direct} vs {formula}"
             );
+        };
+        for &(n, phi, k) in &[(10_000u64, 10u32, 3u32), (452, 5, 2), (1_000_000, 8, 4)] {
+            check(n, phi, k, 1e-9);
         }
+        hdoutlier_rng::for_each_case(0x5a25_0001, 256, |rng| {
+            use hdoutlier_rng::Rng;
+            check(
+                rng.gen_range(10..100_000),
+                rng.gen_range(2..12),
+                rng.gen_range(1..5),
+                1e-8,
+            );
+        });
     }
 
     #[test]

@@ -596,7 +596,9 @@ fn check_arity(fields: usize, n_dims: usize) -> Result<(), String> {
 
 #[cfg(test)]
 mod tests {
-    use super::parse_row;
+    use super::{parse_record_line, parse_row};
+    use hdoutlier_rng::rngs::StdRng;
+    use hdoutlier_rng::{for_each_case, Rng};
 
     fn markers() -> Vec<String> {
         hdoutlier_data::csv::CsvOptions::default().missing_markers
@@ -663,5 +665,79 @@ mod tests {
         let row = parse_row("NaN,nan", ',', &markers(), 2).unwrap();
         assert!(row[0].is_nan()); // marker
         assert!(row[1].is_nan()); // f64 parse of "nan"
+    }
+
+    /// A line of fewer than 80 characters that mean something to the CSV
+    /// and JSON readers, plus a NUL and two multi-byte characters.
+    fn hostile_line(rng: &mut StdRng) -> String {
+        let alphabet: Vec<char> = ",;\"[]{} \t\r-+.e019nul?NA\u{e9}\u{0}\u{1F600}"
+            .chars()
+            .collect();
+        let len = rng.gen_range(0..80);
+        (0..len)
+            .map(|_| alphabet[rng.gen_range(0..alphabet.len())])
+            .collect()
+    }
+
+    /// `n` comma-separated numbers (or missing markers), as CSV and as an
+    /// NDJSON array.
+    fn record(rng: &mut StdRng, n: usize) -> (String, String) {
+        let fields: Vec<(String, String)> = (0..n)
+            .map(|_| {
+                if rng.gen_range(0..5) == 0 {
+                    ("?".into(), "null".into())
+                } else {
+                    let v = rng.gen_range(-1e6f64..1e6).to_string();
+                    (v.clone(), v)
+                }
+            })
+            .collect();
+        let csv: Vec<&str> = fields.iter().map(|(c, _)| c.as_str()).collect();
+        let json: Vec<&str> = fields.iter().map(|(_, j)| j.as_str()).collect();
+        (csv.join(","), format!("[{}]", json.join(",")))
+    }
+
+    #[test]
+    fn parsers_never_panic_on_random_lines() {
+        // 20 KB of `[`: deep enough to overflow the stack of a parser that
+        // recursed without a depth limit.
+        let err = parse_record_line(&"[".repeat(20_000), 3).unwrap_err();
+        assert!(err.contains("nesting deeper than 128"), "{err}");
+        for_each_case(0x9a25_0001, 256, |rng| {
+            let line = hostile_line(rng);
+            let n_dims = rng.gen_range(1..6);
+            for delimiter in [',', ';'] {
+                if let Ok(row) = parse_row(&line, delimiter, &markers(), n_dims) {
+                    assert_eq!(row.len(), n_dims, "{line:?}");
+                }
+            }
+            if let Ok(row) = parse_record_line(&line, n_dims) {
+                assert_eq!(row.len(), n_dims, "{line:?}");
+            }
+        });
+    }
+
+    #[test]
+    fn parsers_accept_the_right_arity_and_reject_every_other() {
+        for_each_case(0x9a25_0002, 256, |rng| {
+            let n_dims = rng.gen_range(1..8);
+            let n = rng.gen_range(1..10);
+            let (csv, json) = record(rng, n);
+            let csv_row = parse_row(&csv, ',', &markers(), n_dims);
+            let json_row = parse_record_line(&json, n_dims);
+            if n == n_dims {
+                let (csv_row, json_row) = (csv_row.unwrap(), json_row.unwrap());
+                assert_eq!(csv_row.len(), n_dims);
+                // Both readers agree value for value, missing for missing.
+                for (a, b) in csv_row.iter().zip(&json_row) {
+                    assert!(a == b || (a.is_nan() && b.is_nan()), "{csv:?} vs {json:?}");
+                }
+            } else {
+                let want =
+                    format!("expected {n_dims} fields (the model's dimensionality), got {n}");
+                assert_eq!(csv_row.unwrap_err(), want, "{csv:?}");
+                assert_eq!(json_row.unwrap_err(), want, "{json:?}");
+            }
+        });
     }
 }
