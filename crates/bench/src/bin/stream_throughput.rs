@@ -11,6 +11,9 @@
 //! - window: `WindowCounter::push` (insert + evict postings maintenance)
 //! - score:  `OnlineScorer::score_record` (grid assign + projection match
 //!   + drift accounting)
+//! - pipeline.csv: the records as CSV lines through
+//!   `hdoutlier_stream::Pipeline` into a discarding sink — the parse →
+//!   score → render loop `hdoutlier stream` runs, minus the stdout write
 //!
 //! With `--metrics-out` the scorer's per-record latency histogram
 //! (`hdoutlier.stream.record_latency_us`) is enabled for the scoring
@@ -25,8 +28,9 @@
 //! are populated, which the datapoint records in its `config.timing` knob.
 //!
 //! With `--assert-against <BENCH_stream.json>` the run becomes a regression
-//! gate: the end-to-end us/record is compared to the baseline datapoint and
-//! the process exits 1 when it exceeds `baseline * (1 + --tolerance)`
+//! gate: the end-to-end and pipeline.csv us/record are compared to the
+//! baseline datapoint and the process exits 1 when either exceeds
+//! `baseline * (1 + --tolerance)`
 //! (tolerance defaults to 0.5 — generous because absolute wall-clock varies
 //! across machines; the gate exists to catch order-of-magnitude slips in the
 //! default hot path, e.g. accidental per-record I/O or timing syscalls).
@@ -35,8 +39,21 @@ use hdoutlier_bench::bench_json::{baseline_us_per_record, BenchReport, Percentil
 use hdoutlier_core::{OutlierDetector, SearchMethod};
 use hdoutlier_data::generators::{planted_outliers, PlantedConfig};
 use hdoutlier_obs as obs;
-use hdoutlier_stream::{OnlineScorer, StreamingDiscretizer, WindowCounter};
+use hdoutlier_stream::{
+    ErrorPolicy, OnlineScorer, Pipeline, RecordFormat, Settings, Sink, StreamingDiscretizer,
+    WindowCounter,
+};
 use std::time::Instant;
+
+/// Drops every verdict line, counting its bytes.
+struct Discard(usize);
+
+impl Sink for Discard {
+    fn emit(&mut self, line: &str) -> Result<bool, String> {
+        self.0 += line.len();
+        Ok(true)
+    }
+}
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
@@ -125,7 +142,7 @@ fn main() {
     report("window.push", n_rows, t.elapsed(), &mut bench);
 
     // Stage 3: online scoring.
-    let mut scorer = OnlineScorer::new(model).expect("scorer");
+    let mut scorer = OnlineScorer::new(model.clone()).expect("scorer");
     let t = Instant::now();
     let mut outliers = 0usize;
     for i in 0..n_rows {
@@ -149,7 +166,38 @@ fn main() {
     }
     let end_to_end = t.elapsed();
     report("end-to-end", n_rows, end_to_end, &mut bench);
-    let end_to_end_us = end_to_end.as_secs_f64() * 1e6 / n_rows as f64;
+
+    // The shipped per-record loop: CSV lines through the stream pipeline
+    // with the `stream` command's default settings.
+    let text = hdoutlier_data::csv::write_string(ds);
+    let lines: Vec<&str> = text.lines().skip(1).collect();
+    let settings = Settings {
+        format: RecordFormat::Csv {
+            delimiter: ',',
+            header: false,
+        },
+        batch: 1,
+        threads: 1,
+        outliers_only: false,
+        policy: ErrorPolicy::Abort,
+        max_consecutive: 100,
+        checkpoint: None,
+        checkpoint_every: 1000,
+        drift_alpha: None,
+        drift_every: None,
+    };
+    let scorer = OnlineScorer::new(model).expect("scorer");
+    let (mut pipeline, _) = Pipeline::open(scorer, settings, None).expect("pipeline");
+    let mut sink = Discard(0);
+    let t = Instant::now();
+    let records = (0..n_rows).map(|i| Ok::<_, String>(lines[i % lines.len()]));
+    if let Err(stop) = pipeline.run(records, &mut sink) {
+        eprintln!("pipeline stopped: {stop:?}");
+        std::process::exit(1);
+    }
+    let pipeline_csv = t.elapsed();
+    report("pipeline.csv", n_rows, pipeline_csv, &mut bench);
+    println!("  ({} verdict bytes rendered)", sink.0);
     println!(
         "  (sketch summary sizes: {:?})",
         (0..n_dims.min(4))
@@ -191,21 +239,28 @@ fn main() {
     }
 
     if let Some(path) = assert_against {
-        let baseline = baseline_us_per_record(&path, "end-to-end").unwrap_or_else(|e| {
-            eprintln!("cannot read baseline {path}: {e}");
-            std::process::exit(2);
-        });
-        let limit = baseline * (1.0 + tolerance);
-        println!(
-            "regression gate: end-to-end {end_to_end_us:.3} us/record vs baseline \
-             {baseline:.3} (limit {limit:.3}, tolerance {tolerance})"
-        );
-        if end_to_end_us > limit {
-            eprintln!(
-                "REGRESSION: end-to-end {end_to_end_us:.3} us/record exceeds \
-                 {limit:.3} ({baseline:.3} from {path} + {:.0}%)",
-                tolerance * 100.0
+        let mut regressed = false;
+        for (stage, elapsed) in [("end-to-end", end_to_end), ("pipeline.csv", pipeline_csv)] {
+            let us = elapsed.as_secs_f64() * 1e6 / n_rows as f64;
+            let baseline = baseline_us_per_record(&path, stage).unwrap_or_else(|e| {
+                eprintln!("cannot read baseline {path}: {e}");
+                std::process::exit(2);
+            });
+            let limit = baseline * (1.0 + tolerance);
+            println!(
+                "regression gate: {stage} {us:.3} us/record vs baseline {baseline:.3} \
+                 (limit {limit:.3}, tolerance {tolerance})"
             );
+            if us > limit {
+                eprintln!(
+                    "REGRESSION: {stage} {us:.3} us/record exceeds {limit:.3} \
+                     ({baseline:.3} from {path} + {:.0}%)",
+                    tolerance * 100.0
+                );
+                regressed = true;
+            }
+        }
+        if regressed {
             std::process::exit(1);
         }
     }

@@ -5,7 +5,6 @@ use crate::exit;
 use crate::obs_setup::{self, ObsSession};
 use hdoutlier_core::crossover::CrossoverKind;
 use hdoutlier_core::detector::{OutlierDetector, SearchMethod};
-use hdoutlier_core::params::advise;
 use hdoutlier_data::discretize::{DiscretizeStrategy, Discretized};
 use hdoutlier_json::{FieldChain, Json, JsonError};
 
@@ -170,16 +169,15 @@ pub fn run_to(argv: &[String], sink: &mut impl std::io::Write) -> (i32, String) 
     }
     let detector = builder.build();
 
-    let report = match detector.detect(&dataset) {
-        Ok(r) => r,
+    // The one grid of the job: searched, then kept for the explanations
+    // and the saved model.
+    let disc = match detector.discretize(&dataset) {
+        Ok(d) => d,
         Err(e) => return (exit::RUNTIME, format!("detection failed: {e}")),
     };
-
-    // Rebuild the grid for explanations (cheap relative to the search).
-    let effective_phi = phi.unwrap_or_else(|| advise(dataset.n_rows() as u64, -3.0).phi);
-    let disc = match Discretized::new(&dataset, effective_phi, strategy) {
-        Ok(d) => d,
-        Err(e) => return (exit::RUNTIME, format!("discretization failed: {e}")),
+    let report = match detector.detect_discretized(&disc) {
+        Ok(r) => r,
+        Err(e) => return (exit::RUNTIME, format!("detection failed: {e}")),
     };
 
     if let Some(path) = parsed.get("save-model") {

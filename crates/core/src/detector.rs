@@ -183,14 +183,21 @@ impl OutlierDetector {
 
     /// Runs the full pipeline on a dataset.
     pub fn detect(&self, dataset: &Dataset) -> Result<OutlierReport, DetectError> {
+        self.detect_discretized(&self.discretize(dataset)?)
+    }
+
+    /// The pipeline's first phase: the configured grid over `dataset`,
+    /// with φ from the §2.4 advisor (Eq. 2 at `target_sparsity`) unless
+    /// set. Callers that keep the grid (model fitting, explanations) run
+    /// this once and hand it to [`OutlierDetector::detect_discretized`].
+    pub fn discretize(&self, dataset: &Dataset) -> Result<Discretized, DetectError> {
         let phi = self
             .config
             .phi
             .unwrap_or_else(|| advise(dataset.n_rows() as u64, self.config.target_sparsity).phi);
-        let disc = phase("discretize", || {
+        Ok(phase("discretize", || {
             Discretized::new(dataset, phi, self.config.strategy)
-        })?;
-        self.detect_discretized(&disc)
+        })?)
     }
 
     /// Runs the search on an already-discretized dataset (lets callers reuse

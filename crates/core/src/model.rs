@@ -13,7 +13,7 @@
 
 use crate::detector::{DetectError, OutlierDetector};
 use crate::report::{OutlierReport, ScoredProjection};
-use hdoutlier_data::{DataError, Dataset, Discretized, GridSpec};
+use hdoutlier_data::{DataError, Dataset, GridSpec};
 
 /// One projection matched by a scored record.
 #[derive(Debug, Clone)]
@@ -92,10 +92,7 @@ impl OutlierDetector {
     /// Fits a reusable model: runs [`OutlierDetector::detect`] and packages
     /// the resulting projections with the fitted grid boundaries.
     pub fn fit(&self, dataset: &Dataset) -> Result<FittedModel, DetectError> {
-        let phi = self.config().phi.unwrap_or_else(|| {
-            crate::params::advise(dataset.n_rows() as u64, self.config().target_sparsity).phi
-        });
-        let disc = Discretized::new(dataset, phi, self.config().strategy)?;
+        let disc = self.discretize(dataset)?;
         let report: OutlierReport = self.detect_discretized(&disc)?;
         Ok(FittedModel::new(
             GridSpec::from_discretized(&disc),

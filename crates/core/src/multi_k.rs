@@ -15,7 +15,7 @@
 
 use crate::detector::{DetectError, OutlierDetector};
 use crate::report::ScoredProjection;
-use hdoutlier_data::{Dataset, Discretized};
+use hdoutlier_data::Dataset;
 use hdoutlier_stats::SparsityParams;
 use std::collections::BTreeSet;
 
@@ -61,10 +61,8 @@ impl OutlierDetector {
         dataset: &Dataset,
         ks: impl IntoIterator<Item = usize>,
     ) -> Result<MultiKReport, DetectError> {
-        let phi = self.config().phi.unwrap_or_else(|| {
-            crate::params::advise(dataset.n_rows() as u64, self.config().target_sparsity).phi
-        });
-        let disc = Discretized::new(dataset, phi, self.config().strategy)?;
+        let disc = self.discretize(dataset)?;
+        let phi = disc.phi();
         let n = dataset.n_rows() as u64;
 
         let mut projections: Vec<RankedProjection> = Vec::new();

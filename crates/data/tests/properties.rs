@@ -1,13 +1,15 @@
 //! Seeded property tests for the data substrate: equi-depth and equi-width
 //! discretization, dataset selection, the generators, and the CSV reader
 //! and writer, including robustness on arbitrary and adversarially quoted
-//! text. All run on [`hdoutlier_rng::for_each_case`]; a failing case
-//! prints the seed that replays it alone.
+//! text and a differential check of the tokenizer against a
+//! character-at-a-time reference parser. All run on
+//! [`hdoutlier_rng::for_each_case`]; a failing case prints the seed that
+//! replays it alone.
 
-use hdoutlier_data::csv::{parse_records, read_str, write_string, CsvOptions};
+use hdoutlier_data::csv::{parse_records, read_str, write_string, ColumnRef, CsvOptions};
 use hdoutlier_data::discretize::{DiscretizeStrategy, Discretized, MISSING_CELL};
 use hdoutlier_data::generators::{correlated, uniform, CorrelatedConfig};
-use hdoutlier_data::Dataset;
+use hdoutlier_data::{DataError, Dataset};
 use hdoutlier_rng::rngs::StdRng;
 use hdoutlier_rng::{for_each_case, Rng};
 
@@ -286,5 +288,224 @@ fn writer_output_always_reparses() {
         let back = read_str(&write_string(&ds), &CsvOptions::default()).unwrap();
         assert_eq!(back.n_rows(), n_rows);
         assert_eq!(back.n_dims(), n_dims);
+    });
+}
+
+/// The reference parser: one character at a time, every field collected
+/// into its own `String`. The shipped tokenizer must agree with it on every
+/// input, errors included.
+fn oracle_parse_records(text: &str, delimiter: char) -> Result<Vec<Vec<String>>, DataError> {
+    let mut records = Vec::new();
+    let mut record: Vec<String> = Vec::new();
+    let mut field = String::new();
+    let mut chars = text.chars().peekable();
+    let mut in_quotes = false;
+    // A record containing a quoted field is never "blank", even if the
+    // field is empty: `""` is one record with one empty field, `\n` is a
+    // blank line to skip.
+    let mut record_quoted = false;
+    let mut saw_any = false;
+
+    while let Some(c) = chars.next() {
+        saw_any = true;
+        if in_quotes {
+            if c == '"' {
+                if chars.peek() == Some(&'"') {
+                    chars.next();
+                    field.push('"');
+                } else {
+                    in_quotes = false;
+                }
+            } else {
+                field.push(c);
+            }
+        } else if c == '"' {
+            if field.is_empty() {
+                in_quotes = true;
+                record_quoted = true;
+            } else {
+                return Err(DataError::Parse(format!(
+                    "unexpected quote inside unquoted field at record {}",
+                    records.len() + 1
+                )));
+            }
+        } else if c == delimiter {
+            record.push(std::mem::take(&mut field));
+        } else if c == '\n' || c == '\r' {
+            if c == '\r' && chars.peek() == Some(&'\n') {
+                chars.next();
+            }
+            record.push(std::mem::take(&mut field));
+            let blank = record.len() == 1 && record[0].is_empty() && !record_quoted;
+            if blank {
+                record.clear();
+            } else {
+                records.push(std::mem::take(&mut record));
+            }
+            record_quoted = false;
+        } else {
+            field.push(c);
+        }
+    }
+    if in_quotes {
+        return Err(DataError::Parse("unterminated quoted field".into()));
+    }
+    if saw_any && (!field.is_empty() || !record.is_empty() || record_quoted) {
+        record.push(field);
+        records.push(record);
+    }
+    Ok(records)
+}
+
+/// The reference conversion of whole records into a [`Dataset`]: header,
+/// width check, label column, then numbers.
+fn oracle_read_str(text: &str, options: &CsvOptions) -> Result<Dataset, DataError> {
+    let mut records = oracle_parse_records(text, options.delimiter)?;
+    if records.is_empty() {
+        return Err(DataError::Empty);
+    }
+    let header = options.has_header.then(|| records.remove(0));
+    if records.is_empty() {
+        return Err(DataError::Empty);
+    }
+    let width = records[0].len();
+    for (i, r) in records.iter().enumerate() {
+        if r.len() != width {
+            return Err(DataError::Parse(format!(
+                "record {} has {} fields, expected {width}",
+                i + 1,
+                r.len()
+            )));
+        }
+    }
+    let label_idx = match &options.label_column {
+        None => None,
+        Some(ColumnRef::Index(i)) if *i >= width => {
+            return Err(DataError::ColumnIndexOutOfBounds {
+                index: *i,
+                n_dims: width,
+            })
+        }
+        Some(ColumnRef::Index(i)) => Some(*i),
+        Some(ColumnRef::Name(name)) => {
+            let header = header
+                .as_ref()
+                .ok_or_else(|| DataError::Parse("label by name requires a header".into()))?;
+            Some(
+                header
+                    .iter()
+                    .position(|h| h.trim() == name)
+                    .ok_or_else(|| DataError::NoSuchColumn(name.clone()))?,
+            )
+        }
+    };
+    let is_missing = |s: &str| options.missing_markers.iter().any(|m| m == s.trim());
+    let mut labels = Vec::new();
+    let mut label_codes: Vec<String> = Vec::new();
+    let mut rows = Vec::new();
+    for record in &records {
+        let mut row = Vec::new();
+        for (j, field) in record.iter().enumerate() {
+            let t = field.trim();
+            if Some(j) == label_idx {
+                let code = match label_codes.iter().position(|c| c == t) {
+                    Some(c) => c,
+                    None => {
+                        label_codes.push(t.to_string());
+                        label_codes.len() - 1
+                    }
+                };
+                labels.push(code as u32);
+            } else if is_missing(t) {
+                row.push(f64::NAN);
+            } else {
+                row.push(t.parse::<f64>().unwrap_or(f64::NAN));
+            }
+        }
+        rows.push(row);
+    }
+    let mut ds = Dataset::from_rows(rows)?;
+    if let Some(header) = header {
+        let names: Vec<String> = header
+            .iter()
+            .enumerate()
+            .filter(|(j, _)| Some(*j) != label_idx)
+            .map(|(_, h)| h.trim().to_string())
+            .collect();
+        ds.set_names(names)?;
+    }
+    if label_idx.is_some() {
+        ds.set_labels(labels)?;
+    }
+    Ok(ds)
+}
+
+/// Shape, names, labels and the bit pattern of every value (NaNs
+/// included) agree.
+fn assert_bit_identical(a: &Dataset, b: &Dataset, text: &str) {
+    assert_eq!(
+        (a.n_rows(), a.n_dims()),
+        (b.n_rows(), b.n_dims()),
+        "{text:?}"
+    );
+    assert_eq!(a.names(), b.names(), "{text:?}");
+    assert_eq!(a.labels(), b.labels(), "{text:?}");
+    let bits = |d: &Dataset| -> Vec<u64> { d.rows().flatten().map(|v| v.to_bits()).collect() };
+    assert_eq!(bits(a), bits(b), "{text:?}");
+}
+
+#[test]
+fn tokenizer_matches_the_reference_parser() {
+    let tokens = [
+        "\"", ",", ";", "§", "\n", "\r", " ", "?", "NaN", "0", "1", "2", "3", "4", "5", "6", "7",
+        "8", "9", ".", "é",
+    ];
+    for_each_case(0xda7a_000d, 1024, |rng| {
+        let n = rng.gen_range(0..48);
+        let text: String = (0..n)
+            .map(|_| tokens[rng.gen_range(0..tokens.len())])
+            .collect();
+        for delimiter in [',', ';', '§'] {
+            assert_eq!(
+                parse_records(&text, delimiter),
+                oracle_parse_records(&text, delimiter),
+                "{text:?} split on {delimiter:?}"
+            );
+            let options = CsvOptions {
+                has_header: rng.gen_bool(0.5),
+                delimiter,
+                label_column: match rng.gen_range(0..4) {
+                    0 | 1 => None,
+                    2 => Some(ColumnRef::Index(rng.gen_range(0..3))),
+                    _ => Some(ColumnRef::Name(
+                        tokens[rng.gen_range(9usize..12)].to_string(),
+                    )),
+                },
+                ..CsvOptions::default()
+            };
+            match (read_str(&text, &options), oracle_read_str(&text, &options)) {
+                (Ok(got), Ok(want)) => assert_bit_identical(&got, &want, &text),
+                (got, want) => {
+                    let (got, want) = (got.err(), want.err());
+                    // A header wider than its records can name the label
+                    // column past the last field. The reader reports that
+                    // column out of bounds; the reference failed later,
+                    // on the count of labels or names.
+                    let label_past_fields =
+                        matches!(options.label_column, Some(ColumnRef::Name(_)))
+                            && matches!(got, Some(DataError::ColumnIndexOutOfBounds { .. }))
+                            && matches!(
+                                want,
+                                Some(
+                                    DataError::LabelCountMismatch { .. }
+                                        | DataError::NameCountMismatch { .. }
+                                )
+                            );
+                    if !label_past_fields {
+                        assert_eq!(got, want, "{text:?} read with {options:?}");
+                    }
+                }
+            }
+        }
     });
 }

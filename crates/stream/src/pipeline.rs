@@ -537,31 +537,50 @@ fn quarantine_envelope(
 }
 
 /// Splits one CSV line into `n_dims` numbers (missing markers become NaN).
+///
+/// The fields are parsed as the tokenizer yields them, so the row is the
+/// only allocation of a well-formed line. Errors keep their precedence:
+/// malformed CSV anywhere in the line, then anything but one record, then
+/// the field count, then the first field that is not a number.
 fn parse_row(
     line: &str,
     delimiter: char,
     missing: &[String],
     n_dims: usize,
 ) -> Result<Vec<f64>, String> {
-    let records = hdoutlier_data::csv::parse_records(line, delimiter)
-        .map_err(|e| format!("malformed CSV: {e}"))?;
-    let fields = match records.as_slice() {
-        [one] => one,
-        _ => return Err("expected exactly one record".to_string()),
-    };
-    check_arity(fields.len(), n_dims)?;
-    fields
-        .iter()
-        .map(|f| {
+    let malformed = |e| format!("malformed CSV: {e}");
+    let mut tokens = hdoutlier_data::csv::Tokenizer::new(line, delimiter);
+    let mut row = Vec::with_capacity(n_dims);
+    let mut unparsable = None;
+    let fields = tokens
+        .next_record(|j, f| {
+            if j >= n_dims || unparsable.is_some() {
+                return;
+            }
             let f = f.trim();
             if missing.iter().any(|m| m == f) {
-                Ok(f64::NAN)
+                row.push(f64::NAN);
             } else {
-                f.parse::<f64>()
-                    .map_err(|_| format!("cannot parse {f:?} as a number"))
+                match f.parse::<f64>() {
+                    Ok(v) => row.push(v),
+                    Err(_) => unparsable = Some(format!("cannot parse {f:?} as a number")),
+                }
             }
         })
-        .collect()
+        .map_err(malformed)?;
+    let mut more = false;
+    while tokens.next_record(|_, _| {}).map_err(malformed)?.is_some() {
+        more = true;
+    }
+    let fields = match fields {
+        Some(n) if !more => n,
+        _ => return Err("expected exactly one record".to_string()),
+    };
+    check_arity(fields, n_dims)?;
+    match unparsable {
+        Some(reason) => Err(reason),
+        None => Ok(row),
+    }
 }
 
 /// Parses one NDJSON record line — a JSON array of `n_dims` numbers, with
@@ -697,6 +716,30 @@ mod tests {
         (csv.join(","), format!("[{}]", json.join(",")))
     }
 
+    /// The reference for `parse_row`: the whole line collected as string
+    /// records by `parse_records`, then checked and converted.
+    fn reference_parse_row(line: &str, delimiter: char, n_dims: usize) -> Result<Vec<f64>, String> {
+        let records = hdoutlier_data::csv::parse_records(line, delimiter)
+            .map_err(|e| format!("malformed CSV: {e}"))?;
+        let fields = match records.as_slice() {
+            [one] => one,
+            _ => return Err("expected exactly one record".to_string()),
+        };
+        super::check_arity(fields.len(), n_dims)?;
+        fields
+            .iter()
+            .map(|f| {
+                let f = f.trim();
+                if markers().iter().any(|m| m == f) {
+                    Ok(f64::NAN)
+                } else {
+                    f.parse::<f64>()
+                        .map_err(|_| format!("cannot parse {f:?} as a number"))
+                }
+            })
+            .collect()
+    }
+
     #[test]
     fn parsers_never_panic_on_random_lines() {
         // 20 KB of `[`: deep enough to overflow the stack of a parser that
@@ -707,8 +750,15 @@ mod tests {
             let line = hostile_line(rng);
             let n_dims = rng.gen_range(1..6);
             for delimiter in [',', ';'] {
-                if let Ok(row) = parse_row(&line, delimiter, &markers(), n_dims) {
-                    assert_eq!(row.len(), n_dims, "{line:?}");
+                let got = parse_row(&line, delimiter, &markers(), n_dims);
+                let want = reference_parse_row(&line, delimiter, n_dims);
+                match (&got, &want) {
+                    (Ok(got), Ok(want)) => {
+                        assert_eq!(got.len(), n_dims, "{line:?}");
+                        let bits = |r: &[f64]| r.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(bits(got), bits(want), "{line:?}");
+                    }
+                    _ => assert_eq!(got.err(), want.err(), "{line:?}"),
                 }
             }
             if let Ok(row) = parse_record_line(&line, n_dims) {
