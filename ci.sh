@@ -10,6 +10,17 @@ if grep -n '^source = ' Cargo.lock; then
     exit 1
 fi
 
+# One JSON writer, kept by construction: hdoutlier-json is the only code
+# that encodes a JSON string, and a second encoder gives itself away by the
+# control-character escape format. The one exception is the obs
+# differential test's verbatim copy of the renderers that writer replaced,
+# which it keeps as the reference it compares against.
+if grep -rnF --include='*.rs' '\u{:04x}' crates src tests examples |
+    grep -v -e '^crates/json/' -e '^crates/obs/src/json_reference\.rs:'; then
+    echo "a JSON escaper outside crates/json; build a hdoutlier_json::Json and render it" >&2
+    exit 1
+fi
+
 cargo fmt --check
 cargo clippy --offline --workspace --all-targets -- -D warnings
 cargo build --release --offline --workspace

@@ -264,7 +264,7 @@ fn render_json(
                 .field("elapsed_ms", obs_setup::elapsed_ms(report.stats.elapsed))?,
         );
     if with_metrics {
-        json = json.field("metrics", obs_setup::metrics_json()?);
+        json = json.field("metrics", obs_setup::metrics_json());
     }
     json
 }

@@ -5,7 +5,7 @@
 //! reports.
 
 use crate::args::{Parsed, Spec};
-use hdoutlier_json::{FieldChain, Json, JsonError};
+use hdoutlier_json::Json;
 use hdoutlier_obs as obs;
 use std::sync::Arc;
 use std::time::Duration;
@@ -214,38 +214,25 @@ pub fn fmt_elapsed(elapsed: Duration) -> String {
 /// The global metrics registry as a JSON object keyed by metric name, for
 /// embedding in `--json` reports. Labeled series are keyed
 /// `name{k=v,…}` so every label set stays addressable without colliding.
-///
-/// # Errors
-/// [`JsonError`] only on internal builder misuse (never for valid metrics).
-pub fn metrics_json() -> Result<Json, JsonError> {
-    let mut object = Json::object();
-    for metric in obs::registry().snapshot() {
-        let key = if metric.labels.is_empty() {
-            metric.name.clone()
-        } else {
-            let pairs: Vec<String> = metric
-                .labels
-                .iter()
-                .map(|(k, v)| format!("{k}={v}"))
-                .collect();
-            format!("{}{{{}}}", metric.name, pairs.join(","))
-        };
-        let value = match metric.value {
-            obs::SnapshotValue::Counter(v) => Json::Number(v as f64),
-            obs::SnapshotValue::Gauge(v) => Json::Number(v as f64),
-            obs::SnapshotValue::Histogram(h) => Json::object()
-                .field("count", h.count)
-                .field("sum", h.sum)
-                .field("min", h.min)
-                .field("max", h.max)
-                .field("mean", h.mean())
-                .field("p50", h.p50)
-                .field("p90", h.p90)
-                .field("p99", h.p99)?,
-        };
-        object = object.field(&key, value)?;
-    }
-    Ok(object)
+pub fn metrics_json() -> Json {
+    let fields = obs::registry()
+        .snapshot()
+        .into_iter()
+        .map(|metric| {
+            let key = if metric.labels.is_empty() {
+                metric.name.clone()
+            } else {
+                let pairs: Vec<String> = metric
+                    .labels
+                    .iter()
+                    .map(|(k, v)| format!("{k}={v}"))
+                    .collect();
+                format!("{}{{{}}}", metric.name, pairs.join(","))
+            };
+            (key, metric.value.to_json())
+        })
+        .collect();
+    Json::Object(fields)
 }
 
 #[cfg(test)]
@@ -393,7 +380,7 @@ mod tests {
     #[test]
     fn metrics_json_renders_registered_metrics() {
         obs::registry().counter("hdoutlier.test.obs_setup").inc();
-        let j = metrics_json().unwrap();
+        let j = metrics_json();
         assert!(j.get("hdoutlier.test.obs_setup").is_some());
         // Valid JSON end to end.
         assert!(Json::parse(&j.render()).is_ok());

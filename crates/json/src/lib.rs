@@ -20,7 +20,8 @@ pub enum Json {
     Null,
     /// Boolean.
     Bool(bool),
-    /// Finite number (NaN/inf serialize as `null`, per common convention).
+    /// Finite number (NaN/inf serialize as `null`, per common convention;
+    /// the parser refuses literals beyond the `f64` range).
     Number(f64),
     /// String (escaped on render).
     String(String),
@@ -475,12 +476,17 @@ impl Parser<'_> {
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| self.error("invalid number bytes"))?;
-        text.parse::<f64>()
-            .map(Json::Number)
-            .map_err(|_| JsonError {
-                message: format!("cannot parse number {text:?}"),
-                offset: start,
-            })
+        let error = |message: String| JsonError {
+            message,
+            offset: start,
+        };
+        match text.parse::<f64>() {
+            // `9e999` parses as infinity, which the writer would render as
+            // `null`: refuse it so a value cannot change on a round trip.
+            Ok(n) if !n.is_finite() => Err(error(format!("number out of range {text:?}"))),
+            Ok(n) => Ok(Json::Number(n)),
+            Err(_) => Err(error(format!("cannot parse number {text:?}"))),
+        }
     }
 }
 
@@ -501,6 +507,11 @@ impl From<usize> for Json {
 }
 impl From<u64> for Json {
     fn from(n: u64) -> Self {
+        Json::Number(n as f64)
+    }
+}
+impl From<i64> for Json {
+    fn from(n: i64) -> Self {
         Json::Number(n as f64)
     }
 }
@@ -652,6 +663,17 @@ mod tests {
         }
         let err = Json::parse("[1, x]").unwrap_err();
         assert!(err.to_string().contains("byte"));
+    }
+
+    #[test]
+    fn numbers_beyond_f64_range_are_refused() {
+        for (text, offset) in [("9e999", 0), ("[1, -1e400]", 4)] {
+            let err = Json::parse(text).unwrap_err();
+            assert!(err.message.contains("number out of range"), "{err}");
+            assert_eq!(err.offset, offset, "{text}");
+        }
+        let max = Json::parse("1.7976931348623157e308").unwrap();
+        assert_eq!(max.as_number(), Some(f64::MAX));
     }
 
     #[test]

@@ -165,10 +165,21 @@ mod tests {
     use super::*;
 
     // The obs test binary does not install the wrapper globally, so these
-    // tests drive the `GlobalAlloc` impl directly.
+    // tests drive the `GlobalAlloc` impl directly. They share the static
+    // counters and the harness runs them on parallel threads, so each holds
+    // this lock while it drives the wrapper: a sibling's allocations would
+    // otherwise land inside another test's before/after window.
+    static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        SERIAL
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
 
     #[test]
     fn counts_allocs_frees_and_peak() {
+        let _serial = serial();
         let before = alloc_stats();
         let layout = Layout::from_size_align(4096, 8).unwrap();
         unsafe {
@@ -189,6 +200,7 @@ mod tests {
 
     #[test]
     fn realloc_counts_only_the_delta() {
+        let _serial = serial();
         let before = alloc_stats();
         let layout = Layout::from_size_align(1000, 8).unwrap();
         unsafe {
@@ -212,6 +224,7 @@ mod tests {
     fn refresh_skips_or_publishes_consistently() {
         // By the time this runs, other tests in this binary have driven the
         // wrapper directly, so the refresh publishes.
+        let _serial = serial();
         let layout = Layout::from_size_align(64, 8).unwrap();
         unsafe {
             let p = CountingAllocator.alloc(layout);

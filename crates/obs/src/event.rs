@@ -1,6 +1,7 @@
 //! Event payloads: borrowed, allocation-free field values.
 
 use crate::level::Level;
+use hdoutlier_json::Json;
 use std::fmt;
 
 /// One structured field value. Borrowed (`Str`) or `Copy`, so building a
@@ -64,6 +65,20 @@ impl From<bool> for Value<'_> {
 impl<'a> From<&'a str> for Value<'a> {
     fn from(v: &'a str) -> Self {
         Value::Str(v)
+    }
+}
+
+impl From<Value<'_>> for Json {
+    /// Integers beyond ±2^53 round to the nearest `f64`; non-finite floats
+    /// render as `null`.
+    fn from(v: Value<'_>) -> Self {
+        match v {
+            Value::U64(v) => v.into(),
+            Value::I64(v) => v.into(),
+            Value::F64(v) => v.into(),
+            Value::Bool(v) => v.into(),
+            Value::Str(v) => v.into(),
+        }
     }
 }
 

@@ -34,7 +34,9 @@
 //! plain `read_to_string` consumers working.
 
 use crate::metrics::{refresh_process_metrics, Registry};
+use crate::sink::render_listing;
 use crate::slo::{SloEngine, SloVerdict};
+use hdoutlier_json::Json;
 use hdoutlier_net::{Request, Response, Server, ServerConfig};
 use std::net::SocketAddr;
 use std::sync::Arc;
@@ -78,13 +80,19 @@ pub fn telemetry_response(
                     if text {
                         Response::text(200, report.to_text())
                     } else {
-                        Response::json(200, report.to_json())
+                        Response::json(200, report.to_json().render() + "\n")
                     }
                 }
                 // No engine: a fixed healthy document, so probes work the
                 // same against servers that never configured SLOs.
                 None if text => Response::text(200, "status: healthy\n"),
-                None => Response::json(200, "{\"status\":\"healthy\",\"keys\":[]}\n"),
+                None => {
+                    let healthy = Json::Object(vec![
+                        ("status".to_string(), "healthy".into()),
+                        ("keys".to_string(), Json::Array(Vec::new())),
+                    ]);
+                    Response::json(200, healthy.render() + "\n")
+                }
             }
         }
         _ => {
@@ -123,7 +131,7 @@ fn profile_response(query: Option<&str>) -> Response {
     let report = crate::profile::profile_for(Duration::from_secs_f64(seconds), hz);
     match format {
         "svg" => Response::text(200, report.to_svg()).with_content_type("image/svg+xml"),
-        "json" => Response::json(200, report.to_json()),
+        "json" => Response::json(200, render_listing(report.to_json())),
         _ => Response::text(200, report.to_folded()),
     }
 }
@@ -403,6 +411,7 @@ mod tests {
         assert_eq!(status.status, 200);
         let body = String::from_utf8(status.body).unwrap();
         assert!(body.contains("\"status\":\"unhealthy\""), "{body}");
+        assert!(body.ends_with("]}\n"), "{body}");
         assert!(body.contains("\"key\":\"route:/score\""), "{body}");
 
         let health =

@@ -59,6 +59,8 @@ mod dispatch;
 mod event;
 mod expo;
 mod http;
+#[cfg(test)]
+mod json_reference;
 mod level;
 mod metrics;
 mod profile;

@@ -6,7 +6,7 @@
 //! registry's mutex is touched only when a handle is first resolved by
 //! name — resolve once, store the handle, update forever.
 
-use crate::sink::escape_json_into;
+use hdoutlier_json::Json;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -238,6 +238,25 @@ impl HistogramSnapshot {
             self.sum / self.count as f64
         }
     }
+
+    /// The summary fields `count`, `sum`, `min`, `max`, `mean`, `p50`,
+    /// `p90`, `p99`, in that order: the one mapping behind both the NDJSON
+    /// snapshot line and the `--json` reports' `"metrics"` object.
+    fn summary_fields(&self) -> Vec<(String, Json)> {
+        [
+            ("count", self.count.into()),
+            ("sum", self.sum.into()),
+            ("min", self.min.into()),
+            ("max", self.max.into()),
+            ("mean", self.mean().into()),
+            ("p50", self.p50.into()),
+            ("p90", self.p90.into()),
+            ("p99", self.p99.into()),
+        ]
+        .into_iter()
+        .map(|(key, value)| (key.to_string(), value))
+        .collect()
+    }
 }
 
 /// One registered metric's value at snapshot time.
@@ -251,6 +270,19 @@ pub enum SnapshotValue {
     Histogram(HistogramSnapshot),
 }
 
+impl SnapshotValue {
+    /// The value as JSON: a counter or gauge as its number, a histogram as
+    /// an object of its `count`, `sum`, `min`, `max`, `mean`, `p50`, `p90`
+    /// and `p99`, in that order — the fields its snapshot line carries too.
+    pub fn to_json(&self) -> Json {
+        match self {
+            SnapshotValue::Counter(v) => (*v).into(),
+            SnapshotValue::Gauge(v) => (*v).into(),
+            SnapshotValue::Histogram(h) => Json::Object(h.summary_fields()),
+        }
+    }
+}
+
 /// A named metric captured by [`Registry::snapshot`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetricSnapshot {
@@ -262,6 +294,50 @@ pub struct MetricSnapshot {
     pub labels: Vec<(String, String)>,
     /// Value at snapshot time.
     pub value: SnapshotValue,
+}
+
+impl MetricSnapshot {
+    /// One line of [`Registry::snapshot_ndjson`].
+    fn to_json(&self) -> Json {
+        let mut fields = vec![("metric".to_string(), self.name.as_str().into())];
+        if !self.labels.is_empty() {
+            let labels = self
+                .labels
+                .iter()
+                .map(|(k, v)| (k.clone(), v.as_str().into()))
+                .collect();
+            fields.push(("labels".to_string(), Json::Object(labels)));
+        }
+        let kind = match &self.value {
+            SnapshotValue::Counter(_) => "counter",
+            SnapshotValue::Gauge(_) => "gauge",
+            SnapshotValue::Histogram(_) => "histogram",
+        };
+        fields.push(("type".to_string(), kind.into()));
+        match &self.value {
+            SnapshotValue::Histogram(h) => {
+                fields.extend(h.summary_fields());
+                let buckets = h
+                    .buckets
+                    .iter()
+                    .map(|&(le, count)| {
+                        let le = if le.is_finite() {
+                            le.into()
+                        } else {
+                            "+Inf".into()
+                        };
+                        Json::Object(vec![
+                            ("le".to_string(), le),
+                            ("count".to_string(), count.into()),
+                        ])
+                    })
+                    .collect();
+                fields.push(("buckets".to_string(), Json::Array(buckets)));
+            }
+            value => fields.push(("value".to_string(), value.to_json())),
+        }
+        Json::Object(fields)
+    }
 }
 
 /// Shared state of one labeled metric family: the ordered label schema and
@@ -657,73 +733,8 @@ impl Registry {
     pub fn snapshot_ndjson(&self) -> String {
         let mut out = String::new();
         for m in self.snapshot() {
-            out.push_str("{\"metric\":\"");
-            escape_json_into(&mut out, &m.name);
-            if !m.labels.is_empty() {
-                out.push_str("\",\"labels\":{");
-                for (i, (k, v)) in m.labels.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('"');
-                    escape_json_into(&mut out, k);
-                    out.push_str("\":\"");
-                    escape_json_into(&mut out, v);
-                    out.push('"');
-                }
-                out.push_str("},\"type\":\"");
-            } else {
-                out.push_str("\",\"type\":\"");
-            }
-            match &m.value {
-                SnapshotValue::Counter(v) => {
-                    out.push_str("counter\",\"value\":");
-                    out.push_str(&v.to_string());
-                }
-                SnapshotValue::Gauge(v) => {
-                    out.push_str("gauge\",\"value\":");
-                    out.push_str(&v.to_string());
-                }
-                SnapshotValue::Histogram(h) => {
-                    out.push_str("histogram\",\"count\":");
-                    out.push_str(&h.count.to_string());
-                    for (key, v) in [
-                        ("sum", h.sum),
-                        ("min", h.min),
-                        ("max", h.max),
-                        ("mean", h.mean()),
-                        ("p50", h.p50),
-                        ("p90", h.p90),
-                        ("p99", h.p99),
-                    ] {
-                        out.push_str(",\"");
-                        out.push_str(key);
-                        out.push_str("\":");
-                        if v.is_finite() {
-                            out.push_str(&v.to_string());
-                        } else {
-                            out.push_str("null");
-                        }
-                    }
-                    out.push_str(",\"buckets\":[");
-                    for (i, (le, count)) in h.buckets.iter().enumerate() {
-                        if i > 0 {
-                            out.push(',');
-                        }
-                        out.push_str("{\"le\":");
-                        if le.is_finite() {
-                            out.push_str(&le.to_string());
-                        } else {
-                            out.push_str("\"+Inf\"");
-                        }
-                        out.push_str(",\"count\":");
-                        out.push_str(&count.to_string());
-                        out.push('}');
-                    }
-                    out.push(']');
-                }
-            }
-            out.push_str("}\n");
+            out.push_str(&m.to_json().render());
+            out.push('\n');
         }
         out
     }

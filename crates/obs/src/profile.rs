@@ -41,6 +41,7 @@
 //! stacks: enabling a session does not retroactively publish frames that
 //! were created while profiling was off.
 
+use hdoutlier_json::Json;
 use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU32, AtomicU64, AtomicUsize, Ordering};
@@ -680,42 +681,31 @@ impl ProfileReport {
 
     /// The report as a JSON document: session header plus one object per
     /// distinct stack (`{"stack":[…],"samples":n,"bytes":m}`).
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(self.entries.len() * 96 + 128);
-        out.push_str("{\"hz\":");
-        out.push_str(&self.hz.to_string());
-        out.push_str(",\"duration_us\":");
-        out.push_str(&(self.duration.as_micros() as u64).to_string());
-        out.push_str(",\"ticks\":");
-        out.push_str(&self.ticks.to_string());
-        out.push_str(",\"samples\":");
-        out.push_str(&self.samples.to_string());
-        out.push_str(",\"skipped\":");
-        out.push_str(&self.skipped.to_string());
-        out.push_str(",\"truncated\":");
-        out.push_str(&self.truncated.to_string());
-        out.push_str(",\"stacks\":[");
-        for (i, e) in self.entries.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n{\"stack\":[");
-            for (j, frame) in e.frames.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push('"');
-                crate::sink::escape_json_into(&mut out, frame);
-                out.push('"');
-            }
-            out.push_str("],\"samples\":");
-            out.push_str(&e.samples.to_string());
-            out.push_str(",\"bytes\":");
-            out.push_str(&e.bytes.to_string());
-            out.push('}');
-        }
-        out.push_str("\n]}\n");
-        out
+    /// `GET /profile?format=json` renders it one stack per line.
+    pub fn to_json(&self) -> Json {
+        let stacks = self
+            .entries
+            .iter()
+            .map(|e| {
+                Json::Object(vec![
+                    ("stack".to_string(), e.frames.clone().into()),
+                    ("samples".to_string(), e.samples.into()),
+                    ("bytes".to_string(), e.bytes.into()),
+                ])
+            })
+            .collect();
+        Json::Object(vec![
+            ("hz".to_string(), self.hz.into()),
+            (
+                "duration_us".to_string(),
+                (self.duration.as_micros() as u64).into(),
+            ),
+            ("ticks".to_string(), self.ticks.into()),
+            ("samples".to_string(), self.samples.into()),
+            ("skipped".to_string(), self.skipped.into()),
+            ("truncated".to_string(), self.truncated.into()),
+            ("stacks".to_string(), Json::Array(stacks)),
+        ])
     }
 
     /// Renders a self-contained SVG flamegraph (sample-weighted). Widths
@@ -899,7 +889,7 @@ mod tests {
             Duration::from_millis(500),
             vec![entry(&["a.b", "c.d"], 3, 7)],
         );
-        let json = report.to_json();
+        let json = crate::sink::render_listing(report.to_json());
         assert!(json.contains("\"hz\":97"), "{json}");
         assert!(json.contains("\"duration_us\":500000"), "{json}");
         assert!(

@@ -1,8 +1,10 @@
-//! Sinks: where emitted events go. Rendering is shared so every sink (and
-//! the metrics snapshot writer) produces the same NDJSON dialect as the
-//! CLI's in-tree JSON parser expects.
+//! Sinks: where emitted events go. Every line is built as a [`Json`] value
+//! and rendered by `hdoutlier-json`, the workspace's one JSON writer, so
+//! every sink (and the metrics snapshot writer) produces the dialect the
+//! CLI's in-tree JSON parser reads back.
 
-use crate::event::{EventRecord, Value};
+use crate::event::EventRecord;
+use hdoutlier_json::Json;
 use std::io::Write;
 use std::sync::Mutex;
 
@@ -15,63 +17,50 @@ pub trait Sink: Send + Sync {
     fn emit(&self, record: &EventRecord<'_>);
 }
 
-/// Appends `s` to `out` as JSON string *contents* (no surrounding quotes),
-/// escaping quotes, backslashes, and control characters.
-pub(crate) fn escape_json_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-}
-
-/// Appends one field value to `out` as a JSON value. Non-finite floats
-/// become `null` (JSON has no NaN/Infinity).
-pub(crate) fn value_json_into(out: &mut String, v: &Value<'_>) {
-    match v {
-        Value::U64(v) => out.push_str(&v.to_string()),
-        Value::I64(v) => out.push_str(&v.to_string()),
-        Value::F64(v) if v.is_finite() => out.push_str(&v.to_string()),
-        Value::F64(_) => out.push_str("null"),
-        Value::Bool(v) => out.push_str(&v.to_string()),
-        Value::Str(s) => {
-            out.push('"');
-            escape_json_into(out, s);
-            out.push('"');
-        }
-    }
-}
-
 /// Renders one event as a single NDJSON line (no trailing newline):
 /// `{"ts_us":…,"level":"info","target":"…","event":"…",<fields…>}`.
 /// Field names are emitted as-is after escaping; duplicate keys are the
 /// caller's problem, as in the wider NDJSON ecosystem.
 pub fn render_ndjson(record: &EventRecord<'_>) -> String {
-    let mut out = String::with_capacity(96);
-    out.push_str("{\"ts_us\":");
-    out.push_str(&record.ts_us.to_string());
-    out.push_str(",\"level\":\"");
-    out.push_str(record.level.as_str());
-    out.push_str("\",\"target\":\"");
-    escape_json_into(&mut out, record.target);
-    out.push_str("\",\"event\":\"");
-    escape_json_into(&mut out, record.name);
-    out.push('"');
-    for (key, value) in record.fields {
-        out.push_str(",\"");
-        escape_json_into(&mut out, key);
-        out.push_str("\":");
-        value_json_into(&mut out, value);
+    let mut fields = Vec::with_capacity(4 + record.fields.len());
+    fields.push(("ts_us".to_string(), record.ts_us.into()));
+    fields.push(("level".to_string(), record.level.as_str().into()));
+    fields.push(("target".to_string(), record.target.into()));
+    fields.push(("event".to_string(), record.name.into()));
+    fields.extend(
+        record
+            .fields
+            .iter()
+            .map(|&(key, value)| (key.to_string(), value.into())),
+    );
+    Json::Object(fields).render()
+}
+
+/// Renders `doc`, an object whose last field is an array, with one item of
+/// that array per line: `{…,"stacks":[\n{…},\n{…}\n]}\n`. The profile JSON
+/// and the Chrome trace keep this layout so long listings diff line by line.
+pub(crate) fn render_listing(mut doc: Json) -> String {
+    if let Json::Object(fields) = &mut doc {
+        if let Some((_, Json::Array(items))) = fields.last_mut() {
+            let items = std::mem::take(items);
+            return render_listing_of(&doc, items);
+        }
     }
-    out.push('}');
+    doc.render() + "\n"
+}
+
+/// [`render_listing`] with the items supplied separately: `head`'s last
+/// field is an empty array, and each item is rendered into it one at a
+/// time, so a caller with many items never builds them into one tree.
+pub(crate) fn render_listing_of(head: &Json, items: impl IntoIterator<Item = Json>) -> String {
+    let mut out = head.render();
+    // Reopen the empty array: drop its `]}`, append the items, close again.
+    out.truncate(out.len() - "]}".len());
+    for (i, item) in items.into_iter().enumerate() {
+        out.push_str(if i == 0 { "\n" } else { ",\n" });
+        out.push_str(&item.render());
+    }
+    out.push_str("\n]}\n");
     out
 }
 
@@ -161,6 +150,7 @@ impl Sink for CaptureSink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::Value;
     use crate::level::Level;
 
     fn record<'a>(fields: &'a [(&'a str, Value<'a>)]) -> EventRecord<'a> {

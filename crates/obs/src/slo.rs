@@ -25,7 +25,7 @@
 
 use crate::event::Value;
 use crate::level::Level;
-use crate::sink::escape_json_into;
+use hdoutlier_json::Json;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Mutex;
 use std::time::Duration;
@@ -299,57 +299,46 @@ fn window_p99(base: &[(f64, u64)], newest: &[(f64, u64)]) -> Option<f64> {
     Some(f64::INFINITY)
 }
 
-/// Renders a finite float plainly, infinities as `null` (JSON has no
-/// `Infinity` literal).
-fn push_json_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        out.push_str(&format!("{v:.6}"));
-    } else {
-        out.push_str("null");
-    }
-}
-
 impl SloReport {
     /// The report as a JSON document:
     /// `{"status":…,"window_s":…,"thresholds":{…},"keys":[…]}`.
     /// Latencies are reported in milliseconds (the flag unit); an overflow
     /// p99 renders as `null` with the verdict already reflecting it.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(128 + self.keys.len() * 160);
-        out.push_str("{\"status\":\"");
-        out.push_str(self.overall.as_str());
-        out.push_str("\",\"window_s\":");
-        out.push_str(&format!("{:.3}", self.window.as_secs_f64()));
-        out.push_str(",\"thresholds\":{\"max_error_rate\":");
-        push_json_f64(&mut out, self.thresholds.max_error_rate);
-        out.push_str(",\"max_p99_ms\":");
-        push_json_f64(&mut out, self.thresholds.max_p99_us / 1e3);
-        out.push_str("},\"keys\":[");
-        for (i, k) in self.keys.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"key\":\"");
-            escape_json_into(&mut out, &k.key);
-            out.push_str("\",\"status\":\"");
-            out.push_str(k.verdict.as_str());
-            out.push_str("\",\"error_rate\":");
-            push_json_f64(&mut out, k.error_rate);
-            out.push_str(",\"p99_ms\":");
-            match k.p99_us {
-                Some(v) if v.is_finite() => push_json_f64(&mut out, v / 1e3),
-                _ => out.push_str("null"),
-            }
-            out.push_str(",\"per_sec\":");
-            push_json_f64(&mut out, k.per_sec);
-            out.push_str(",\"total\":");
-            out.push_str(&k.total.to_string());
-            out.push_str(",\"errors\":");
-            out.push_str(&k.errors.to_string());
-            out.push('}');
-        }
-        out.push_str("]}\n");
-        out
+    pub fn to_json(&self) -> Json {
+        let thresholds = Json::Object(vec![
+            (
+                "max_error_rate".to_string(),
+                self.thresholds.max_error_rate.into(),
+            ),
+            (
+                "max_p99_ms".to_string(),
+                (self.thresholds.max_p99_us / 1e3).into(),
+            ),
+        ]);
+        let keys = self
+            .keys
+            .iter()
+            .map(|k| {
+                Json::Object(vec![
+                    ("key".to_string(), k.key.as_str().into()),
+                    ("status".to_string(), k.verdict.as_str().into()),
+                    ("error_rate".to_string(), k.error_rate.into()),
+                    (
+                        "p99_ms".to_string(),
+                        k.p99_us.map_or(Json::Null, |v| (v / 1e3).into()),
+                    ),
+                    ("per_sec".to_string(), k.per_sec.into()),
+                    ("total".to_string(), k.total.into()),
+                    ("errors".to_string(), k.errors.into()),
+                ])
+            })
+            .collect();
+        Json::Object(vec![
+            ("status".to_string(), self.overall.as_str().into()),
+            ("window_s".to_string(), self.window.as_secs_f64().into()),
+            ("thresholds".to_string(), thresholds),
+            ("keys".to_string(), Json::Array(keys)),
+        ])
     }
 
     /// The report as human-readable text, one line per key.
@@ -475,11 +464,8 @@ mod tests {
         assert_eq!(report.keys[0].p99_us, Some(f64::INFINITY));
         assert_eq!(report.overall, SloVerdict::Unhealthy);
         // JSON renders the overflow p99 as null, never as Infinity.
-        assert!(
-            report.to_json().contains("\"p99_ms\":null"),
-            "{}",
-            report.to_json()
-        );
+        let json = report.to_json().render();
+        assert!(json.contains("\"p99_ms\":null"), "{json}");
     }
 
     #[test]
@@ -613,11 +599,12 @@ mod tests {
         let e = engine(0.05, 250_000.0);
         e.observe_at("route:/score", sample(100, 2, &[(1000.0, 100)]), 5_000_000);
         let report = e.evaluate();
-        let json = report.to_json();
+        let json = report.to_json().render();
         assert!(json.starts_with("{\"status\":\"healthy\""), "{json}");
         assert!(json.contains("\"key\":\"route:/score\""), "{json}");
-        assert!(json.contains("\"max_p99_ms\":250.000000"), "{json}");
-        assert!(json.ends_with("]}\n"), "{json}");
+        assert!(json.contains("\"max_p99_ms\":250},"), "{json}");
+        // The HTTP edge appends the newline (see the `/status` route test).
+        assert!(json.ends_with("]}"), "{json}");
         let text = report.to_text();
         assert!(text.starts_with("status: healthy\n"), "{text}");
         assert!(text.contains("route:/score"), "{text}");

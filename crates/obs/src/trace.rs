@@ -15,22 +15,47 @@
 //! limit inside a long-running serve loop.
 
 use crate::ctx::RequestCtx;
+use crate::sink::render_listing_of;
+use hdoutlier_json::Json;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// One begin or end record.
 #[derive(Debug, Clone, PartialEq, Eq)]
-struct TraceEvent {
-    name: &'static str,
-    target: &'static str,
+pub(crate) struct TraceEvent {
+    pub(crate) name: &'static str,
+    pub(crate) target: &'static str,
     /// `'B'` or `'E'`.
-    ph: char,
-    ts_us: u64,
-    tid: u64,
+    pub(crate) ph: char,
+    pub(crate) ts_us: u64,
+    pub(crate) tid: u64,
     /// The request context at span close, rendered as Chrome-trace `args`
     /// on the `B` record (cloning is refcount bumps — the ids are
     /// `Arc<str>`).
-    ctx: Option<RequestCtx>,
+    pub(crate) ctx: Option<RequestCtx>,
+}
+
+impl TraceEvent {
+    /// One Chrome trace event; a `B` record with a request context carries
+    /// it as `args`.
+    fn to_json(&self, pid: u32) -> Json {
+        let mut fields = vec![
+            ("name".to_string(), self.name.into()),
+            ("cat".to_string(), self.target.into()),
+            ("ph".to_string(), self.ph.to_string().into()),
+            ("ts".to_string(), self.ts_us.into()),
+            ("pid".to_string(), pid.into()),
+            ("tid".to_string(), self.tid.into()),
+        ];
+        if let Some(ctx) = &self.ctx {
+            let mut args = vec![("request_id".to_string(), ctx.request_id().into())];
+            if let Some(session) = ctx.session_id() {
+                args.push(("session_id".to_string(), session.into()));
+            }
+            fields.push(("args".to_string(), Json::Object(args)));
+        }
+        Json::Object(fields)
+    }
 }
 
 /// Monotonic lane ids: Chrome traces key rows on `(pid, tid)`, and
@@ -50,7 +75,7 @@ pub(crate) fn current_tid() -> u64 {
 /// A bounded, thread-safe collector of span begin/end events.
 #[derive(Debug, Default)]
 pub struct TraceBuffer {
-    events: Mutex<Vec<TraceEvent>>,
+    pub(crate) events: Mutex<Vec<TraceEvent>>,
     dropped: AtomicU64,
 }
 
@@ -126,42 +151,11 @@ impl TraceBuffer {
         // span's B still precedes its E.
         events.sort_by_key(|e| e.ts_us);
         let pid = std::process::id();
-        let mut out = String::with_capacity(events.len() * 96 + 64);
-        out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-        for (i, e) in events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            // Names and targets are 'static identifiers from the
-            // workspace's instrumentation — no JSON-special characters —
-            // but escape anyway so a future caller can't corrupt the file.
-            out.push_str("\n{\"name\":\"");
-            crate::sink::escape_json_into(&mut out, e.name);
-            out.push_str("\",\"cat\":\"");
-            crate::sink::escape_json_into(&mut out, e.target);
-            out.push_str("\",\"ph\":\"");
-            out.push(e.ph);
-            out.push_str("\",\"ts\":");
-            out.push_str(&e.ts_us.to_string());
-            out.push_str(",\"pid\":");
-            out.push_str(&pid.to_string());
-            out.push_str(",\"tid\":");
-            out.push_str(&e.tid.to_string());
-            if let Some(ctx) = e.ctx.as_ref() {
-                out.push_str(",\"args\":{\"request_id\":\"");
-                crate::sink::escape_json_into(&mut out, ctx.request_id());
-                out.push('"');
-                if let Some(session) = ctx.session_id() {
-                    out.push_str(",\"session_id\":\"");
-                    crate::sink::escape_json_into(&mut out, session);
-                    out.push('"');
-                }
-                out.push('}');
-            }
-            out.push('}');
-        }
-        out.push_str("\n]}\n");
-        out
+        let head = Json::Object(vec![
+            ("displayTimeUnit".to_string(), "ms".into()),
+            ("traceEvents".to_string(), Json::Array(Vec::new())),
+        ]);
+        render_listing_of(&head, events.iter().map(|e| e.to_json(pid)))
     }
 }
 

@@ -746,6 +746,9 @@ mod tests {
         // recursed without a depth limit.
         let err = parse_record_line(&"[".repeat(20_000), 3).unwrap_err();
         assert!(err.contains("nesting deeper than 128"), "{err}");
+        // A literal beyond the f64 range is refused, not read as infinity.
+        let err = parse_record_line("[9e999, 1]", 2).unwrap_err();
+        assert!(err.contains("number out of range"), "{err}");
         for_each_case(0x9a25_0001, 256, |rng| {
             let line = hostile_line(rng);
             let n_dims = rng.gen_range(1..6);
