@@ -9,20 +9,13 @@
 //!
 //! The datapoint is built as an [`hdoutlier_json::Json`] value and rendered
 //! with its pretty printer, the same writer every other report uses.
+//!
+//! The same module holds the one perf-gate rule the bench binaries share:
+//! [`take_flag`] for their flags, [`fastest_of`] for their timers, and
+//! [`assert_against`] for the `--assert-against` verdict.
 
 use hdoutlier_json::Json;
 use std::process::Command;
-
-/// One timed stage: `records` processed in `elapsed_s` seconds.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Stage {
-    /// Stage label, e.g. `"scorer.score_record"` or `"end-to-end"`.
-    pub name: String,
-    /// Records pushed through the stage.
-    pub records: u64,
-    /// Wall-clock seconds for the whole stage.
-    pub elapsed_s: f64,
-}
 
 /// A histogram summary carried into the datapoint (from
 /// `hdoutlier_obs::HistogramSnapshot` or equivalent).
@@ -45,7 +38,8 @@ pub struct Percentiles {
 pub struct BenchReport {
     bench: String,
     config: Vec<(String, f64)>,
-    stages: Vec<Stage>,
+    /// `(name, records, elapsed_s)` per timed stage.
+    stages: Vec<(String, u64, f64)>,
     latency_us: Option<Percentiles>,
     phases_us: Vec<(String, Percentiles)>,
 }
@@ -67,11 +61,7 @@ impl BenchReport {
 
     /// Records one timed stage.
     pub fn stage(&mut self, name: &str, records: u64, elapsed_s: f64) -> &mut Self {
-        self.stages.push(Stage {
-            name: name.to_string(),
-            records,
-            elapsed_s,
-        });
+        self.stages.push((name.to_string(), records, elapsed_s));
         self
     }
 
@@ -101,21 +91,21 @@ impl BenchReport {
         let stages = self
             .stages
             .iter()
-            .map(|s| {
-                let per_sec = if s.elapsed_s > 0.0 {
-                    s.records as f64 / s.elapsed_s
+            .map(|(name, records, elapsed_s)| {
+                let per_sec = if *elapsed_s > 0.0 {
+                    *records as f64 / elapsed_s
                 } else {
                     0.0
                 };
-                let us_per = if s.records > 0 {
-                    s.elapsed_s * 1e6 / s.records as f64
+                let us_per = if *records > 0 {
+                    elapsed_s * 1e6 / *records as f64
                 } else {
                     0.0
                 };
                 object([
-                    ("name", Json::from(s.name.as_str())),
-                    ("records", s.records.into()),
-                    ("elapsed_s", s.elapsed_s.into()),
+                    ("name", Json::from(name.as_str())),
+                    ("records", (*records).into()),
+                    ("elapsed_s", (*elapsed_s).into()),
                     ("records_per_sec", per_sec.into()),
                     ("us_per_record", us_per.into()),
                 ])
@@ -170,15 +160,108 @@ impl BenchReport {
     }
 }
 
-/// Reads the `us_per_record` of the stage named `stage` from a
-/// `BENCH_*.json` datapoint: the baseline an `--assert-against` gate
-/// compares a fresh run with.
+/// Timed repeats per gated stage; the fastest is kept. Host load slows
+/// some runs and a code slowdown slows all of them, so the fastest of three
+/// keeps the gate steady on shared cores without a wider tolerance.
+pub const REPEATS: usize = 3;
+
+/// Calls `run` `repeats` times and returns the least of the seconds it
+/// reports. Each call builds fresh state and times only the work.
+pub fn fastest_of(repeats: usize, mut run: impl FnMut() -> f64) -> f64 {
+    (0..repeats).map(|_| run()).fold(f64::INFINITY, f64::min)
+}
+
+/// Removes `flag <value>` from `args` and returns the value. A flag with no
+/// value after it is a usage error (exit 2).
+pub fn take_flag(args: &mut Vec<String>, flag: &str) -> Option<String> {
+    let i = args.iter().position(|a| a == flag)?;
+    if i + 1 == args.len() {
+        eprintln!("{flag} requires a value");
+        std::process::exit(2);
+    }
+    let value = args.remove(i + 1);
+    args.remove(i);
+    Some(value)
+}
+
+/// Exits 2 on any argument left that looks like a flag (a misspelt or
+/// retired one, such as `--tolerance`) once the accepted ones are taken.
+pub fn reject_unknown_flags(args: &[String]) {
+    if let Some(flag) = args.iter().find(|a| a.starts_with("--")) {
+        eprintln!("unknown flag {flag}");
+        std::process::exit(2);
+    }
+}
+
+/// What a gate found: one `regression gate:` line per stage, in order, and
+/// one `REGRESSION:` line per stage over its limit.
+#[derive(Debug, Default, PartialEq)]
+pub struct GateReport {
+    /// Every stage's reading, baseline and limit.
+    pub checked: Vec<String>,
+    /// A line for each stage whose reading exceeds its limit.
+    pub regressions: Vec<String>,
+}
+
+/// The one perf-gate rule, without printing or exiting: each `(stage,
+/// us_per_record)` reading passes at or below `baseline * (1 + tolerance)`,
+/// the baseline being that stage in the datapoint at `path`.
 ///
 /// # Errors
-/// An unreadable or unparsable file, or no such stage.
-pub fn baseline_us_per_record(path: &str, stage: &str) -> Result<f64, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
-    let json = Json::parse(&text).map_err(|e| e.to_string())?;
+/// An unreadable or unparsable baseline, or a stage it lacks — a usage
+/// error, found before any stage is compared.
+pub fn check_against(
+    path: &str,
+    tolerance: f64,
+    readings: &[(&str, f64)],
+) -> Result<GateReport, String> {
+    let baselines: Vec<f64> = std::fs::read_to_string(path)
+        .map_err(|e| e.to_string())
+        .and_then(|text| Json::parse(&text).map_err(|e| e.to_string()))
+        .and_then(|json| {
+            let baseline = |&(stage, _): &(&str, f64)| baseline_us_per_record(&json, stage);
+            readings.iter().map(baseline).collect()
+        })
+        .map_err(|e: String| format!("{path}: {e}"))?;
+    let mut report = GateReport::default();
+    for (&(stage, us), baseline) in readings.iter().zip(baselines) {
+        let limit = baseline * (1.0 + tolerance);
+        report.checked.push(format!(
+            "regression gate: {stage} {us:.4} us/record vs baseline {baseline:.4} \
+             (limit {limit:.4}, tolerance {tolerance})"
+        ));
+        if us > limit {
+            report.regressions.push(format!(
+                "REGRESSION: {stage} {us:.4} us/record exceeds {limit:.4} \
+                 ({baseline:.4} from {path} + {:.0}%)",
+                tolerance * 100.0
+            ));
+        }
+    }
+    Ok(report)
+}
+
+/// Runs [`check_against`] as a binary's `--assert-against` gate: prints
+/// every stage's line, then exits 1 on any regression, or 2 when the
+/// baseline cannot be read or lacks a stage. Returns when every stage
+/// passes.
+pub fn assert_against(path: &str, tolerance: f64, readings: &[(&str, f64)]) {
+    let report = check_against(path, tolerance, readings).unwrap_or_else(|e| {
+        eprintln!("cannot read baseline {e}");
+        std::process::exit(2);
+    });
+    report.checked.iter().for_each(|line| println!("{line}"));
+    report
+        .regressions
+        .iter()
+        .for_each(|line| eprintln!("{line}"));
+    if !report.regressions.is_empty() {
+        std::process::exit(1);
+    }
+}
+
+/// The `us_per_record` of the stage named `stage` in a parsed datapoint.
+fn baseline_us_per_record(json: &Json, stage: &str) -> Result<f64, String> {
     json.get("stages")
         .and_then(Json::as_array)
         .and_then(|stages| {
@@ -290,10 +373,51 @@ mod tests {
         let path = std::env::temp_dir().join(format!("bench-json-{}.json", std::process::id()));
         let path = path.to_str().expect("utf-8 temp path");
         r.write(path).unwrap();
-        assert_eq!(baseline_us_per_record(path, "threads-2"), Ok(250.0));
-        assert!(baseline_us_per_record(path, "threads-8").is_err());
+        let json = Json::parse(&std::fs::read_to_string(path).unwrap()).unwrap();
+        assert_eq!(baseline_us_per_record(&json, "threads-2"), Ok(250.0));
+
+        // The limit itself passes; 250 us/record at tolerance 0.5 is 375.
+        let at_limit = check_against(path, 0.5, &[("threads-2", 375.0)]).unwrap();
+        assert_eq!(
+            at_limit.checked,
+            [
+                "regression gate: threads-2 375.0000 us/record vs baseline 250.0000 \
+              (limit 375.0000, tolerance 0.5)"
+            ]
+        );
+        assert!(at_limit.regressions.is_empty());
+        // Just above it fails, naming the stage and the limit.
+        let above = check_against(path, 0.5, &[("threads-2", 375.001)]).unwrap();
+        assert_eq!(
+            above.regressions,
+            [format!(
+                "REGRESSION: threads-2 375.0010 us/record exceeds 375.0000 \
+                 (250.0000 from {path} + 50%)"
+            )]
+        );
+        // A regressing first stage does not stop the second being checked.
+        let both = check_against(path, 1.0, &[("threads-1", 1001.0), ("threads-2", 9.0)]).unwrap();
+        assert_eq!(both.checked.len(), 2);
+        assert!(both.checked[1].starts_with("regression gate: threads-2 9.0000"));
+        assert_eq!(both.regressions.len(), 1);
+        assert!(both.regressions[0].contains("threads-1 1001.0000 us/record exceeds 1000.0000"));
+
+        // A missing stage or file is a usage error, even beside a regression.
+        let missing = check_against(path, 0.5, &[("threads-1", 1e9), ("threads-8", 1.0)]);
+        assert!(missing.unwrap_err().contains("no threads-8 stage"));
         std::fs::remove_file(path).unwrap();
-        assert!(baseline_us_per_record(path, "threads-1").is_err());
+        assert!(check_against(path, 0.5, &[("threads-1", 1.0)]).is_err());
+    }
+
+    #[test]
+    fn fastest_of_runs_every_repeat_and_keeps_the_minimum() {
+        let readings = [3.0, 1.0, 2.0];
+        let mut calls = 0;
+        let fastest = fastest_of(REPEATS, || {
+            calls += 1;
+            readings[calls - 1]
+        });
+        assert_eq!((calls, fastest), (REPEATS, 1.0));
     }
 
     #[test]

@@ -4,8 +4,7 @@
 //! cargo run -p hdoutlier-bench --release --bin repro -- all
 //! cargo run -p hdoutlier-bench --release --bin repro -- table1 [seed]
 //! cargo run -p hdoutlier-bench --release --bin repro -- table1 --bench-json BENCH_detect.json
-//! cargo run -p hdoutlier-bench --release --bin repro -- threads \
-//!     --assert-against BENCH_detect.json [--tolerance <frac>]
+//! cargo run -p hdoutlier-bench --release --bin repro -- threads --assert-against BENCH_detect.json
 //! ```
 //!
 //! With `--bench-json` the run also writes a schema-stable perf-trajectory
@@ -14,48 +13,31 @@
 //! postprocess}_us`) accumulated across every fit the command performed.
 //!
 //! With `--assert-against <BENCH_detect.json>` the `threads` command becomes
-//! a regression gate for the shipped brute-force search: its one-worker
-//! time per scored cube is compared to the baseline's `threads-1` stage and
-//! the process exits 1 when it exceeds `baseline * (1 + --tolerance)`.
-//! Tolerance defaults to 1.0: a shared host's speed can drift ~1.8x within
-//! minutes, while a walker that allocates or re-intersects per leaf again
-//! costs an order of magnitude.
+//! the regression gate for the shipped brute-force search: its one-worker
+//! time per scored cube, the fastest of three sweeps, goes through
+//! [`assert_against`] against the baseline's `threads-1` stage.
 
-use hdoutlier_bench::bench_json::{baseline_us_per_record, BenchReport, Percentiles};
+use hdoutlier_bench::bench_json::{
+    assert_against, reject_unknown_flags, take_flag, BenchReport, Percentiles,
+};
 use hdoutlier_bench::{
     ablation, arrhythmia, figure1, housing, intensional_exp, params_exp, prescreen, scaling,
     table1, table2, threads_exp,
 };
 use hdoutlier_obs as obs;
 
+/// The detect gate's tolerance. A shared host's speed can drift ~1.8x
+/// within minutes, while a walker that allocates or re-intersects per leaf
+/// again costs an order of magnitude.
+const TOLERANCE: f64 = 1.0;
+
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let mut take_value = |flag: &str| match args.iter().position(|a| a == flag) {
-        Some(i) if i + 1 < args.len() => {
-            let value = args.remove(i + 1);
-            args.remove(i);
-            Some(value)
-        }
-        Some(_) => {
-            eprintln!("{flag} requires a value");
-            std::process::exit(2);
-        }
-        None => None,
-    };
-    let bench_json = take_value("--bench-json");
-    let assert_against = take_value("--assert-against");
-    let tolerance: f64 = match take_value("--tolerance") {
-        None => 1.0,
-        Some(raw) => match raw.parse() {
-            Ok(t) if t > 0.0 => t,
-            _ => {
-                eprintln!("--tolerance must be a positive fraction, got {raw:?}");
-                std::process::exit(2);
-            }
-        },
-    };
+    let bench_json = take_flag(&mut args, "--bench-json");
+    let baseline = take_flag(&mut args, "--assert-against");
+    reject_unknown_flags(&args);
     let cmd = args.first().map(String::as_str).unwrap_or("help");
-    if assert_against.is_some() && !matches!(cmd, "threads" | "all") {
+    if baseline.is_some() && !matches!(cmd, "threads" | "all") {
         eprintln!("--assert-against applies to the threads experiment only");
         std::process::exit(2);
     }
@@ -95,7 +77,7 @@ fn main() {
         }
         _ => {
             eprintln!(
-                "usage: repro <table1|table2|arrhythmia|housing|figure1|params|scaling|ablation|prescreen|intensional|threads|all> [seed] [--bench-json <path>] [--assert-against <BENCH_detect.json> [--tolerance <frac>]]"
+                "usage: repro <table1|table2|arrhythmia|housing|figure1|params|scaling|ablation|prescreen|intensional|threads|all> [seed] [--bench-json <path>] [--assert-against <BENCH_detect.json>]"
             );
             std::process::exit(2);
         }
@@ -104,35 +86,13 @@ fn main() {
     if let Some(path) = bench_json {
         write_datapoint(&path, cmd, seed, start.elapsed(), &extra_stages);
     }
-    if let Some(path) = assert_against {
-        assert_threads_1(&path, tolerance, &extra_stages);
-    }
-}
-
-/// The detect perf gate: the `threads-1` stage's time per scored cube must
-/// stay within `tolerance` of the baseline datapoint at `path`.
-fn assert_threads_1(path: &str, tolerance: f64, stages: &[(String, u64, f64)]) {
-    let baseline = baseline_us_per_record(path, "threads-1").unwrap_or_else(|e| {
-        eprintln!("cannot read baseline {path}: {e}");
-        std::process::exit(2);
-    });
-    let (_, scored, elapsed_s) = stages
-        .iter()
-        .find(|(name, _, _)| name == "threads-1")
-        .expect("the threads experiment measures one worker first");
-    let us = elapsed_s * 1e6 / *scored as f64;
-    let limit = baseline * (1.0 + tolerance);
-    println!(
-        "regression gate: threads-1 {us:.4} us/cube vs baseline {baseline:.4} \
-         (limit {limit:.4}, tolerance {tolerance})"
-    );
-    if us > limit {
-        eprintln!(
-            "REGRESSION: threads-1 {us:.4} us/cube exceeds {limit:.4} \
-             ({baseline:.4} from {path} + {:.0}%)",
-            tolerance * 100.0
-        );
-        std::process::exit(1);
+    if let Some(path) = baseline {
+        let (_, scored, elapsed_s) = extra_stages
+            .iter()
+            .find(|(name, _, _)| name == "threads-1")
+            .expect("the threads experiment measures one worker first");
+        let us_per_cube = elapsed_s * 1e6 / *scored as f64;
+        assert_against(&path, TOLERANCE, &[("threads-1", us_per_cube)]);
     }
 }
 

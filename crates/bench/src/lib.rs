@@ -22,7 +22,8 @@
 //! | `all`        | everything above, in order                               |
 //!
 //! Timing gates live in the std-only bins: `repro threads --assert-against`
-//! (brute-force search), `stream_throughput` and `serve_bench`.
+//! (brute-force search), `stream_throughput` and `serve_bench`, all on the
+//! one fastest-of-three rule, [`bench_json::assert_against`].
 
 pub mod ablation;
 pub mod arrhythmia;

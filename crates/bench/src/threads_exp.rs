@@ -15,10 +15,8 @@ use hdoutlier_data::discretize::{DiscretizeStrategy, Discretized};
 use hdoutlier_data::generators::uniform;
 use hdoutlier_index::BitmapCounter;
 
+use crate::bench_json::{fastest_of, REPEATS};
 use crate::table;
-
-/// Timed sweeps per thread count; the fastest is reported.
-const REPEATS: usize = 3;
 
 /// One thread-count measurement.
 #[derive(Debug, Clone)]
@@ -85,20 +83,20 @@ pub fn run(config: &Config) -> Vec<ThreadsRow> {
         .threads
         .iter()
         .map(|&threads| {
-            let sweep = || {
+            let mut outcome = None;
+            let elapsed_s = fastest_of(REPEATS, || {
                 let start = std::time::Instant::now();
-                let outcome = brute_force_search_incremental_parallel(
+                let found = brute_force_search_incremental_parallel(
                     &counter,
                     config.k,
                     &brute_config,
                     threads,
                 );
-                (start.elapsed().as_secs_f64(), outcome)
-            };
-            let (mut elapsed_s, outcome) = sweep();
-            for _ in 1..REPEATS {
-                elapsed_s = elapsed_s.min(sweep().0);
-            }
+                let elapsed_s = start.elapsed().as_secs_f64();
+                outcome = Some(found);
+                elapsed_s
+            });
+            let outcome = outcome.expect("at least one sweep");
 
             let signature: Vec<(u64, String)> = outcome
                 .best
