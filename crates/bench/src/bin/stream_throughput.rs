@@ -12,9 +12,10 @@
 //! - window: `WindowCounter::push` (insert + evict postings maintenance)
 //! - score:  `OnlineScorer::score_record` (grid assign + projection match
 //!   + drift accounting)
-//! - pipeline.csv: the records as CSV lines through
-//!   `hdoutlier_stream::Pipeline` into a discarding sink — the parse →
-//!   score → render loop `hdoutlier stream` runs, minus the stdout write
+//! - pipeline.csv: the records as one CSV byte buffer through
+//!   `hdoutlier_stream::Pipeline` into a discarding sink — the split →
+//!   parse → score → render loop `hdoutlier stream` runs, minus the stdout
+//!   write
 //!
 //! With `--metrics-out` the scorer's per-record latency histogram
 //! (`hdoutlier.stream.record_latency_us`) is enabled for the scoring
@@ -55,6 +56,10 @@ struct Discard(usize);
 impl Sink for Discard {
     fn emit(&mut self, line: &str) -> Result<bool, String> {
         self.0 += line.len();
+        Ok(true)
+    }
+
+    fn flush(&mut self) -> Result<bool, String> {
         Ok(true)
     }
 }
@@ -170,9 +175,14 @@ fn main() {
     });
 
     // The shipped per-record loop: CSV lines through the stream pipeline
-    // with the `stream` command's default settings.
+    // with the `stream` command's default settings, read from one buffer.
     let text = hdoutlier_data::csv::write_string(ds);
     let lines: Vec<&str> = text.lines().skip(1).collect();
+    let mut input = String::new();
+    for i in 0..n_rows {
+        input.push_str(lines[i % lines.len()]);
+        input.push('\n');
+    }
     let settings = Settings {
         format: RecordFormat::Csv {
             delimiter: ',',
@@ -194,8 +204,7 @@ fn main() {
         let (mut pipeline, _) = Pipeline::open(scorer, settings.clone(), None).expect("pipeline");
         sink = Discard(0);
         let t = Instant::now();
-        let records = (0..n_rows).map(|i| Ok::<_, String>(lines[i % lines.len()]));
-        if let Err(stop) = pipeline.run(records, &mut sink) {
+        if let Err(stop) = pipeline.run(input.as_bytes(), &mut sink) {
             eprintln!("pipeline stopped: {stop:?}");
             std::process::exit(1);
         }

@@ -17,8 +17,11 @@ use hdoutlier_stream::{
     ErrorPolicy, OnlineScorer, OpenError, Pipeline, RecordFormat, RecoveredFrom, Settings, Sink,
     Stop,
 };
-use std::io::{BufRead, Write};
+use std::io::{BufRead, BufWriter, Write};
 use std::path::{Path, PathBuf};
+
+/// Bytes of verdict lines held between flushes.
+const OUTPUT_BUFFER: usize = 64 * 1024;
 
 /// Per-command help.
 pub const HELP: &str = "\
@@ -74,9 +77,11 @@ OPTIONS:
                          while the stream runs (e.g. 127.0.0.1:9184)
 ";
 
-/// Runs the subcommand against real stdin, writing each verdict to stdout
-/// as soon as it is computed (flushed per record, so `tail -f | hdoutlier
-/// stream` pipelines see verdicts immediately rather than at EOF).
+/// Runs the subcommand against real stdin. Verdicts collect in a buffer
+/// that is flushed to stdout before every read of stdin, so a `tail -f |
+/// hdoutlier stream` pipeline sees each verdict as soon as its record is
+/// scored, while a file or a busy pipe costs one write per read rather
+/// than one per record.
 pub fn run(argv: &[String]) -> (i32, String) {
     let stdin = std::io::stdin();
     let stdout = std::io::stdout();
@@ -93,8 +98,9 @@ pub fn run_with_input(argv: &[String], input: impl BufRead) -> (i32, String) {
     (code, out)
 }
 
-/// The streaming core: verdicts go to `sink` record by record; the returned
-/// string carries only usage/runtime error text (empty on success).
+/// The streaming core: verdicts go to `sink` through a buffer that is
+/// flushed before every read of `input`; the returned string carries only
+/// usage/runtime error text (empty on success).
 ///
 /// Exposed to the fault-injection integration tests, which drive it with
 /// readers and writers that fail at scripted points.
@@ -195,10 +201,8 @@ fn stream_under_session(
         _ => {}
     }
 
-    let lines = input
-        .lines()
-        .map(|line| line.map_err(|e| format!("stdin read failed: {e}")));
-    if let Err(stop) = pipeline.run(lines, &mut Stdout(sink)) {
+    let mut out = Stdout(BufWriter::with_capacity(OUTPUT_BUFFER, sink));
+    if let Err(stop) = pipeline.run(input, &mut out) {
         let message = match stop {
             Stop::Abort { line, reason } => format!("line {line}: {reason}"),
             Stop::Breaker {
@@ -263,17 +267,31 @@ fn settings(parsed: &Parsed) -> Result<Settings, String> {
     })
 }
 
-/// Stdout as a verdict sink: each line is flushed as it is written, and a
-/// closed pipe (`| head`) is a normal way to stop, not an error.
-struct Stdout<'a, W>(&'a mut W);
+/// Stdout as a verdict sink: lines collect in a buffer until the pipeline
+/// flushes it, and a closed pipe (`| head`) is a normal way to stop, not an
+/// error.
+struct Stdout<W: Write>(BufWriter<W>);
 
-impl<W: Write> Sink for Stdout<'_, W> {
+/// A write's outcome in [`Sink`] terms.
+fn written(result: std::io::Result<()>) -> Result<bool, String> {
+    match result {
+        Ok(()) => Ok(true),
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => Ok(false),
+        Err(e) => Err(format!("stdout write failed: {e}")),
+    }
+}
+
+impl<W: Write> Sink for Stdout<W> {
     fn emit(&mut self, line: &str) -> Result<bool, String> {
-        match writeln!(self.0, "{line}").and_then(|()| self.0.flush()) {
-            Ok(()) => Ok(true),
-            Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => Ok(false),
-            Err(e) => Err(format!("stdout write failed: {e}")),
-        }
+        written(
+            self.0
+                .write_all(line.as_bytes())
+                .and_then(|()| self.0.write_all(b"\n")),
+        )
+    }
+
+    fn flush(&mut self) -> Result<bool, String> {
+        written(self.0.flush())
     }
 }
 
@@ -633,13 +651,20 @@ mod tests {
     #[test]
     fn errors_are_reported_with_line_numbers() {
         let (_, model_path, _) = trained("stream-errors");
-        // Wrong field count.
+        // Wrong field count, after a good record whose verdict still gets
+        // out ahead of the error.
         let (code, out) = super::run_with_input(
             &argv(&["--model", model_path.to_str().unwrap(), "--no-header"]),
-            "1,2,3\n".as_bytes(),
+            "0,0,0,0,0,0\n1,2,3\n".as_bytes(),
         );
         assert_eq!(code, exit::RUNTIME);
-        assert!(out.contains("line 1"), "{out}");
+        assert!(out.starts_with("{\"record\":0,"), "{out}");
+        assert_eq!(
+            out.lines().filter(|l| l.starts_with('{')).count(),
+            1,
+            "{out}"
+        );
+        assert!(out.contains("line 2"), "{out}");
         assert!(out.contains("expected 6 fields"), "{out}");
         // Unparseable number.
         let (code, out) = super::run_with_input(

@@ -15,9 +15,13 @@ fn temp_dir() -> std::path::PathBuf {
 }
 
 fn write_planted_csv(name: &str) -> std::path::PathBuf {
+    write_planted_rows(name, 300)
+}
+
+fn write_planted_rows(name: &str, n_rows: usize) -> std::path::PathBuf {
     use hdoutlier_data::generators::{planted_outliers, PlantedConfig};
     let planted = planted_outliers(&PlantedConfig {
-        n_rows: 300,
+        n_rows,
         n_dims: 6,
         n_outliers: 3,
         strong_groups: Some(2),
@@ -121,4 +125,65 @@ fn runtime_errors_go_to_stderr_with_code_1() {
     assert_eq!(out.status.code(), Some(1));
     assert!(out.stdout.is_empty());
     assert!(String::from_utf8_lossy(&out.stderr).contains("failed to read"));
+}
+
+/// Records read from a file arrive many to a read, and `stream` flushes its
+/// verdicts once per read rather than once per record.
+#[test]
+fn stream_flushes_once_per_read_not_per_record() {
+    let n_records = 4_000;
+    let csv = write_planted_rows("binary-flushes", n_records);
+    let model = temp_dir().join("binary-flushes.model.json");
+    let metrics = temp_dir().join("binary-flushes.metrics.ndjson");
+    let out = binary()
+        .args([
+            "detect",
+            "--phi=4",
+            "--k=2",
+            "--m=5",
+            "--search=brute",
+            "--quiet",
+        ])
+        .args([
+            "--save-model",
+            model.to_str().unwrap(),
+            csv.to_str().unwrap(),
+        ])
+        .output()
+        .expect("spawn");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+
+    let out = binary()
+        .args(["stream", "--model", model.to_str().unwrap()])
+        .args(["--metrics-out", metrics.to_str().unwrap()])
+        .stdin(std::fs::File::open(&csv).expect("csv"))
+        .output()
+        .expect("spawn");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout).lines().count(),
+        n_records
+    );
+    let snapshot = std::fs::read_to_string(&metrics).expect("metrics snapshot");
+    let flushes = snapshot
+        .lines()
+        .map(|l| hdoutlier_json::Json::parse(l).expect("NDJSON metric"))
+        .find(|j| {
+            j.get("metric").and_then(hdoutlier_json::Json::as_str)
+                == Some("hdoutlier.stream.flushes")
+        })
+        .and_then(|j| j.get("value").and_then(hdoutlier_json::Json::as_number))
+        .expect("flush counter exported");
+    assert!(
+        (1.0..=(n_records / 8) as f64).contains(&flushes),
+        "{flushes} flushes for {n_records} records"
+    );
 }

@@ -282,15 +282,28 @@ fn circuit_breaker_trips_on_scripted_garbage_despite_skip_policy() {
     );
 }
 
+/// One read per `per_read` lines of `lines`, as a pipe delivers records
+/// that arrive at that pace.
+fn paced(lines: &[String], per_read: usize) -> io::BufReader<FaultyReader> {
+    FaultyReader::new(
+        lines
+            .chunks(per_read)
+            .map(|chunk| Ok((chunk.join("\n") + "\n").into_bytes()))
+            .collect(),
+    )
+}
+
 /// A hard write failure is a runtime error; a consumer hang-up (BrokenPipe)
-/// is a normal shutdown that still lands the final checkpoint.
+/// is a normal shutdown that still lands the final checkpoint. The records
+/// arrive one per read, as on a live pipe, so each verdict is flushed
+/// before the next read and the writer sees one verdict per write.
 #[test]
 fn write_faults_hard_failure_vs_consumer_hangup() {
     let (model, lines) = train("write-faults", 65);
-    let input = lines[..10].join("\n") + "\n";
+    let input = || paced(&lines[..10], 1);
 
     let mut hard = FaultyWriter::new(3, io::ErrorKind::Other);
-    let (code, err) = stream::run_streaming(&stream_args(&model, &[]), input.as_bytes(), &mut hard);
+    let (code, err) = stream::run_streaming(&stream_args(&model, &[]), input(), &mut hard);
     assert_eq!(code, exit::RUNTIME);
     assert!(err.contains("stdout write failed"), "{err}");
     assert_eq!(hard.text().lines().count(), 3);
@@ -300,7 +313,7 @@ fn write_faults_hard_failure_vs_consumer_hangup() {
     let mut pipe = FaultyWriter::new(3, io::ErrorKind::BrokenPipe);
     let (code, err) = stream::run_streaming(
         &stream_args(&model, &["--checkpoint", ckpt.to_str().unwrap()]),
-        input.as_bytes(),
+        input(),
         &mut pipe,
     );
     assert_eq!(code, exit::OK, "{err}");
@@ -309,6 +322,97 @@ fn write_faults_hard_failure_vs_consumer_hangup() {
     // hang-up checkpoint records 4 scored records.
     let cp = Checkpoint::load(&ckpt).unwrap();
     assert_eq!(cp.records_scored, 4);
+}
+
+/// Records that arrive several to a read are written as one flush per read,
+/// so a write failure shows up at the flush before the next read: the
+/// verdicts already written are exactly the clean run's first ones, none
+/// duplicated or reordered, and a hang-up there still checkpoints every
+/// record scored before it.
+#[test]
+fn write_faults_in_bulk_input_show_at_the_next_flush() {
+    let (model, lines) = train("write-faults-bulk", 71);
+    let lines = &lines[..10];
+    let (code, clean) = stream::run_with_input(&stream_args(&model, &[]), paced(lines, 4));
+    assert_eq!(code, exit::OK, "{clean}");
+    let first_read: Vec<&str> = clean.lines().take(4).collect();
+
+    // The first flush writes four verdicts in one write; the second fails.
+    let mut hard = FaultyWriter::new(3, io::ErrorKind::Other);
+    let (code, err) = stream::run_streaming(&stream_args(&model, &[]), paced(lines, 4), &mut hard);
+    assert_eq!(code, exit::RUNTIME);
+    assert!(err.contains("stdout write failed"), "{err}");
+    assert_eq!(hard.text().lines().collect::<Vec<_>>(), first_read);
+
+    let ckpt = temp_dir().join("hangup-bulk.ckpt.json");
+    let _ = std::fs::remove_file(&ckpt);
+    let mut pipe = FaultyWriter::new(3, io::ErrorKind::BrokenPipe);
+    let (code, err) = stream::run_streaming(
+        &stream_args(&model, &["--checkpoint", ckpt.to_str().unwrap()]),
+        paced(lines, 4),
+        &mut pipe,
+    );
+    assert_eq!(code, exit::OK, "{err}");
+    assert_eq!(pipe.text().lines().collect::<Vec<_>>(), first_read);
+    // The second read's four records were scored before the flush that
+    // found the pipe closed.
+    assert_eq!(Checkpoint::load(&ckpt).unwrap().records_scored, 8);
+}
+
+/// A writer that, on every write, checks the checkpoint on disk covers no
+/// more records than the verdict lines it has already received.
+struct CheckpointWatcher {
+    ckpt: PathBuf,
+    lines: u64,
+    writes: usize,
+}
+
+impl Write for CheckpointWatcher {
+    fn write(&mut self, data: &[u8]) -> io::Result<usize> {
+        if let Ok(cp) = Checkpoint::load(&self.ckpt) {
+            assert!(
+                cp.records_scored <= self.lines,
+                "a checkpoint of {} records before {} verdicts were written",
+                cp.records_scored,
+                self.lines
+            );
+        }
+        self.lines += data.iter().filter(|&&b| b == b'\n').count() as u64;
+        self.writes += 1;
+        Ok(data.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+/// All ten records arrive in one read, and a checkpoint is due every two:
+/// each one must first flush the verdicts it covers.
+#[test]
+fn no_checkpoint_covers_an_unflushed_verdict() {
+    let (model, lines) = train("checkpoint-flush", 72);
+    let ckpt = temp_dir().join("checkpoint-flush.ckpt.json");
+    let _ = std::fs::remove_file(&ckpt);
+    let input = lines[..10].join("\n") + "\n";
+    let mut watcher = CheckpointWatcher {
+        ckpt: ckpt.clone(),
+        lines: 0,
+        writes: 0,
+    };
+    let args = [
+        "--checkpoint",
+        ckpt.to_str().unwrap(),
+        "--checkpoint-every",
+        "2",
+    ];
+    let (code, err) =
+        stream::run_streaming(&stream_args(&model, &args), input.as_bytes(), &mut watcher);
+    assert_eq!(code, exit::OK, "{err}");
+    assert_eq!(watcher.lines, 10);
+    // One flush per cadence checkpoint, not one per verdict.
+    assert_eq!(watcher.writes, 5);
+    assert_eq!(Checkpoint::load(&ckpt).unwrap().records_scored, 10);
 }
 
 /// The kill/resume acceptance scenario: stream half the records with a

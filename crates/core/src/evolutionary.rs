@@ -478,6 +478,33 @@ mod tests {
     }
 
     #[test]
+    fn cache_stats_repeat_exactly_at_any_thread_count() {
+        // The memo table counts a miss only for the insert that adds a key,
+        // so racing workers cannot move `(hits, misses)` between runs.
+        let (counter, _) = planted_counter(12, 49);
+        let stats = |threads: usize| {
+            let cached = hdoutlier_index::CachedCounter::new(counter.clone());
+            let fitness = SparsityFitness::new(&cached, 3);
+            evolutionary_search(
+                &fitness,
+                &EvolutionaryConfig {
+                    m: 10,
+                    seed: 7,
+                    max_generations: 40,
+                    threads,
+                    ..EvolutionaryConfig::default()
+                },
+            );
+            cached.stats()
+        };
+        let serial = stats(1);
+        assert!(serial.0 > 0 && serial.1 > 0, "{serial:?}");
+        for run in 0..5 {
+            assert_eq!(stats(2), serial, "two-thread run {run}");
+        }
+    }
+
+    #[test]
     fn respects_m_and_nonempty() {
         let (counter, _) = planted_counter(8, 46);
         let fitness = SparsityFitness::new(&counter, 3);

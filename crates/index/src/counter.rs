@@ -131,7 +131,10 @@ impl CubeCounter for NaiveCounter {
 ///
 /// The memo table sits behind a `Mutex` so parallel fitness evaluation can
 /// share one cache: a race between two workers on the same uncached cube
-/// merely recomputes an idempotent count, it never changes an answer.
+/// merely recomputes an idempotent count, it never changes an answer. Only
+/// the insert that adds a key counts as a miss; the loser of such a race
+/// counts as a hit, so [`CachedCounter::stats`] depends on the lookups made,
+/// not on how the workers interleaved.
 pub struct CachedCounter<C: CubeCounter> {
     inner: C,
     cache: Mutex<HashMap<Cube, usize>>,
@@ -177,12 +180,15 @@ impl<C: CubeCounter> CubeCounter for CachedCounter<C> {
         }
         // Count outside the lock: an expensive intersection must not
         // serialize the other workers behind the memo table.
-        self.misses.fetch_add(1, Ordering::Relaxed);
         let n = self.inner.count(cube);
-        self.cache
+        let added = self
+            .cache
             .lock()
             .expect("memo table poisoned")
-            .insert(cube.clone(), n);
+            .insert(cube.clone(), n)
+            .is_none();
+        let tally = if added { &self.misses } else { &self.hits };
+        tally.fetch_add(1, Ordering::Relaxed);
         n
     }
 

@@ -169,7 +169,11 @@ impl FieldChain for Result<Json, JsonError> {
     }
 }
 
-fn write_number(out: &mut String, n: f64) {
+/// Appends `n` as [`Json::render`] writes a number: integral values below
+/// 1e15 without a fraction, others in Rust's shortest round-trip form, NaN
+/// and the infinities as `null`. Exposed so a caller that streams a
+/// document shape it knows writes the same bytes without building a tree.
+pub fn write_number(out: &mut String, n: f64) {
     if n.is_finite() {
         if n == n.trunc() && n.abs() < 1e15 {
             let _ = write!(out, "{}", n as i64);
@@ -181,7 +185,9 @@ fn write_number(out: &mut String, n: f64) {
     }
 }
 
-fn write_escaped(out: &mut String, s: &str) {
+/// Appends `s` as a quoted JSON string, escaped exactly as
+/// [`Json::render`] escapes strings and object keys.
+pub fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {

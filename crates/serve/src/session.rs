@@ -356,9 +356,7 @@ impl Session {
         let outliers_before = self.pipeline.scorer().outliers_flagged();
         let errors_before = errors(&self.pipeline);
         let mut ndjson = String::new();
-        let result = self
-            .pipeline
-            .run(body.lines().map(Ok::<_, String>), &mut ndjson);
+        let result = self.pipeline.run(body.as_bytes(), &mut ndjson);
         let (tripped, fatal) = match result {
             Ok(()) => (None, None),
             Err(Stop::Abort { line, reason }) => (Some(format!("line {line}: {reason}")), None),

@@ -7,23 +7,33 @@
 //! record parser ([`RecordFormat`]), the order-preserving batch buffer, the
 //! bad-record [`ErrorPolicy`] with its consecutive-failure breaker and
 //! skip/quarantine totals, the quarantine file, and the checkpoint cadence.
-//! The front ends only move bytes: they hand lines to [`Pipeline::run`],
+//! The front ends only move bytes: they hand a reader to [`Pipeline::run`],
 //! receive verdict lines through a [`Sink`], and word a [`Stop`] in their
 //! own terms. One loop is what makes a session's verdict stream
 //! byte-identical to `hdoutlier stream` over the same records.
+//!
+//! In steady state the loop allocates nothing of its own: lines are split
+//! in place out of the reader's buffer, each record is parsed into one
+//! reused row, and each verdict is written into one reused line buffer.
+//! The sink may buffer those lines; the pipeline flushes it before every
+//! read that may block, so no verdict waits on future input.
 
 use crate::checkpoint::{Checkpoint, CheckpointError, RecoveredFrom};
-use crate::ndjson::{error_json, verdict_json};
+use crate::ndjson::{projection_labels, write_error, write_verdict};
 use crate::scorer::{OnlineScorer, Verdict};
 use hdoutlier_data::DataError;
 use hdoutlier_json::{FieldChain, Json, JsonError};
 use hdoutlier_obs as obs;
 use std::fs::File;
-use std::io::Write;
+use std::io::{BufRead, ErrorKind, Write};
 use std::path::{Path, PathBuf};
 
 /// Event and span target for the pipeline.
 const TARGET: &str = "hdoutlier.stream";
+
+/// How a failed read, or a line that is not UTF-8, is reported. Only the
+/// CLI's stdin can fail: a serve session reads a request body in memory.
+const READ_FAILED: &str = "stdin read failed";
 
 /// What to do with a record that cannot be parsed or scored.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -114,12 +124,25 @@ pub trait Sink {
     /// A message naming the failed write; it ends the run as
     /// [`Stop::Fatal`].
     fn emit(&mut self, line: &str) -> Result<bool, String>;
+
+    /// Hands every line emitted so far to the consumer. The pipeline calls
+    /// it before each read of its input, before each checkpoint and when a
+    /// run ends, so a sink may buffer lines between calls. `Ok(false)` as
+    /// for [`Sink::emit`].
+    ///
+    /// # Errors
+    /// As for [`Sink::emit`].
+    fn flush(&mut self) -> Result<bool, String>;
 }
 
 impl Sink for String {
     fn emit(&mut self, line: &str) -> Result<bool, String> {
         self.push_str(line);
         self.push('\n');
+        Ok(true)
+    }
+
+    fn flush(&mut self) -> Result<bool, String> {
         Ok(true)
     }
 }
@@ -181,11 +204,22 @@ pub struct Pipeline {
     /// Parsed records waiting for one pooled `score_batch` call (only ever
     /// non-empty when `batch > 1`).
     rows: Vec<Vec<f64>>,
+    /// The model's projections, rendered once for [`write_verdict`].
+    labels: Vec<String>,
+    /// The record being parsed, reused from line to line.
+    row: Vec<f64>,
+    /// The start of a line cut by the end of a read, carried to the next.
+    partial: Vec<u8>,
+    /// The verdict line being written, reused from verdict to verdict.
+    out: String,
+    /// Whether lines were emitted since the sink was last flushed.
+    unflushed: bool,
     /// `hdoutlier.stream.*` counters, resolved once so the per-record path
     /// never takes the registry lock.
     skipped_ctr: obs::Counter,
     quarantined_ctr: obs::Counter,
     checkpoints_ctr: obs::Counter,
+    flushes_ctr: obs::Counter,
 }
 
 impl Pipeline {
@@ -263,9 +297,15 @@ impl Pipeline {
             quarantine,
             pending: Vec::new(),
             rows: Vec::with_capacity(settings.batch),
+            labels: projection_labels(&scorer),
+            row: Vec::new(),
+            partial: Vec::new(),
+            out: String::new(),
+            unflushed: false,
             skipped_ctr: registry.counter("hdoutlier.stream.skipped"),
             quarantined_ctr: registry.counter("hdoutlier.stream.quarantined"),
             checkpoints_ctr: registry.counter("hdoutlier.stream.checkpoints"),
+            flushes_ctr: registry.counter("hdoutlier.stream.flushes"),
             scorer,
             settings,
         };
@@ -303,29 +343,31 @@ impl Pipeline {
         self.line_no = line_no;
     }
 
-    /// Feeds `lines` through the pipeline, writing verdict lines to `sink`
-    /// in arrival order, and scores any partial batch at the end. An `Err`
-    /// item is a failed read: a bad record without raw text, the message
-    /// its reason. Returns `Ok` at the end of the input or when the sink
-    /// reports its consumer gone.
+    /// Feeds the lines of `input` through the pipeline, writing verdict
+    /// lines to `sink` in arrival order, and scores any partial batch at the
+    /// end. Lines end at `\n` (a `\r` before it is dropped), and the last
+    /// one may lack it. A failed read, or a line that is not UTF-8, is a bad
+    /// record without raw text whose reason reads `stdin read failed:
+    /// <cause>`; a read that fails mid-line drops the start of that line,
+    /// and its tail comes back as a line of its own. Returns `Ok` at the end
+    /// of the input or when the sink reports its consumer gone.
+    ///
+    /// The sink is flushed before every read of `input`, before every
+    /// checkpoint, and on every way out, errors included.
     ///
     /// # Errors
     /// The [`Stop`] that ended the run early; the verdicts before it have
-    /// been written.
-    pub fn run<L: AsRef<str> + Into<String>>(
-        &mut self,
-        lines: impl IntoIterator<Item = Result<L, String>>,
-        sink: &mut impl Sink,
-    ) -> Result<(), Stop> {
-        for line in lines {
-            self.line_no += 1;
-            if !self.push(line, sink)? {
-                break;
-            }
-        }
+    /// been written and flushed.
+    pub fn run(&mut self, mut input: impl BufRead, sink: &mut impl Sink) -> Result<(), Stop> {
+        let mut partial = std::mem::take(&mut self.partial);
+        partial.clear();
+        let read = self.read(&mut input, &mut partial, sink);
+        self.partial = partial;
         // Also after a hang-up: the records were accepted and belong in
         // the scorer state a checkpoint captures.
-        self.flush(sink).map(drop)
+        let result = read.and_then(|()| self.drain_batch(sink).map(drop));
+        let flushed = self.flush_sink(sink);
+        result.and(flushed.map(drop))
     }
 
     /// Writes a checkpoint now. `Ok(None)` when none is configured.
@@ -343,21 +385,86 @@ impl Pipeline {
         Ok(Some(path))
     }
 
-    /// One input line. `Ok(false)` when the consumer hung up.
-    fn push<L: AsRef<str> + Into<String>>(
+    /// Splits `input` into lines until it ends or the consumer hangs up.
+    /// `partial` holds the start of a line cut by the end of a read.
+    fn read(
         &mut self,
-        line: Result<L, String>,
+        input: &mut impl BufRead,
+        partial: &mut Vec<u8>,
         sink: &mut impl Sink,
-    ) -> Result<bool, Stop> {
-        let line = match line {
-            Ok(line) => line,
+    ) -> Result<(), Stop> {
+        loop {
+            // No verdict waits on future input.
+            if !self.flush_sink(sink)? {
+                return Ok(());
+            }
+            let chunk = match input.fill_buf() {
+                Ok([]) => break,
+                Ok(chunk) => chunk,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                // As `BufRead::lines` has it: the cut line is dropped, the
+                // failure takes its place, and its tail is a line of its own.
+                Err(e) => {
+                    partial.clear();
+                    self.line_no += 1;
+                    if !self.push(Err(format!("{READ_FAILED}: {e}")), sink)? {
+                        return Ok(());
+                    }
+                    continue;
+                }
+            };
+            let len = chunk.len();
+            let mut rest = chunk;
+            while let Some(end) = rest.iter().position(|&b| b == b'\n') {
+                let (line, tail) = rest.split_at(end + 1);
+                rest = tail;
+                let open = if partial.is_empty() {
+                    self.line(line, sink)?
+                } else {
+                    partial.extend_from_slice(line);
+                    let open = self.line(partial, sink)?;
+                    partial.clear();
+                    open
+                };
+                if !open {
+                    return Ok(());
+                }
+            }
+            partial.extend_from_slice(rest);
+            input.consume(len);
+        }
+        if !partial.is_empty() {
+            self.line(partial, sink)?;
+        }
+        Ok(())
+    }
+
+    /// One raw input line, its `\n` or `\r\n` included when it has one.
+    /// `Ok(false)` when the consumer hung up.
+    fn line(&mut self, raw: &[u8], sink: &mut impl Sink) -> Result<bool, Stop> {
+        self.line_no += 1;
+        let raw = match raw.strip_suffix(b"\n") {
+            Some(raw) => raw.strip_suffix(b"\r").unwrap_or(raw),
+            None => raw,
+        };
+        let text = std::str::from_utf8(raw)
+            .map_err(|_| format!("{READ_FAILED}: stream did not contain valid UTF-8"));
+        self.push(text, sink)
+    }
+
+    /// One decoded input line, or the reason it could not be read.
+    /// `Ok(false)` when the consumer hung up.
+    fn push(&mut self, line: Result<&str, String>, sink: &mut impl Sink) -> Result<bool, Stop> {
+        let text = match line {
+            Ok(text) => text,
             // Drain buffered records first so the error verdict lands at
             // its arrival position in the output.
             Err(reason) => {
-                return Ok(self.flush(sink)? && self.bad_record(self.line_no, reason, None, sink)?)
+                return Ok(
+                    self.drain_batch(sink)? && self.bad_record(self.line_no, reason, None, sink)?
+                )
             }
         };
-        let text = line.as_ref();
         if text.trim().is_empty() {
             return Ok(true);
         }
@@ -367,30 +474,26 @@ impl Pipeline {
         }
         let parsed = match self.settings.format {
             RecordFormat::Csv { delimiter, .. } => {
-                parse_row(text, delimiter, &self.missing, self.n_dims)
+                parse_row(text, delimiter, &self.missing, self.n_dims, &mut self.row)
             }
-            RecordFormat::Ndjson => parse_record_line(text, self.n_dims),
+            RecordFormat::Ndjson => parse_record_line(text, self.n_dims, &mut self.row),
         };
-        let row = match parsed {
-            Ok(row) => row,
-            Err(reason) => {
-                return Ok(
-                    self.flush(sink)? && self.bad_record(self.line_no, reason, Some(text), sink)?
-                )
-            }
-        };
+        if let Err(reason) = parsed {
+            return Ok(self.drain_batch(sink)?
+                && self.bad_record(self.line_no, reason, Some(text), sink)?);
+        }
         if self.settings.batch > 1 {
-            self.pending.push((self.line_no, line.into()));
-            self.rows.push(row);
+            self.pending.push((self.line_no, text.to_string()));
+            self.rows.push(self.row.clone());
             return if self.rows.len() >= self.settings.batch {
-                self.flush(sink)
+                self.drain_batch(sink)
             } else {
                 Ok(true)
             };
         }
         let result = {
             let _span = obs::span(obs::Level::Trace, TARGET, "score_record");
-            self.scorer.score_record(&row)
+            self.scorer.score_record(&self.row)
         };
         self.settle(self.line_no, result, text, sink)
     }
@@ -398,7 +501,7 @@ impl Pipeline {
     /// Scores the buffered records with one pooled call, then settles them
     /// in arrival order. `Ok(false)` when the consumer hung up; the rest of
     /// the batch is then dropped unsettled.
-    fn flush(&mut self, sink: &mut impl Sink) -> Result<bool, Stop> {
+    fn drain_batch(&mut self, sink: &mut impl Sink) -> Result<bool, Stop> {
         if self.rows.is_empty() {
             return Ok(true);
         }
@@ -434,10 +537,9 @@ impl Pipeline {
         };
         self.consecutive_errors = 0;
         if !(self.settings.outliers_only && !verdict.outlier && verdict.drift.is_none()) {
-            let rendered = verdict_json(&verdict, &self.scorer)
-                .map_err(|e| Stop::Fatal(format!("line {line}: {e}")))?
-                .render();
-            if !sink.emit(&rendered).map_err(Stop::Fatal)? {
+            self.out.clear();
+            write_verdict(&mut self.out, &verdict, &self.labels);
+            if !self.emit(sink)? {
                 return Ok(false);
             }
         }
@@ -447,9 +549,29 @@ impl Pipeline {
                 .records_scored()
                 .is_multiple_of(self.settings.checkpoint_every)
         {
+            // No checkpoint covers a verdict the consumer has not been sent.
+            if !self.flush_sink(sink)? {
+                return Ok(false);
+            }
             self.checkpoint().map_err(Stop::Fatal)?;
         }
         Ok(true)
+    }
+
+    /// Emits the line in `out`.
+    fn emit(&mut self, sink: &mut impl Sink) -> Result<bool, Stop> {
+        self.unflushed = true;
+        sink.emit(&self.out).map_err(Stop::Fatal)
+    }
+
+    /// Flushes the sink when lines were emitted since the last flush.
+    fn flush_sink(&mut self, sink: &mut impl Sink) -> Result<bool, Stop> {
+        if !self.unflushed {
+            return Ok(true);
+        }
+        self.unflushed = false;
+        self.flushes_ctr.inc();
+        sink.flush().map_err(Stop::Fatal)
     }
 
     /// The skip/quarantine/abort ladder for the bad record read at `line`;
@@ -509,10 +631,9 @@ impl Pipeline {
             self.skipped_ctr.inc();
             self.skipped += 1;
         }
-        let rendered = error_json(line as usize, &reason, action)
-            .map_err(|e| Stop::Fatal(format!("line {line}: {e}")))?
-            .render();
-        sink.emit(&rendered).map_err(Stop::Fatal)
+        self.out.clear();
+        write_error(&mut self.out, line, &reason, action);
+        self.emit(sink)
     }
 }
 
@@ -536,21 +657,24 @@ fn quarantine_envelope(
         .render())
 }
 
-/// Splits one CSV line into `n_dims` numbers (missing markers become NaN).
+/// Splits one CSV line into `n_dims` numbers in `row` (missing markers
+/// become NaN).
 ///
-/// The fields are parsed as the tokenizer yields them, so the row is the
-/// only allocation of a well-formed line. Errors keep their precedence:
-/// malformed CSV anywhere in the line, then anything but one record, then
-/// the field count, then the first field that is not a number.
+/// The fields are parsed as the tokenizer yields them, so a well-formed
+/// line allocates nothing once `row` has grown to `n_dims`. Errors keep
+/// their precedence: malformed CSV anywhere in the line, then anything but
+/// one record, then the field count, then the first field that is not a
+/// number.
 fn parse_row(
     line: &str,
     delimiter: char,
     missing: &[String],
     n_dims: usize,
-) -> Result<Vec<f64>, String> {
+    row: &mut Vec<f64>,
+) -> Result<(), String> {
     let malformed = |e| format!("malformed CSV: {e}");
     let mut tokens = hdoutlier_data::csv::Tokenizer::new(line, delimiter);
-    let mut row = Vec::with_capacity(n_dims);
+    row.clear();
     let mut unparsable = None;
     let fields = tokens
         .next_record(|j, f| {
@@ -579,28 +703,29 @@ fn parse_row(
     check_arity(fields, n_dims)?;
     match unparsable {
         Some(reason) => Err(reason),
-        None => Ok(row),
+        None => Ok(()),
     }
 }
 
-/// Parses one NDJSON record line — a JSON array of `n_dims` numbers, with
-/// `null` standing for a missing value (NaN), mirroring the CSV reader's
-/// missing markers.
-fn parse_record_line(line: &str, n_dims: usize) -> Result<Vec<f64>, String> {
+/// Parses one NDJSON record line into `row` — a JSON array of `n_dims`
+/// numbers, with `null` standing for a missing value (NaN), mirroring the
+/// CSV reader's missing markers.
+fn parse_record_line(line: &str, n_dims: usize, row: &mut Vec<f64>) -> Result<(), String> {
     let json = Json::parse(line).map_err(|e| format!("malformed record: {e}"))?;
     let fields = json
         .as_array()
         .ok_or("record must be a JSON array of numbers")?;
     check_arity(fields.len(), n_dims)?;
-    fields
-        .iter()
-        .map(|f| match f {
-            Json::Null => Ok(f64::NAN),
+    row.clear();
+    for f in fields {
+        row.push(match f {
+            Json::Null => f64::NAN,
             other => other
                 .as_number()
-                .ok_or_else(|| format!("record fields must be numbers or null, got {other:?}")),
-        })
-        .collect()
+                .ok_or_else(|| format!("record fields must be numbers or null, got {other:?}"))?,
+        });
+    }
+    Ok(())
 }
 
 /// The one wrong-arity message both parsers give.
@@ -615,9 +740,23 @@ fn check_arity(fields: usize, n_dims: usize) -> Result<(), String> {
 
 #[cfg(test)]
 mod tests {
-    use super::{parse_record_line, parse_row};
     use hdoutlier_rng::rngs::StdRng;
     use hdoutlier_rng::{for_each_case, Rng};
+
+    fn parse_row(
+        line: &str,
+        delimiter: char,
+        missing: &[String],
+        n: usize,
+    ) -> Result<Vec<f64>, String> {
+        let mut row = vec![f64::NAN; 3];
+        super::parse_row(line, delimiter, missing, n, &mut row).map(|()| row)
+    }
+
+    fn parse_record_line(line: &str, n_dims: usize) -> Result<Vec<f64>, String> {
+        let mut row = vec![f64::NAN; 3];
+        super::parse_record_line(line, n_dims, &mut row).map(|()| row)
+    }
 
     fn markers() -> Vec<String> {
         hdoutlier_data::csv::CsvOptions::default().missing_markers

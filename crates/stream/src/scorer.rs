@@ -192,15 +192,20 @@ impl OnlineScorer {
         // attributes batch-scoring samples to the read-only phase on
         // whichever pool worker runs it.
         let _score = obs::profile_span(TARGET, "score");
+        // The cells are assigned once and matched in place, as
+        // `FittedModel::matches` would match them, so a record that matches
+        // nothing allocates only its cells.
         let cells = self.model.grid().assign_row(row)?;
-        let matches = self.model.matches(row)?;
-        let score = matches
+        let projections = self.model.projections();
+        let matched: Vec<usize> = (0..projections.len())
+            .filter(|&i| projections[i].projection.covers(&cells))
+            .collect();
+        let score = matched
             .iter()
-            .map(|m| m.projection.sparsity)
+            .map(|&i| projections[i].sparsity)
             .fold(None, |acc: Option<f64>, s| {
                 Some(acc.map_or(s, |a| a.min(s)))
             });
-        let matched: Vec<usize> = matches.into_iter().map(|m| m.index).collect();
         Ok(ScoredRecord {
             cells,
             score,

@@ -3,17 +3,20 @@
 //! checkpoint. Truncated copies of a valid document must be rejected, and
 //! copies with one value replaced (wrong type, negative, huge, fractional,
 //! or an array of the wrong length) must load as an error or as something
-//! that scores and restores without panicking. All run on
+//! that scores and restores without panicking. The record loop's verdict
+//! writer must give the bytes of the tree-form reference, `verdict_json`,
+//! for any verdict and any error reason. All run on
 //! [`hdoutlier_rng::for_each_case`]; a failing case prints the seed that
 //! replays it alone.
 
 use hdoutlier_core::{FittedModel, OutlierDetector, SearchMethod};
 use hdoutlier_data::generators::{planted_outliers, PlantedConfig};
 use hdoutlier_data::Dataset;
-use hdoutlier_json::Json;
+use hdoutlier_json::{FieldChain, Json};
 use hdoutlier_rng::rngs::StdRng;
 use hdoutlier_rng::{for_each_case, Rng};
-use hdoutlier_stream::{model_io, Checkpoint, OnlineScorer};
+use hdoutlier_stream::ndjson::{projection_labels, verdict_json, write_error, write_verdict};
+use hdoutlier_stream::{model_io, Checkpoint, DriftReport, OnlineScorer, Verdict};
 
 fn fitted() -> (FittedModel, Dataset) {
     let planted = planted_outliers(&PlantedConfig {
@@ -170,5 +173,87 @@ fn checkpoint_loader_survives_one_mutated_field() {
                 }
             }
         }
+    });
+}
+
+/// A number of the kinds verdicts carry: integral, fractional, tiny, huge,
+/// negative, or not finite.
+fn number(rng: &mut StdRng) -> f64 {
+    match rng.gen_range(0..6) {
+        0 => f64::from(rng.gen_range(-1000i32..1000)),
+        1 => rng.gen_range(-1.0..1.0),
+        2 => rng.gen_range(0.0..1.0) * 1e-300,
+        3 => rng.gen_range(-1.0..1.0) * 1e20,
+        4 => -rng.gen_range(0.0f64..50.0),
+        _ => [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0][rng.gen_range(0..4usize)],
+    }
+}
+
+#[test]
+fn verdict_writer_matches_the_tree_render() {
+    let (model, _) = fitted();
+    let scorer = OnlineScorer::new(model).unwrap();
+    let labels = projection_labels(&scorer);
+    let n_projections = scorer.model().projections().len();
+    let n_dims = scorer.model().grid().n_dims();
+    assert!(n_projections >= 3);
+    for_each_case(0x5e1f_0003, 256, |rng| {
+        let index = match rng.gen_range(0..3) {
+            0 => rng.gen_range(0..1000),
+            1 => rng.gen_range(0..u64::MAX),
+            _ => rng.gen_range(999_999_999_999_000..1_000_000_000_001_000),
+        };
+        let matched = (0..rng.gen_range(0..=n_projections))
+            .map(|_| rng.gen_range(0..n_projections))
+            .collect();
+        let score = match rng.gen_range(0..3) {
+            0 => None,
+            1 => Some(-rng.gen_range(0.0f64..20.0)),
+            _ => Some(number(rng)),
+        };
+        let drift = (rng.gen_range(0..2) == 0).then(|| DriftReport {
+            statistics: (0..n_dims).map(|_| number(rng)).collect(),
+            p_values: (0..n_dims).map(|_| number(rng)).collect(),
+            drifted_dims: (0..rng.gen_range(0..=n_dims))
+                .map(|_| rng.gen_range(0..n_dims))
+                .collect(),
+            alpha: number(rng),
+        });
+        let verdict = Verdict {
+            index,
+            cells: vec![0; n_dims],
+            outlier: rng.gen_range(0..2) == 0,
+            score,
+            matched,
+            drift,
+        };
+        let want = verdict_json(&verdict, &scorer).unwrap().render();
+        let mut got = String::new();
+        write_verdict(&mut got, &verdict, &labels);
+        assert_eq!(got, want);
+    });
+}
+
+#[test]
+fn error_writer_matches_the_tree_render() {
+    let alphabet: Vec<char> = "ab \"\\/\n\r\t\u{0}\u{1}\u{1f}\u{7f}\u{e9}\u{2028}\u{1F600}{}[],:"
+        .chars()
+        .collect();
+    for_each_case(0x5e1f_0004, 256, |rng| {
+        let reason: String = (0..rng.gen_range(0..40))
+            .map(|_| alphabet[rng.gen_range(0..alphabet.len())])
+            .collect();
+        let bits = rng.gen_range(0..64);
+        let line = rng.gen_range(0..u64::MAX >> bits);
+        let action = ["skip", "quarantine", "abort"][rng.gen_range(0..3usize)];
+        let want = Json::object()
+            .field("line", line)
+            .field("error", reason.as_str())
+            .field("action", action)
+            .unwrap()
+            .render();
+        let mut got = String::new();
+        write_error(&mut got, line, &reason, action);
+        assert_eq!(got, want, "{reason:?}");
     });
 }
