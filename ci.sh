@@ -44,8 +44,7 @@ cargo test -q --offline --workspace
 #   trace-event JSON (crates/cli/tests/live.rs).
 # - Determinism: every pooled path (detect brute + seeded evolutionary,
 #   explain, baseline) must emit byte-identical --json reports at --threads
-#   1/2/8 (crates/cli/tests/determinism.rs); the stream --batch equivalence
-#   lives in the stream command's unit tests.
+#   1/2/8 (crates/cli/tests/determinism.rs).
 # - Fault tolerance: checkpoint atomicity under simulated kills
 #   (crates/stream/tests/faults.rs) and the scripted-I/O harness driving the
 #   stream error policies, circuit breaker, kill/resume equivalence, and

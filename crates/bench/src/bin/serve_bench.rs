@@ -6,9 +6,9 @@
 //!     [--bench-json <path>] [--assert-against <BENCH_serve.json>]
 //! ```
 //!
-//! Both stages score 200-record NDJSON requests against one session (batch
-//! 64), each the fastest of [`REPEATS`] sweeps that start from a fresh app
-//! and session and send one untimed warm-up request:
+//! Both stages score 200-record NDJSON requests against one session, each
+//! the fastest of [`REPEATS`] sweeps that start from a fresh app and
+//! session and send one untimed warm-up request:
 //! - `serve.handle`: 2,000 requests through [`ServeApp::handle`] in process
 //!   — routing, request context, labeled metrics, admission, NDJSON parse,
 //!   scoring, NDJSON render — with no socket. This is the gated stage: on
@@ -75,7 +75,7 @@ fn main() {
     let model_json = hdoutlier_stream::model_io::to_json(&model)
         .unwrap()
         .render();
-    let create = format!("{{\"id\": \"bench\", \"batch\": 64, \"model\": {model_json}}}");
+    let create = format!("{{\"id\": \"bench\", \"model\": {model_json}}}");
 
     // Pre-render the request bodies so the timed loops measure the server,
     // not the client's formatter. Request r scores the next PER_REQUEST
@@ -142,7 +142,6 @@ fn main() {
             .config("records_per_request", PER_REQUEST as f64)
             .config("handle_requests", HANDLE_REQUESTS as f64)
             .config("socket_requests", SOCKET_REQUESTS as f64)
-            .config("batch", 64.0)
             .config("repeats", REPEATS as f64)
             .stage("serve.handle", handle_records, handle_s)
             .stage("serve.socket", socket_records, socket_s)

@@ -188,8 +188,6 @@ fn main() {
             delimiter: ',',
             header: false,
         },
-        batch: 1,
-        threads: 1,
         outliers_only: false,
         policy: ErrorPolicy::Abort,
         max_consecutive: 100,

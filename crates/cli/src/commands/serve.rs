@@ -56,8 +56,6 @@ OPTIONS:
                          resume on session create with \"resume\": true)
     --max-sessions <n>   refuse session creates beyond <n> live sessions
                          (default 16)
-    --threads <n>        pool workers for each session's batched scoring
-                         (default: available cores)
     --workers <n>        HTTP connection workers (default 4)
     --queue-depth <n>    accepted connections that may wait for a worker
                          before new ones get 503 (default 32)
@@ -110,7 +108,6 @@ pub fn run_with_ready(argv: &[String], on_ready: impl FnOnce(SocketAddr) + Send)
             "addr",
             "checkpoint-dir",
             "max-sessions",
-            "threads",
             "workers",
             "queue-depth",
             "max-body-bytes",
@@ -156,12 +153,6 @@ fn serve_under_session(parsed: &Parsed, on_ready: impl FnOnce(SocketAddr) + Send
             )
         }
         Ok(Some(n)) => config.max_sessions = n,
-        Ok(None) => {}
-        Err(e) => return super::usage_err(e, HELP),
-    }
-    match parsed.opt::<usize>("threads", "integer") {
-        Ok(Some(0)) => return (exit::USAGE, format!("--threads must be >= 1\n\n{HELP}")),
-        Ok(Some(n)) => config.threads = n,
         Ok(None) => {}
         Err(e) => return super::usage_err(e, HELP),
     }

@@ -44,13 +44,6 @@ OPTIONS:
                          (error verdicts are still emitted)
     --drift-alpha <a>    drift-test significance level (default 0.01)
     --drift-every <n>    records between drift checks (default 512)
-    --batch <n>          score records in bounded batches of <n>, computing
-                         the model lookups on --threads pool workers; the
-                         verdicts (indices, scores, drift reports) are
-                         byte-identical to record-at-a-time scoring
-                         (default 1 = no batching)
-    --threads <n>        worker threads for --batch scoring (default:
-                         available cores)
     --on-error <p>       bad-record policy: abort | skip | quarantine:<path>
                          (default abort). skip/quarantine emit an NDJSON
                          error verdict (line number + reason) and keep
@@ -111,8 +104,6 @@ pub fn run_streaming(argv: &[String], input: impl BufRead, sink: &mut impl Write
             "delimiter",
             "drift-alpha",
             "drift-every",
-            "batch",
-            "threads",
             "on-error",
             "max-consecutive-errors",
             "checkpoint",
@@ -237,9 +228,6 @@ fn settings(parsed: &Parsed) -> Result<Settings, String> {
             Err(e) => Err(e.to_string()),
         }
     };
-    let batch = positive("batch", 1, "must be >= 1")? as usize;
-    let threads = hdoutlier_pool::default_threads() as u64;
-    let threads = positive("threads", threads, "must be >= 1")? as usize;
     let max_consecutive = positive("max-consecutive-errors", 100, "must be positive")?;
     let checkpoint_every = positive("checkpoint-every", 1000, "must be positive")?;
     let checkpoint = parsed.get("checkpoint").map(PathBuf::from);
@@ -251,8 +239,6 @@ fn settings(parsed: &Parsed) -> Result<Settings, String> {
             delimiter: super::delimiter(parsed)?,
             header: !parsed.has("no-header"),
         },
-        batch,
-        threads,
         outliers_only: parsed.has("outliers-only"),
         policy,
         max_consecutive,
@@ -586,66 +572,6 @@ mod tests {
         );
         assert_eq!(code, exit::OK, "{out}");
         assert_eq!(out.lines().count(), 7);
-    }
-
-    #[test]
-    fn batch_scoring_output_is_byte_identical_to_record_at_a_time() {
-        let (csv_text, model_path, _) = trained("stream-batch");
-        let (code, serial) = super::run_with_input(
-            &argv(&["--model", model_path.to_str().unwrap()]),
-            csv_text.as_bytes(),
-        );
-        assert_eq!(code, exit::OK, "{serial}");
-        assert!(!serial.is_empty());
-        // Batch sizes that divide the stream unevenly, several thread counts.
-        for (batch, threads) in [("1", "2"), ("7", "2"), ("7", "8"), ("64", "4")] {
-            let (code, batched) = super::run_with_input(
-                &argv(&[
-                    "--model",
-                    model_path.to_str().unwrap(),
-                    "--batch",
-                    batch,
-                    "--threads",
-                    threads,
-                ]),
-                csv_text.as_bytes(),
-            );
-            assert_eq!(code, exit::OK, "{batched}");
-            assert_eq!(batched, serial, "--batch {batch} --threads {threads}");
-        }
-    }
-
-    #[test]
-    fn batched_error_verdicts_keep_arrival_order() {
-        let (_, model_path, _) = trained("stream-batch-err");
-        let input = "1,2,3\n0,0,0,0,0,0\n1,2,3,4,5,banana\n1,1,1,1,1,1\n";
-        let base = argv(&[
-            "--model",
-            model_path.to_str().unwrap(),
-            "--no-header",
-            "--on-error",
-            "skip",
-        ]);
-        let (code, serial) = super::run_with_input(&base, input.as_bytes());
-        assert_eq!(code, exit::OK, "{serial}");
-        let mut batched_args = base.clone();
-        batched_args.extend(argv(&["--batch", "3", "--threads", "2"]));
-        let (code, batched) = super::run_with_input(&batched_args, input.as_bytes());
-        assert_eq!(code, exit::OK, "{batched}");
-        assert_eq!(batched, serial);
-    }
-
-    #[test]
-    fn batch_and_threads_reject_zero() {
-        let (_, model_path, _) = trained("stream-batch-usage");
-        for flag in ["--batch=0", "--threads=0"] {
-            let (code, out) = super::run_with_input(
-                &argv(&["--model", model_path.to_str().unwrap(), flag]),
-                b"" as &[u8],
-            );
-            assert_eq!(code, exit::USAGE, "{flag}");
-            assert!(out.contains("must be >= 1"), "{out}");
-        }
     }
 
     #[test]

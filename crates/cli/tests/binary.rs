@@ -48,6 +48,23 @@ fn help_and_unknown_command_exit_codes() {
 }
 
 #[test]
+fn scoring_has_no_batch_or_thread_options() {
+    for args in [
+        ["stream", "--batch", "8"],
+        ["stream", "--threads", "2"],
+        ["serve", "--threads", "2"],
+    ] {
+        let out = binary().args(args).output().expect("spawn");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown option {}", args[1])),
+            "{args:?}: {stderr}"
+        );
+    }
+}
+
+#[test]
 fn detect_save_score_deployment_loop() {
     let csv = write_planted_csv("binary-loop");
     let model = temp_dir().join("binary-loop.model.json");

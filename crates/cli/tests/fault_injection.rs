@@ -515,8 +515,7 @@ fn stale_staging_file_from_a_killed_run_is_harmless() {
 
 /// `stream` and a serve session run the same pipeline, so the same records
 /// — wrong-arity ones included — give the same bytes: CSV on stdin in one
-/// run versus NDJSON arrays posted to a session in two requests, at batch
-/// sizes 1 and 7.
+/// run versus NDJSON arrays posted to a session in two requests.
 #[test]
 fn stream_and_serve_session_agree_byte_for_byte_on_bad_records() {
     let (model, lines) = train("stream-vs-serve", 70);
@@ -539,31 +538,21 @@ fn stream_and_serve_session_agree_byte_for_byte_on_bad_records() {
         ndjson.push(Json::Array(values).render());
     }
     let model_text = std::fs::read_to_string(&model).unwrap();
-    for batch in ["1", "7"] {
-        let (code, streamed) = stream::run_with_input(
-            &stream_args(
-                &model,
-                &["--on-error", "skip", "--batch", batch, "--threads", "2"],
-            ),
-            csv.as_bytes(),
-        );
-        assert_eq!(code, exit::OK, "{streamed}");
-        assert_eq!(streamed.matches("\"error\":").count(), 10, "{streamed}");
+    let (code, streamed) = stream::run_with_input(
+        &stream_args(&model, &["--on-error", "skip"]),
+        csv.as_bytes(),
+    );
+    assert_eq!(code, exit::OK, "{streamed}");
+    assert_eq!(streamed.matches("\"error\":").count(), 10, "{streamed}");
 
-        let body = Json::parse(&format!(
-            "{{\"on_error\": \"skip\", \"batch\": {batch}, \"model_path\": \"m\"}}"
-        ))
-        .unwrap();
-        let mut config =
-            SessionConfig::from_json(&body, "s".into(), &|_| Ok(model_text.clone())).unwrap();
-        config.settings.threads = 2;
-        let mut session = Session::create(config, None, 0).unwrap_or_else(|e| panic!("{e}"));
-        let mut served = String::new();
-        for request in ndjson.chunks(113) {
-            let outcome = session.score_lines(&(request.join("\n") + "\n"));
-            assert!(outcome.tripped.is_none() && outcome.fatal.is_none());
-            served.push_str(&outcome.ndjson);
-        }
-        assert_eq!(served, streamed, "--batch {batch}");
+    let body = Json::parse(r#"{"on_error": "skip", "model_path": "m"}"#).unwrap();
+    let config = SessionConfig::from_json(&body, "s".into(), &|_| Ok(model_text.clone())).unwrap();
+    let mut session = Session::create(config, None, 0).unwrap_or_else(|e| panic!("{e}"));
+    let mut served = String::new();
+    for request in ndjson.chunks(113) {
+        let outcome = session.score_lines(&(request.join("\n") + "\n"));
+        assert!(outcome.tripped.is_none() && outcome.fatal.is_none());
+        served.push_str(&outcome.ndjson);
     }
+    assert_eq!(served, streamed);
 }

@@ -261,11 +261,11 @@ fn concurrent_sessions_match_stream_byte_for_byte() {
     let fx = fixture(&dir, 47);
     let serve = spawn_serve(&[]);
 
-    // Two sessions with different configs on one server: `a` scores one
-    // record at a time, `b` uses pooled batches of 7.
+    // Two sessions on one server, fed the same records in different chunk
+    // sizes.
     let (status, body) = create_session(&serve.addr, &fx.model, "\"id\": \"a\", ");
     assert_eq!(status, 201, "{body}");
-    let (status, body) = create_session(&serve.addr, &fx.model, "\"id\": \"b\", \"batch\": 7, ");
+    let (status, body) = create_session(&serve.addr, &fx.model, "\"id\": \"b\", ");
     assert_eq!(status, 201, "{body}");
 
     // Interleaved requests: a and b advance through the same records in

@@ -38,6 +38,10 @@
 //!   alive), capped at [`ServerConfig::max_requests_per_connection`].
 //!   Telemetry callers set the cap to 1 to preserve scrape-and-close
 //!   behavior.
+//! - **Handler panics stay in their request.** A handler that panics
+//!   answers `500` with `Connection: close` and is counted in
+//!   [`ServerStats::handler_panics`]; the worker goes on to its next
+//!   connection, so a panicking route cannot shrink the pool.
 //! - **Graceful drain.** [`Server::shutdown`] stops accepting (closing the
 //!   listener first), then lets in-flight and already-queued connections
 //!   finish their current request — with `Connection: close` forced on the
@@ -277,6 +281,9 @@ pub struct ServerStats {
     /// Requests answered `408` because a wall-clock deadline expired
     /// (head or body still incomplete at its budget).
     pub deadline_expired: AtomicU64,
+    /// Requests whose handler panicked, answered `500` with the connection
+    /// closed.
+    pub handler_panics: AtomicU64,
 }
 
 /// The handler a [`Server`] routes every parsed request through.
@@ -524,7 +531,17 @@ fn serve_connection(stream: &mut TcpStream, shared: &Shared) -> std::io::Result<
         match read_request(stream, &shared.config, opened) {
             ReadOutcome::Request(request) => {
                 served += 1;
-                let response = (shared.handler)(&request);
+                // The handler runs on this worker's thread, so a panic in it
+                // would end the worker for good: the pool never replaces
+                // one. It ends this connection instead, after a `500`.
+                let handled = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    (shared.handler)(&request)
+                }));
+                let Ok(response) = handled else {
+                    shared.stats.handler_panics.fetch_add(1, Ordering::Relaxed);
+                    let response = Response::text(500, "internal error: the handler panicked\n");
+                    return write_response(stream, &response, false, Some(&request.request_id));
+                };
                 shared.stats.requests.fetch_add(1, Ordering::Relaxed);
                 // Keep-alive only when the client allows it, the per-
                 // connection budget and lifetime have room, and the server

@@ -647,3 +647,38 @@ fn connection_lifetime_caps_keep_alive_reuse() {
         Ok(_) => panic!("request served past the connection lifetime"),
     }
 }
+
+#[test]
+fn a_panicking_handler_answers_500_and_keeps_its_worker() {
+    // One worker: if the panic ended it, the next request would never be
+    // answered.
+    let server = Server::bind(
+        "127.0.0.1:0",
+        ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        },
+        Arc::new(|request: &Request| {
+            assert_ne!(request.path, "/panic", "handler bug");
+            Response::text(200, "fine")
+        }),
+    )
+    .expect("bind");
+    let mut stream = connect(&server);
+    stream.write_all(b"GET /panic HTTP/1.1\r\n\r\n").unwrap();
+    let response = read_response(&mut stream);
+    assert_eq!(response.status, 500);
+    assert_eq!(response.header("connection"), Some("close"));
+    let mut byte = [0u8; 1];
+    assert_eq!(stream.read(&mut byte).unwrap_or(0), 0, "connection closed");
+
+    let mut next = connect(&server);
+    next.write_all(b"GET /next HTTP/1.1\r\nConnection: close\r\n\r\n")
+        .unwrap();
+    let response = read_response(&mut next);
+    assert_eq!(response.status, 200);
+    assert_eq!(response.body_text(), "fine");
+    assert_eq!(server.stats().handler_panics.load(Ordering::Relaxed), 1);
+    assert_eq!(server.stats().requests.load(Ordering::Relaxed), 1);
+    server.shutdown();
+}

@@ -149,12 +149,7 @@ fn run(config: &RunConfig) -> Result<Outcome, ScenarioError> {
         reference.push_str(&verdict_json(&verdict, &scorer).map_err(pipe)?.render());
         reference.push('\n');
     }
-    let serve_config = ServeConfig {
-        threads: config.threads,
-        checkpoint_dir: None,
-        ..ServeConfig::default()
-    };
-    let handle = ServeHandle::bind("127.0.0.1:0", serve_config).map_err(pipe)?;
+    let handle = ServeHandle::bind("127.0.0.1:0", ServeConfig::default()).map_err(pipe)?;
     let addr = handle.local_addr();
     let model_json = hdoutlier_stream::model_io::to_json(&model)
         .map_err(pipe)?

@@ -7,13 +7,12 @@
 //! The HTTP surface (over [`hdoutlier_net`]):
 //!
 //! - `POST /sessions` — create a session from a JSON config (inline model
-//!   or `model_path`, drift settings, batch size, error policy, checkpoint
-//!   cadence, `resume`); responds `201` with the session status document;
+//!   or `model_path`, drift settings, error policy, checkpoint cadence,
+//!   `resume`); responds `201` with the session status document;
 //! - `POST /sessions/{id}/score` — NDJSON records in (one JSON array per
 //!   line, `null` = missing), NDJSON verdicts out, byte-identical to
-//!   `hdoutlier stream` over the same records because both transports call
-//!   the renderers in [`hdoutlier_stream::ndjson`] and the same
-//!   order-preserving `score_batch` discipline;
+//!   `hdoutlier stream` over the same records because both transports run
+//!   the same [`hdoutlier_stream::Pipeline`];
 //! - `GET /sessions` / `GET /sessions/{id}` — status documents;
 //! - `POST /sessions/{id}/checkpoint` — force an atomic checkpoint now;
 //! - `DELETE /sessions/{id}` — final checkpoint, then remove;
@@ -44,9 +43,9 @@
 //! `hdoutlier stream --resume`.
 //!
 //! Graceful drain ([`ServeHandle::drain`]) stops accepting new work,
-//! lets in-flight requests finish (their batches flush through the normal
-//! request path), writes a final checkpoint for every session, and only
-//! then returns — the listener is closed before the process exits.
+//! lets in-flight requests finish, writes a final checkpoint for every
+//! session, and only then returns — the listener is closed before the
+//! process exits.
 
 pub mod session;
 pub mod signal;
@@ -59,7 +58,7 @@ use std::collections::BTreeMap;
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Event target for the serve subsystem.
@@ -70,8 +69,6 @@ const TARGET: &str = "hdoutlier.serve";
 pub struct ServeConfig {
     /// Cap on live sessions; creates beyond it are refused with `503`.
     pub max_sessions: usize,
-    /// Pool threads for each session's batched scoring.
-    pub threads: usize,
     /// Directory for per-session checkpoint files (`<id>.ckpt.json`);
     /// `None` disables checkpointing.
     pub checkpoint_dir: Option<PathBuf>,
@@ -105,7 +102,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             max_sessions: 16,
-            threads: hdoutlier_pool::default_threads(),
             checkpoint_dir: None,
             http: ServerConfig::default(),
             slo_error_rate: 0.05,
@@ -277,25 +273,39 @@ impl ServeApp {
     /// collected rather than aborting the drain (the other sessions still
     /// deserve their checkpoints).
     pub fn checkpoint_all(&self) -> (usize, usize, Vec<String>) {
-        let sessions: Vec<Arc<Mutex<Session>>> = self
-            .sessions
-            .lock()
-            .expect("session registry poisoned")
-            .values()
-            .cloned()
-            .collect();
+        let sessions = self.all_sessions();
         let total = sessions.len();
         let mut checkpointed = 0usize;
         let mut errors = Vec::new();
-        for session in sessions {
-            let session = session.lock().expect("session poisoned");
+        for (id, session) in sessions {
+            let Ok(session) = session.lock() else {
+                errors.push(format!("session {id}: not checkpointed: {PANICKED}"));
+                continue;
+            };
             match session.checkpoint() {
                 Ok(Some(_)) => checkpointed += 1,
                 Ok(None) => {}
-                Err(e) => errors.push(format!("session {}: {e}", session.id())),
+                Err(e) => errors.push(format!("session {id}: {e}")),
             }
         }
         (total, checkpointed, errors)
+    }
+
+    /// The session registry, taken even when a panic poisoned its lock.
+    /// That cannot leave it inconsistent: it only maps ids to `Arc`
+    /// handles, and each change to it is one `insert` or `remove`, which
+    /// either happened whole or not at all when the panic struck.
+    fn registry(&self) -> MutexGuard<'_, BTreeMap<String, Arc<Mutex<Session>>>> {
+        self.sessions.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Every session with its id, copied out so that no session is locked
+    /// while the registry is.
+    fn all_sessions(&self) -> Vec<(String, Arc<Mutex<Session>>)> {
+        self.registry()
+            .iter()
+            .map(|(id, session)| (id.clone(), Arc::clone(session)))
+            .collect()
     }
 
     /// Handles one request. This is the [`hdoutlier_net::Handler`] body:
@@ -472,16 +482,15 @@ impl ServeApp {
         let read_model = |path: &str| {
             std::fs::read_to_string(path).map_err(|e| format!("cannot read model_path {path}: {e}"))
         };
-        let mut config = match SessionConfig::from_json(&json, default_id, &read_model) {
+        let config = match SessionConfig::from_json(&json, default_id, &read_model) {
             Ok(c) => c,
             Err(e) => return error_response(400, &e),
         };
-        config.settings.threads = self.config.threads;
         let id = config.id.clone();
         // Hold the registry lock across create so two concurrent creates of
         // the same id cannot both pass the duplicate check; session
         // construction is quick (the model is already parsed).
-        let mut sessions = self.sessions.lock().expect("session registry poisoned");
+        let mut sessions = self.registry();
         if sessions.len() >= self.config.max_sessions {
             return error_response(
                 503,
@@ -522,16 +531,18 @@ impl ServeApp {
 
     /// `GET /sessions`.
     fn list_sessions(&self) -> Response {
-        let sessions: Vec<Arc<Mutex<Session>>> = self
-            .sessions
-            .lock()
-            .expect("session registry poisoned")
-            .values()
-            .cloned()
-            .collect();
+        let sessions = self.all_sessions();
         let mut items = Vec::with_capacity(sessions.len());
-        for session in sessions {
-            match session.lock().expect("session poisoned").status_json() {
+        for (id, session) in sessions {
+            // An unusable session is listed by id with the reason, so the
+            // others still show.
+            let status = match session.lock() {
+                Ok(session) => session.status_json(),
+                Err(_) => Json::object()
+                    .field("id", id)
+                    .and_then(|j| j.field("error", PANICKED)),
+            };
+            match status {
                 Ok(j) => items.push(j),
                 Err(e) => return error_response(500, &e.to_string()),
             }
@@ -544,11 +555,7 @@ impl ServeApp {
 
     /// Clones the handle for one session, or `None`.
     fn session(&self, id: &str) -> Option<Arc<Mutex<Session>>> {
-        self.sessions
-            .lock()
-            .expect("session registry poisoned")
-            .get(id)
-            .cloned()
+        self.registry().get(id).cloned()
     }
 
     /// Marks a refused request as shed: counts it under its reason, emits
@@ -576,7 +583,13 @@ impl ServeApp {
     /// data-quality problem and no reason to refuse everyone else, and
     /// other routes' health does not indicate scoring overload.
     fn admission_verdict(&self) -> obs::SloVerdict {
-        let mut cached = self.slo_verdict.lock().expect("slo verdict poisoned");
+        // Taken even when a panic poisoned the lock: it guards one `Copy`
+        // value that is only ever replaced whole, so it holds either the
+        // old verdict or the new one.
+        let mut cached = self
+            .slo_verdict
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         let now = Instant::now();
         if let Some((at, verdict)) = *cached {
             if now.duration_since(at) < SLO_VERDICT_TTL {
@@ -653,7 +666,10 @@ impl ServeApp {
         // The session lock is held for the whole request: scoring is
         // stateful and order-defining. Other sessions are untouched — their
         // requests run concurrently on other connection workers.
-        let mut session = session.lock().expect("session poisoned");
+        let mut session = match lock_session(id, &session) {
+            Ok(session) => session,
+            Err(response) => return response,
+        };
         if let Some(key) = replay_key {
             match session.replay_lookup(key, body) {
                 session::ReplayLookup::Miss => {}
@@ -725,7 +741,10 @@ impl ServeApp {
         let Some(session) = self.session(id) else {
             return error_response(404, &format!("no session {id:?}"));
         };
-        let session = session.lock().expect("session poisoned");
+        let session = match lock_session(id, &session) {
+            Ok(session) => session,
+            Err(response) => return response,
+        };
         match session.status_json() {
             Ok(j) => Response::json(200, j.render()),
             Err(e) => error_response(500, &e.to_string()),
@@ -737,7 +756,10 @@ impl ServeApp {
         let Some(session) = self.session(id) else {
             return error_response(404, &format!("no session {id:?}"));
         };
-        let session = session.lock().expect("session poisoned");
+        let session = match lock_session(id, &session) {
+            Ok(session) => session,
+            Err(response) => return response,
+        };
         match session.checkpoint() {
             Ok(None) => {
                 error_response(400, "server has no checkpoint directory (--checkpoint-dir)")
@@ -755,22 +777,28 @@ impl ServeApp {
         }
     }
 
-    /// `DELETE /sessions/{id}` — final checkpoint, then removal.
+    /// `DELETE /sessions/{id}` — final checkpoint, then removal. An
+    /// unusable session is removed without one, and the answer is a `500`
+    /// saying so: its last checkpoint is what it can resume from.
     fn delete(&self, id: &str) -> Response {
         let Some(session) = self.session(id) else {
             return error_response(404, &format!("no session {id:?}"));
         };
-        {
-            let session = session.lock().expect("session poisoned");
+        if let Ok(session) = session.lock() {
             if let Err(e) = session.checkpoint() {
                 return error_response(500, &e);
             }
         }
-        let mut sessions = self.sessions.lock().expect("session registry poisoned");
+        let mut sessions = self.registry();
         sessions.remove(id);
         self.metrics.sessions.set(sessions.len() as i64);
         drop(sessions);
-        let session = session.lock().expect("session poisoned");
+        let Ok(session) = session.lock() else {
+            return error_response(
+                500,
+                &format!("session {id:?} was removed without a final checkpoint: {PANICKED}"),
+            );
+        };
         match session.status_json() {
             Ok(j) => Response::json(200, j.render()),
             Err(e) => error_response(500, &e.to_string()),
@@ -853,10 +881,9 @@ impl ServeHandle {
     }
 
     /// Graceful drain: refuse new work, close the listener, let in-flight
-    /// requests finish (flushing their batches through the normal request
-    /// path), then write a final checkpoint for every session. Only after
-    /// all of that does this return — the caller exits with the listener
-    /// already closed and every session durable.
+    /// requests finish, then write a final checkpoint for every session.
+    /// Only after all of that does this return — the caller exits with the
+    /// listener already closed and every session durable.
     pub fn drain(self) -> DrainReport {
         self.app.request_shutdown();
         // Stops accepting first (the listener closes), then joins the
@@ -894,6 +921,24 @@ impl ServeHandle {
     }
 }
 
+/// Why a session whose lock is poisoned is unusable.
+const PANICKED: &str = "a request panicked while holding the session";
+
+/// Locks one session, or answers `500` when a panic poisoned its lock: the
+/// panicking request may have left its scorer, line count and replay cache
+/// disagreeing, so the session serves nothing more until it is deleted.
+fn lock_session<'a>(
+    id: &str,
+    session: &'a Mutex<Session>,
+) -> Result<MutexGuard<'a, Session>, Response> {
+    session.lock().map_err(|_| {
+        error_response(
+            500,
+            &format!("session {id:?} is unusable: {PANICKED}; delete it to free the id"),
+        )
+    })
+}
+
 /// An error document: `{"error": "<msg>"}` with the given status.
 fn error_response(status: u16, message: &str) -> Response {
     let body = Json::object()
@@ -901,4 +946,147 @@ fn error_response(status: u16, message: &str) -> Response {
         .map(|j| j.render())
         .unwrap_or_else(|_| r#"{"error":"internal error"}"#.to_string());
     Response::json(status, body)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hdoutlier_core::{OutlierDetector, SearchMethod};
+    use hdoutlier_data::generators::{planted_outliers, PlantedConfig};
+
+    /// A create body with a small planted model inline.
+    fn create_body(id: &str) -> String {
+        let planted = planted_outliers(&PlantedConfig {
+            n_rows: 300,
+            n_dims: 4,
+            n_outliers: 2,
+            seed: 5,
+            ..PlantedConfig::default()
+        });
+        let model = OutlierDetector::builder()
+            .phi(4)
+            .k(2)
+            .m(4)
+            .search(SearchMethod::BruteForce)
+            .build()
+            .fit(&planted.dataset)
+            .unwrap();
+        let model = hdoutlier_stream::model_io::to_json(&model)
+            .unwrap()
+            .render();
+        format!("{{\"id\": \"{id}\", \"model\": {model}}}")
+    }
+
+    fn req(method: &str, path: &str, body: &str) -> Request {
+        Request {
+            method: method.to_string(),
+            path: path.to_string(),
+            query: None,
+            headers: Vec::new(),
+            body: body.as_bytes().to_vec(),
+            http1_0: false,
+            request_id: "test".to_string(),
+        }
+    }
+
+    fn text(response: &Response) -> &str {
+        std::str::from_utf8(&response.body).unwrap()
+    }
+
+    /// Poisons `lock` the way a panicking handler does: a thread panics
+    /// while holding it.
+    fn poison<T: Send>(lock: &Mutex<T>) {
+        std::thread::scope(|s| {
+            let holder = s.spawn(|| {
+                let _guard = lock.lock();
+                panic!("handler panicked");
+            });
+            assert!(holder.join().is_err());
+        });
+        assert!(lock.is_poisoned());
+    }
+
+    /// An app that never sheds on its SLO verdict: the 500s these tests
+    /// provoke on the score route would turn it unhealthy.
+    fn unshed_app() -> Arc<ServeApp> {
+        ServeApp::new(ServeConfig {
+            shed_on_unhealthy: false,
+            ..ServeConfig::default()
+        })
+    }
+
+    const RECORD: &str = "[0.1, 0.2, 0.3, 0.4]\n";
+
+    #[test]
+    fn a_poisoned_session_answers_500_everywhere_and_can_be_deleted() {
+        let app = unshed_app();
+        for id in ["bad", "good"] {
+            let created = app.handle(&req("POST", "/sessions", &create_body(id)));
+            assert_eq!(created.status, 201, "{}", text(&created));
+        }
+        poison(&app.session("bad").unwrap());
+
+        for (method, path) in [
+            ("POST", "/sessions/bad/score"),
+            ("GET", "/sessions/bad"),
+            ("POST", "/sessions/bad/checkpoint"),
+        ] {
+            let response = app.handle(&req(method, path, RECORD));
+            assert_eq!(response.status, 500, "{method} {path}");
+            assert!(
+                text(&response).contains("is unusable"),
+                "{}",
+                text(&response)
+            );
+        }
+        let listed = app.handle(&req("GET", "/sessions", ""));
+        assert_eq!(listed.status, 200);
+        let listed = Json::parse(text(&listed)).unwrap();
+        let items = listed.get("sessions").and_then(Json::as_array).unwrap();
+        assert_eq!(items[0].get("id").and_then(Json::as_str), Some("bad"));
+        assert_eq!(items[0].get("error").and_then(Json::as_str), Some(PANICKED));
+        assert_eq!(items[1].get("id").and_then(Json::as_str), Some("good"));
+        assert!(items[1].get("records_scored").is_some());
+
+        let (total, checkpointed, errors) = app.checkpoint_all();
+        assert_eq!((total, checkpointed), (2, 0));
+        assert_eq!(
+            errors,
+            [format!("session bad: not checkpointed: {PANICKED}")]
+        );
+
+        let deleted = app.handle(&req("DELETE", "/sessions/bad", ""));
+        assert_eq!(deleted.status, 500);
+        assert!(
+            text(&deleted).contains("removed without a final checkpoint"),
+            "{}",
+            text(&deleted)
+        );
+        assert_eq!(app.handle(&req("GET", "/sessions/bad", "")).status, 404);
+        let recreated = app.handle(&req("POST", "/sessions", &create_body("bad")));
+        assert_eq!(recreated.status, 201, "{}", text(&recreated));
+        // The other session never noticed.
+        let scored = app.handle(&req("POST", "/sessions/good/score", RECORD));
+        assert_eq!(scored.status, 200, "{}", text(&scored));
+    }
+
+    #[test]
+    fn a_poisoned_registry_or_verdict_cache_keeps_serving() {
+        let app = unshed_app();
+        poison(&app.sessions);
+        poison(&app.slo_verdict);
+        app.admission_verdict();
+        assert!(app
+            .slo_verdict
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .is_some());
+        let created = app.handle(&req("POST", "/sessions", &create_body("s")));
+        assert_eq!(created.status, 201, "{}", text(&created));
+        let scored = app.handle(&req("POST", "/sessions/s/score", RECORD));
+        assert_eq!(scored.status, 200, "{}", text(&scored));
+        assert_eq!(app.handle(&req("GET", "/sessions", "")).status, 200);
+        assert_eq!(app.checkpoint_all(), (1, 0, Vec::new()));
+        assert_eq!(app.handle(&req("DELETE", "/sessions/s", "")).status, 200);
+    }
 }

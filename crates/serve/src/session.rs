@@ -2,7 +2,7 @@
 //! its status document.
 //!
 //! Everything between a posted record line and its verdict line — parsing,
-//! batching, the error policy and its consecutive-failure breaker, skip and
+//! scoring, the error policy and its consecutive-failure breaker, skip and
 //! quarantine totals, the checkpoint cadence — is the
 //! [`hdoutlier_stream::Pipeline`] that `hdoutlier stream` also runs, so a
 //! session's verdict stream is byte-identical to `hdoutlier stream` over
@@ -28,8 +28,7 @@ pub struct SessionConfig {
     /// The fitted model this session scores against.
     pub model: hdoutlier_core::FittedModel,
     /// The record pipeline's settings. The checkpoint path is filled in by
-    /// [`Session::create`] from the server's checkpoint directory, and
-    /// `threads` by the server.
+    /// [`Session::create`] from the server's checkpoint directory.
     pub settings: Settings,
     /// Restore state from an existing checkpoint file when one is present.
     pub resume: bool,
@@ -107,8 +106,6 @@ impl SessionConfig {
             model,
             settings: Settings {
                 format: RecordFormat::Ndjson,
-                batch: count("batch")?.unwrap_or(1) as usize,
-                threads: 1,
                 outliers_only: flag("outliers_only")?,
                 policy,
                 max_consecutive: count("max_consecutive_errors")?.unwrap_or(100),
@@ -313,11 +310,6 @@ impl Session {
         })
     }
 
-    /// The session identifier.
-    pub fn id(&self) -> &str {
-        &self.id
-    }
-
     /// Consults the idempotency cache for a client-supplied request id.
     pub fn replay_lookup(&self, request_id: &str, body: &str) -> ReplayLookup {
         self.replay.lookup(request_id, body)
@@ -417,7 +409,6 @@ impl Session {
                     .map_or(Json::Null, |r| Json::String(r.to_string())),
             )
             .field("resumed", self.resumed)
-            .field("batch", settings.batch)
             .field("outliers_only", settings.outliers_only)
             .field("on_error", settings.policy.action())
             .field(

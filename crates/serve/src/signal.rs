@@ -3,7 +3,7 @@
 //! The serve command must keep scoring while a drain request is pending,
 //! so termination signals cannot do their work inside the handler — the
 //! handler only flips a flag, and the command's wait loop observes it and
-//! runs the drain (stop accepting, flush in-flight batches, final
+//! runs the drain (stop accepting, finish in-flight requests, final
 //! checkpoint per session) on a normal thread.
 //!
 //! This is a minimal `signal(2)` shim rather than a full `sigaction`

@@ -54,7 +54,7 @@ fn req(method: &str, path: &str, body: impl Into<Vec<u8>>) -> Request {
 }
 
 /// The create body for a session: inline model plus extra config fields
-/// (rendered JSON object text, e.g. `"id": "a", "batch": 3`).
+/// (rendered JSON object text, e.g. `"id": "a", "on_error": "skip"`).
 fn create_body(model: &FittedModel, extra: &str) -> String {
     let model_json = hdoutlier_stream::model_io::to_json(model).unwrap().render();
     if extra.is_empty() {
@@ -110,50 +110,36 @@ fn served_verdicts_are_byte_identical_to_a_direct_scorer_stream() {
     let (model, ds) = fitted(71);
     let app = ServeApp::new(ServeConfig::default());
 
-    let created = app.handle(&req(
-        "POST",
-        "/sessions",
-        create_body(&model, "\"id\": \"a\""),
-    ));
-    assert_eq!(created.status, 201, "{}", body_text(&created));
+    // `b` carries a key the server does not read; it is ignored like any
+    // unknown key and changes no byte.
+    for (id, extra) in [("a", "\"id\": \"a\""), ("b", "\"id\": \"b\", \"batch\": 7")] {
+        let created = app.handle(&req("POST", "/sessions", create_body(&model, extra)));
+        assert_eq!(created.status, 201, "{}", body_text(&created));
 
-    // Two requests, split mid-stream: the session must carry scorer state
-    // across requests exactly as one continuous stream run would.
-    let mut served = String::new();
-    for range in [0..37, 37..120] {
-        let response = app.handle(&req("POST", "/sessions/a/score", ndjson_rows(&ds, range)));
-        assert_eq!(response.status, 200, "{}", body_text(&response));
-        served.push_str(body_text(&response));
+        // Two requests, split mid-stream: the session must carry scorer
+        // state across requests exactly as one continuous stream run would.
+        let mut served = String::new();
+        for range in [0..37, 37..120] {
+            let path = format!("/sessions/{id}/score");
+            let response = app.handle(&req("POST", &path, ndjson_rows(&ds, range)));
+            assert_eq!(response.status, 200, "{}", body_text(&response));
+            served.push_str(body_text(&response));
+        }
+        assert_eq!(
+            served,
+            reference_stream(&model, &ds, 0..120),
+            "session {id}"
+        );
+
+        let status = body_json(&app.handle(&req("GET", &format!("/sessions/{id}"), "")));
+        assert_eq!(
+            status.get("records_scored").unwrap().as_number(),
+            Some(120.0)
+        );
+        assert_eq!(status.get("line_no").unwrap().as_number(), Some(120.0));
+        assert!(matches!(status.get("tripped"), Some(Json::Null)));
+        assert!(status.get("batch").is_none());
     }
-    assert_eq!(served, reference_stream(&model, &ds, 0..120));
-
-    let status = body_json(&app.handle(&req("GET", "/sessions/a", "")));
-    assert_eq!(
-        status.get("records_scored").unwrap().as_number(),
-        Some(120.0)
-    );
-    assert_eq!(status.get("line_no").unwrap().as_number(), Some(120.0));
-    assert!(matches!(status.get("tripped"), Some(Json::Null)));
-}
-
-#[test]
-fn batched_scoring_matches_record_at_a_time_byte_for_byte() {
-    let (model, ds) = fitted(73);
-    let app = ServeApp::new(ServeConfig {
-        threads: 3,
-        ..ServeConfig::default()
-    });
-    // A batch size that does not divide the request's record count, so the
-    // final partial batch path runs too.
-    let created = app.handle(&req(
-        "POST",
-        "/sessions",
-        create_body(&model, "\"id\": \"b\", \"batch\": 7"),
-    ));
-    assert_eq!(created.status, 201, "{}", body_text(&created));
-    let response = app.handle(&req("POST", "/sessions/b/score", ndjson_rows(&ds, 0..90)));
-    assert_eq!(response.status, 200);
-    assert_eq!(body_text(&response), reference_stream(&model, &ds, 0..90));
 }
 
 #[test]
@@ -164,11 +150,7 @@ fn sessions_are_isolated_from_each_other() {
 
     for (id, model, extra) in [
         ("alpha", &model_a, "\"id\": \"alpha\""),
-        (
-            "beta",
-            &model_b,
-            "\"id\": \"beta\", \"batch\": 4, \"on_error\": \"skip\"",
-        ),
+        ("beta", &model_b, "\"id\": \"beta\", \"on_error\": \"skip\""),
     ] {
         let created = app.handle(&req("POST", "/sessions", create_body(model, extra)));
         assert_eq!(created.status, 201, "create {id}: {}", body_text(&created));

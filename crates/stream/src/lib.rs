@@ -29,7 +29,7 @@
 //! The deployment surfaces — the CLI `stream` subcommand and the
 //! `hdoutlier serve` network server — share one implementation of
 //! everything past the transport: [`pipeline`] (the per-record loop: parse,
-//! batch, score, error policy and breaker, quarantine, checkpoint cadence),
+//! score, error policy and breaker, quarantine, checkpoint cadence),
 //! [`model_io`] (JSON persistence of fitted models) and [`ndjson`] (the
 //! NDJSON verdict wire format). The serve path's byte-identical-to-`stream`
 //! guarantee rests on both front ends driving the same [`Pipeline`].

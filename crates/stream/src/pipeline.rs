@@ -4,8 +4,8 @@
 //!
 //! A [`Pipeline`] owns everything between a raw input line and a rendered
 //! verdict line: the line counter, the blank-line and header skips, the
-//! record parser ([`RecordFormat`]), the order-preserving batch buffer, the
-//! bad-record [`ErrorPolicy`] with its consecutive-failure breaker and
+//! record parser ([`RecordFormat`]), the scorer call, the bad-record
+//! [`ErrorPolicy`] with its consecutive-failure breaker and
 //! skip/quarantine totals, the quarantine file, and the checkpoint cadence.
 //! The front ends only move bytes: they hand a reader to [`Pipeline::run`],
 //! receive verdict lines through a [`Sink`], and word a [`Stop`] in their
@@ -20,7 +20,7 @@
 
 use crate::checkpoint::{Checkpoint, CheckpointError, RecoveredFrom};
 use crate::ndjson::{projection_labels, write_error, write_verdict};
-use crate::scorer::{OnlineScorer, Verdict};
+use crate::scorer::OnlineScorer;
 use hdoutlier_data::DataError;
 use hdoutlier_json::{FieldChain, Json, JsonError};
 use hdoutlier_obs as obs;
@@ -95,10 +95,6 @@ pub enum RecordFormat {
 pub struct Settings {
     /// Input line encoding.
     pub format: RecordFormat,
-    /// Records per pooled `score_batch` call (`1` = record-at-a-time).
-    pub batch: usize,
-    /// Pool workers for batched scoring.
-    pub threads: usize,
     /// Emit only outlier (and cadence-drift) verdicts.
     pub outliers_only: bool,
     /// Bad-record policy.
@@ -199,11 +195,6 @@ pub struct Pipeline {
     skipped: u64,
     quarantined: u64,
     quarantine: Option<File>,
-    /// Line number and raw text of each record in `rows`.
-    pending: Vec<(u64, String)>,
-    /// Parsed records waiting for one pooled `score_batch` call (only ever
-    /// non-empty when `batch > 1`).
-    rows: Vec<Vec<f64>>,
     /// The model's projections, rendered once for [`write_verdict`].
     labels: Vec<String>,
     /// The record being parsed, reused from line to line.
@@ -295,8 +286,6 @@ impl Pipeline {
             skipped,
             quarantined,
             quarantine,
-            pending: Vec::new(),
-            rows: Vec::with_capacity(settings.batch),
             labels: projection_labels(&scorer),
             row: Vec::new(),
             partial: Vec::new(),
@@ -344,13 +333,13 @@ impl Pipeline {
     }
 
     /// Feeds the lines of `input` through the pipeline, writing verdict
-    /// lines to `sink` in arrival order, and scores any partial batch at the
-    /// end. Lines end at `\n` (a `\r` before it is dropped), and the last
-    /// one may lack it. A failed read, or a line that is not UTF-8, is a bad
-    /// record without raw text whose reason reads `stdin read failed:
-    /// <cause>`; a read that fails mid-line drops the start of that line,
-    /// and its tail comes back as a line of its own. Returns `Ok` at the end
-    /// of the input or when the sink reports its consumer gone.
+    /// lines to `sink` in arrival order. Lines end at `\n` (a `\r` before
+    /// it is dropped), and the last one may lack it. A failed read, or a
+    /// line that is not UTF-8, is a bad record without raw text whose
+    /// reason reads `stdin read failed: <cause>`; a read that fails
+    /// mid-line drops the start of that line, and its tail comes back as a
+    /// line of its own. Returns `Ok` at the end of the input or when the
+    /// sink reports its consumer gone.
     ///
     /// The sink is flushed before every read of `input`, before every
     /// checkpoint, and on every way out, errors included.
@@ -363,11 +352,8 @@ impl Pipeline {
         partial.clear();
         let read = self.read(&mut input, &mut partial, sink);
         self.partial = partial;
-        // Also after a hang-up: the records were accepted and belong in
-        // the scorer state a checkpoint captures.
-        let result = read.and_then(|()| self.drain_batch(sink).map(drop));
         let flushed = self.flush_sink(sink);
-        result.and(flushed.map(drop))
+        read.and(flushed.map(drop))
     }
 
     /// Writes a checkpoint now. `Ok(None)` when none is configured.
@@ -452,18 +438,13 @@ impl Pipeline {
         self.push(text, sink)
     }
 
-    /// One decoded input line, or the reason it could not be read.
-    /// `Ok(false)` when the consumer hung up.
+    /// One decoded input line, or the reason it could not be read: parses
+    /// and scores the record, emits its verdict, and checkpoints on the
+    /// cadence. `Ok(false)` when the consumer hung up.
     fn push(&mut self, line: Result<&str, String>, sink: &mut impl Sink) -> Result<bool, Stop> {
         let text = match line {
             Ok(text) => text,
-            // Drain buffered records first so the error verdict lands at
-            // its arrival position in the output.
-            Err(reason) => {
-                return Ok(
-                    self.drain_batch(sink)? && self.bad_record(self.line_no, reason, None, sink)?
-                )
-            }
+            Err(reason) => return self.bad_record(reason, None, sink),
         };
         if text.trim().is_empty() {
             return Ok(true);
@@ -479,61 +460,15 @@ impl Pipeline {
             RecordFormat::Ndjson => parse_record_line(text, self.n_dims, &mut self.row),
         };
         if let Err(reason) = parsed {
-            return Ok(self.drain_batch(sink)?
-                && self.bad_record(self.line_no, reason, Some(text), sink)?);
+            return self.bad_record(reason, Some(text), sink);
         }
-        if self.settings.batch > 1 {
-            self.pending.push((self.line_no, text.to_string()));
-            self.rows.push(self.row.clone());
-            return if self.rows.len() >= self.settings.batch {
-                self.drain_batch(sink)
-            } else {
-                Ok(true)
-            };
-        }
-        let result = {
+        let scored = {
             let _span = obs::span(obs::Level::Trace, TARGET, "score_record");
             self.scorer.score_record(&self.row)
         };
-        self.settle(self.line_no, result, text, sink)
-    }
-
-    /// Scores the buffered records with one pooled call, then settles them
-    /// in arrival order. `Ok(false)` when the consumer hung up; the rest of
-    /// the batch is then dropped unsettled.
-    fn drain_batch(&mut self, sink: &mut impl Sink) -> Result<bool, Stop> {
-        if self.rows.is_empty() {
-            return Ok(true);
-        }
-        let results = {
-            let _span = obs::span(obs::Level::Trace, TARGET, "score_batch");
-            self.scorer.score_batch(&self.rows, self.settings.threads)
-        };
-        self.rows.clear();
-        let mut pending = std::mem::take(&mut self.pending);
-        let mut open = true;
-        for ((line, raw), result) in pending.drain(..).zip(results) {
-            open = self.settle(line, result, &raw, sink)?;
-            if !open {
-                break;
-            }
-        }
-        self.pending = pending;
-        Ok(open)
-    }
-
-    /// Emits the verdict of the record read at `line`, or runs the policy
-    /// ladder on its scoring error.
-    fn settle(
-        &mut self,
-        line: u64,
-        result: Result<Verdict, DataError>,
-        raw: &str,
-        sink: &mut impl Sink,
-    ) -> Result<bool, Stop> {
-        let verdict = match result {
+        let verdict = match scored {
             Ok(verdict) => verdict,
-            Err(e) => return self.bad_record(line, e.to_string(), Some(raw), sink),
+            Err(e) => return self.bad_record(e.to_string(), Some(text), sink),
         };
         self.consecutive_errors = 0;
         if !(self.settings.outliers_only && !verdict.outlier && verdict.drift.is_none()) {
@@ -574,15 +509,15 @@ impl Pipeline {
         sink.flush().map_err(Stop::Fatal)
     }
 
-    /// The skip/quarantine/abort ladder for the bad record read at `line`;
-    /// `raw` is `None` for a failed read.
+    /// The skip/quarantine/abort ladder for the bad record on the line just
+    /// read; `raw` is `None` for a failed read.
     fn bad_record(
         &mut self,
-        line: u64,
         reason: String,
         raw: Option<&str>,
         sink: &mut impl Sink,
     ) -> Result<bool, Stop> {
+        let line = self.line_no;
         self.consecutive_errors += 1;
         if self.settings.policy == ErrorPolicy::Abort {
             return Err(Stop::Abort { line, reason });

@@ -41,15 +41,6 @@ impl ScorerMetrics {
     }
 }
 
-/// The model-only scoring result for one record, before it is folded into
-/// the scorer's mutable state (arrival index, drift monitor, counters).
-#[derive(Debug, Clone)]
-struct ScoredRecord {
-    cells: Vec<u16>,
-    score: Option<f64>,
-    matched: Vec<usize>,
-}
-
 /// The scoring outcome for one arriving record.
 #[derive(Debug, Clone)]
 pub struct Verdict {
@@ -183,15 +174,24 @@ impl OnlineScorer {
         self.monitor.reset();
     }
 
-    /// The read-only half of scoring: discretize and match one record
-    /// against the immutable model. Depends only on `self.model`, mutates
-    /// nothing — which is what lets [`OnlineScorer::score_batch`] fan it out
-    /// across pool workers without changing any answer.
-    fn score_readonly(&self, row: &[f64]) -> Result<ScoredRecord, DataError> {
-        // Profiler-only frame (one relaxed load when profiling is off):
-        // attributes batch-scoring samples to the read-only phase on
-        // whichever pool worker runs it.
-        let _score = obs::profile_span(TARGET, "score");
+    /// Scores one arriving record: discretizes it under the trained grid,
+    /// matches it against the mined projections, folds its cells into the
+    /// drift monitor, runs the periodic drift check, and stamps the arrival
+    /// index.
+    ///
+    /// # Errors
+    /// [`DataError::ShapeMismatch`] on a record of the wrong width; the
+    /// scorer state is then left untouched.
+    pub fn score_record(&mut self, row: &[f64]) -> Result<Verdict, DataError> {
+        // Per-record wall-clock costs two `Instant::now` calls; only spend
+        // them when timing was requested (`obs::set_timing`, e.g. via the
+        // CLI's `--metrics-out`). The counters below are single relaxed
+        // atomic adds and always run.
+        let start = if obs::timing_enabled() {
+            Some(Instant::now())
+        } else {
+            None
+        };
         // The cells are assigned once and matched in place, as
         // `FittedModel::matches` would match them, so a record that matches
         // nothing allocates only its cells.
@@ -206,75 +206,6 @@ impl OnlineScorer {
             .fold(None, |acc: Option<f64>, s| {
                 Some(acc.map_or(s, |a| a.min(s)))
             });
-        Ok(ScoredRecord {
-            cells,
-            score,
-            matched,
-        })
-    }
-
-    /// Scores one arriving record.
-    ///
-    /// # Errors
-    /// [`DataError::ShapeMismatch`] on a record of the wrong width.
-    pub fn score_record(&mut self, row: &[f64]) -> Result<Verdict, DataError> {
-        // Per-record wall-clock costs two `Instant::now` calls; only spend
-        // them when timing was requested (`obs::set_timing`, e.g. via the
-        // CLI's `--metrics-out`). The counters below are single relaxed
-        // atomic adds and always run.
-        let start = if obs::timing_enabled() {
-            Some(Instant::now())
-        } else {
-            None
-        };
-        let scored = self.score_readonly(row)?;
-        let verdict = self.apply(scored)?;
-        if let Some(start) = start {
-            self.metrics
-                .record_latency_us
-                .record(start.elapsed().as_secs_f64() * 1e6);
-        }
-        Ok(verdict)
-    }
-
-    /// Scores a bounded batch of records, computing the read-only phase on
-    /// `threads` pool workers and then applying results to the mutable state
-    /// (drift monitor, counters, drift checks) serially in arrival order.
-    ///
-    /// Because [`OnlineScorer::score_readonly`] depends only on the
-    /// immutable fitted model, the verdicts — including drift reports and
-    /// arrival indices — are byte-identical to calling
-    /// [`OnlineScorer::score_record`] on each row in order, at any thread
-    /// count and any batch size. A malformed row yields an `Err` in its slot
-    /// and, exactly like the record-at-a-time path, leaves the scorer state
-    /// untouched for that row.
-    pub fn score_batch<R: AsRef<[f64]> + Sync>(
-        &mut self,
-        rows: &[R],
-        threads: usize,
-    ) -> Vec<Result<Verdict, DataError>> {
-        let scored: Vec<Result<ScoredRecord, DataError>> = if threads > 1 {
-            hdoutlier_pool::map(threads, rows, |_, row| self.score_readonly(row.as_ref()))
-        } else {
-            rows.iter()
-                .map(|row| self.score_readonly(row.as_ref()))
-                .collect()
-        };
-        scored
-            .into_iter()
-            .map(|r| r.and_then(|s| self.apply(s)))
-            .collect()
-    }
-
-    /// The stateful half of scoring: folds an already-scored record into the
-    /// drift monitor and counters, runs the periodic drift check, and stamps
-    /// the arrival index. Must run in arrival order, on one thread.
-    fn apply(&mut self, scored: ScoredRecord) -> Result<Verdict, DataError> {
-        let ScoredRecord {
-            cells,
-            score,
-            matched,
-        } = scored;
         self.monitor.observe_cells(&cells)?;
         let index = self.scored;
         self.scored += 1;
@@ -305,6 +236,11 @@ impl OnlineScorer {
         if !matched.is_empty() {
             self.outliers += 1;
             self.metrics.outliers.inc();
+        }
+        if let Some(start) = start {
+            self.metrics
+                .record_latency_us
+                .record(start.elapsed().as_secs_f64() * 1e6);
         }
         Ok(Verdict {
             index,
@@ -409,63 +345,9 @@ mod tests {
         assert_eq!(scorer.monitor().records_observed(), 0);
     }
 
-    /// A Verdict's full observable state, bit-exact, for equality checks.
-    fn fingerprint(v: &Verdict) -> (u64, Vec<u16>, bool, Option<u64>, Vec<usize>, Option<bool>) {
-        (
-            v.index,
-            v.cells.clone(),
-            v.outlier,
-            v.score.map(f64::to_bits),
-            v.matched.clone(),
-            v.drift.as_ref().map(|r| r.any_drift()),
-        )
-    }
-
-    #[test]
-    fn batch_scoring_matches_record_at_a_time_at_any_thread_count() {
-        let (model, planted) = fit();
-        let rows: Vec<Vec<f64>> = (0..300).map(|i| planted.dataset.row(i).to_vec()).collect();
-
-        let mut serial = OnlineScorer::new(model.clone()).unwrap();
-        serial.set_check_every(64).unwrap();
-        let want: Vec<_> = rows
-            .iter()
-            .map(|r| fingerprint(&serial.score_record(r).unwrap()))
-            .collect();
-
-        for threads in [1, 2, 8] {
-            let mut batched = OnlineScorer::new(model.clone()).unwrap();
-            batched.set_check_every(64).unwrap();
-            // Uneven batch sizes so drift-check cadence crosses batch edges.
-            let mut got = Vec::new();
-            for chunk in rows.chunks(37) {
-                for v in batched.score_batch(chunk, threads) {
-                    got.push(fingerprint(&v.unwrap()));
-                }
-            }
-            assert_eq!(got, want, "threads = {threads}");
-            assert_eq!(batched.records_scored(), serial.records_scored());
-            assert_eq!(batched.outliers_flagged(), serial.outliers_flagged());
-        }
-    }
-
-    #[test]
-    fn batch_error_rows_leave_state_untouched() {
-        let (model, planted) = fit();
-        let mut scorer = OnlineScorer::new(model).unwrap();
-        let good = planted.dataset.row(0).to_vec();
-        let rows = vec![good.clone(), vec![0.0], good.clone()];
-        let out = scorer.score_batch(&rows, 2);
-        assert!(out[0].is_ok());
-        assert!(out[1].is_err());
-        // The malformed row consumed no arrival index, same as score_record.
-        assert_eq!(out[2].as_ref().unwrap().index, 1);
-        assert_eq!(scorer.records_scored(), 2);
-    }
-
     #[test]
     fn configuration_is_validated() {
-        let (model, _) = fit();
+        let (model, planted) = fit();
         let mut scorer = OnlineScorer::new(model).unwrap();
         assert!(scorer.set_drift_alpha(0.0).is_err());
         assert!(scorer.set_drift_alpha(1.0).is_err());
@@ -473,5 +355,12 @@ mod tests {
         assert!(scorer.set_check_every(0).is_err());
         assert!(scorer.set_check_every(64).is_ok());
         assert!(scorer.score_record(&[0.0]).is_err()); // wrong width
+                                                       // The malformed record consumed no arrival index.
+        assert_eq!(scorer.records_scored(), 0);
+        assert_eq!(scorer.monitor().records_observed(), 0);
+        assert_eq!(
+            scorer.score_record(planted.dataset.row(0)).unwrap().index,
+            0
+        );
     }
 }

@@ -52,8 +52,6 @@ fn the_warm_record_loop_allocates_only_the_verdicts() {
             delimiter: ',',
             header: false,
         },
-        batch: 1,
-        threads: 1,
         outliers_only: false,
         policy: ErrorPolicy::Abort,
         max_consecutive: 100,

@@ -59,7 +59,7 @@ fn main() {
         &addr,
         "POST",
         "/sessions",
-        &format!("{{\"id\": \"demo\", \"batch\": 16, \"model\": {model_json}}}"),
+        &format!("{{\"id\": \"demo\", \"model\": {model_json}}}"),
         None,
     );
     assert_eq!(status, 201, "{body}");
