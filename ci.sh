@@ -42,9 +42,10 @@ cargo test -q --offline --workspace
 #   scrape /metrics over raw TCP (std-only client), assert the records
 #   counter and histogram buckets; validate `--trace-out` parses as Chrome
 #   trace-event JSON (crates/cli/tests/live.rs).
-# - Determinism: every pooled path (detect brute + seeded evolutionary,
-#   explain, baseline) must emit byte-identical --json reports at --threads
-#   1/2/8 (crates/cli/tests/determinism.rs).
+# - Determinism: every pooled path (detect brute, explain, baseline) must
+#   emit byte-identical --json reports at --threads 1/2/8, and so must the
+#   seeded evolutionary detect, which ignores --threads
+#   (crates/cli/tests/determinism.rs).
 # - Fault tolerance: checkpoint atomicity under simulated kills
 #   (crates/stream/tests/faults.rs) and the scripted-I/O harness driving the
 #   stream error policies, circuit breaker, kill/resume equivalence, and

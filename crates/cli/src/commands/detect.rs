@@ -26,8 +26,9 @@ OPTIONS:
     --seed <n>           RNG seed for the evolutionary search (default 0)
     --generations <n>    GA generation cap (default 500)
     --population <n>     GA population size (default 100)
-    --threads <n>        worker threads for the search (default: available
-                         cores; the report is identical at any thread count)
+    --threads <n>        worker threads for the brute-force search (default:
+                         available cores; the report is identical at any
+                         thread count; the evolutionary search runs on one)
     --save-model <path>  persist the fitted grid + projections as JSON
     --label-column <c>   strip column <c> (name, or index with --no-header)
     --delimiter <c>      field separator (default ',')

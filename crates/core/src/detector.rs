@@ -23,8 +23,9 @@ use std::time::Instant;
 /// Event target for the detector pipeline.
 const TARGET: &str = "hdoutlier.core";
 
-/// Buckets of `hdoutlier.core.pruned_fraction`: deciles, then the nines that
-/// separate "pruning helps" from "pruning is nearly the whole search".
+/// Buckets of `hdoutlier.core.pruned_fraction` and
+/// `hdoutlier.core.cache_hit_ratio`: deciles, then the nines that separate
+/// "pruning (or the memo table) helps" from "it is nearly the whole search".
 const PRUNED_FRACTION_BOUNDS: &[f64] = &[
     0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99, 0.999, 1.0,
 ];
@@ -123,10 +124,10 @@ pub struct DetectorConfig {
     pub max_generations: usize,
     /// Brute-force candidate budget (`None` = unlimited).
     pub max_candidates: Option<u64>,
-    /// Worker threads for the search fan-outs (brute-force partitions and
-    /// GA fitness evaluation). The task decomposition is thread-count
-    /// invariant, so any value >= 1 yields identical reports; 1 runs the
-    /// paper's serial algorithm inline.
+    /// Worker threads for the brute-force search's partitions. Its task
+    /// decomposition is thread-count invariant, so any value >= 1 yields
+    /// identical reports; 1 runs the paper's serial algorithm inline. The
+    /// evolutionary search ignores it and runs on the calling thread.
     pub threads: usize,
     /// Only report projections covering at least one record.
     pub require_nonempty: bool,
@@ -237,7 +238,15 @@ impl OutlierDetector {
             SearchMethod::Evolutionary => {
                 // The GA revisits strings constantly; memoize counts.
                 let cached = CachedCounter::new(counter);
-                self.run_evolutionary(&cached, k)
+                let report = self.run_evolutionary(&cached, k);
+                // Share of the search's count lookups the memo table
+                // answered (the seed population alone makes some), one
+                // observation per search like `pruned_fraction`.
+                let (hits, misses) = cached.stats();
+                obs::registry()
+                    .histogram_with_bounds("hdoutlier.core.cache_hit_ratio", PRUNED_FRACTION_BOUNDS)
+                    .record(hits as f64 / (hits + misses) as f64);
+                report
             }
         };
         Ok(match self.config.sparsity_threshold {
@@ -302,7 +311,7 @@ impl OutlierDetector {
         })
     }
 
-    fn run_evolutionary<C: CubeCounter + Sync>(&self, counter: &C, k: usize) -> OutlierReport {
+    fn run_evolutionary<C: CubeCounter>(&self, counter: &C, k: usize) -> OutlierReport {
         let fitness = SparsityFitness::new(counter, k);
         let start = Instant::now();
         let search_span = obs::span(obs::Level::Debug, TARGET, "search");
@@ -320,7 +329,7 @@ impl OutlierDetector {
                 require_nonempty: self.config.require_nonempty,
                 track_internal_candidates: true,
                 seed: self.config.seed,
-                threads: self.config.threads.max(1),
+                ..EvolutionaryConfig::default()
             },
         );
         drop(search_span);
@@ -472,8 +481,8 @@ impl DetectorBuilder {
         self
     }
 
-    /// Uses `t` pool workers for the search fan-outs (identical reports at
-    /// any `t >= 1`).
+    /// Uses `t` pool workers for the brute-force search (identical reports
+    /// at any `t >= 1`; the evolutionary search ignores it).
     pub fn threads(mut self, t: usize) -> Self {
         self.config.threads = t;
         self
@@ -556,6 +565,32 @@ mod tests {
         // above 0.9 whatever else lands in the histogram.
         assert!(after.count > before, "no observation recorded");
         assert!(after.max > 0.9 && after.max <= 1.0, "{}", after.max);
+    }
+
+    #[test]
+    fn evolutionary_search_records_its_cache_hit_ratio() {
+        let ratio = || {
+            obs::registry()
+                .histogram_with_bounds("hdoutlier.core.cache_hit_ratio", PRUNED_FRACTION_BOUNDS)
+                .snapshot()
+        };
+        let before = ratio().count;
+        // Every generation rescores most of its parents' cubes, so most
+        // count lookups are memo hits.
+        OutlierDetector::builder()
+            .phi(5)
+            .k(2)
+            .seed(3)
+            .max_generations(30)
+            .search(SearchMethod::Evolutionary)
+            .build()
+            .detect(&planted().dataset)
+            .unwrap();
+        let after = ratio();
+        // Other tests may record concurrently; this run's ratio is above
+        // one half whatever else lands in the histogram.
+        assert!(after.count > before, "no observation recorded");
+        assert!(after.max > 0.5 && after.max <= 1.0, "{}", after.max);
     }
 
     #[test]

@@ -44,8 +44,8 @@ pub struct EvolutionaryConfig {
     pub track_internal_candidates: bool,
     /// RNG seed.
     pub seed: u64,
-    /// Worker threads for fitness evaluation (the engine's only parallel
-    /// stage). The reported best-set is identical at any thread count.
+    /// Ignored: the search scores fitness on the calling thread. Kept only
+    /// so existing struct literals still compile; nothing reads it.
     pub threads: usize,
 }
 
@@ -135,7 +135,7 @@ impl<C: CubeCounter> EvolutionaryProblem for ProjectionProblem<'_, C> {
 ///
 /// # Panics
 /// Panics if the population size or `m` is zero.
-pub fn evolutionary_search<C: CubeCounter + Sync>(
+pub fn evolutionary_search<C: CubeCounter>(
     fitness: &SparsityFitness<'_, C>,
     config: &EvolutionaryConfig,
 ) -> EvolutionaryOutcome {
@@ -162,10 +162,7 @@ pub fn evolutionary_search<C: CubeCounter + Sync>(
             selection: config.selection,
             convergence_threshold: config.convergence_threshold,
             max_generations: config.max_generations,
-            stall_generations: None,
-            elitism: 0,
             seed: config.seed,
-            threads: config.threads.max(1),
         },
     );
     // Without internal tracking, collect population-level evaluations only
@@ -261,7 +258,7 @@ pub struct MultiRestartOutcome {
 /// restart to look elsewhere.
 ///
 /// Bans are cleared before returning so the fitness can be reused.
-pub fn multi_restart_search<C: CubeCounter + Sync>(
+pub fn multi_restart_search<C: CubeCounter>(
     fitness: &SparsityFitness<'_, C>,
     config: &MultiRestartConfig,
 ) -> MultiRestartOutcome {
@@ -475,33 +472,6 @@ mod tests {
             optimized < two_point - 0.3,
             "optimized {optimized} vs two-point {two_point}"
         );
-    }
-
-    #[test]
-    fn cache_stats_repeat_exactly_at_any_thread_count() {
-        // The memo table counts a miss only for the insert that adds a key,
-        // so racing workers cannot move `(hits, misses)` between runs.
-        let (counter, _) = planted_counter(12, 49);
-        let stats = |threads: usize| {
-            let cached = hdoutlier_index::CachedCounter::new(counter.clone());
-            let fitness = SparsityFitness::new(&cached, 3);
-            evolutionary_search(
-                &fitness,
-                &EvolutionaryConfig {
-                    m: 10,
-                    seed: 7,
-                    max_generations: 40,
-                    threads,
-                    ..EvolutionaryConfig::default()
-                },
-            );
-            cached.stats()
-        };
-        let serial = stats(1);
-        assert!(serial.0 > 0 && serial.1 > 0, "{serial:?}");
-        for run in 0..5 {
-            assert_eq!(stats(2), serial, "two-thread run {run}");
-        }
     }
 
     #[test]

@@ -9,8 +9,8 @@
 use crate::projection::Projection;
 use hdoutlier_index::{Cube, CubeCounter};
 use hdoutlier_stats::SparsityParams;
-use std::collections::HashMap;
-use std::sync::Mutex;
+use std::cell::RefCell;
+use std::collections::{HashMap, HashSet};
 
 /// Evaluates sparsity coefficients for projections of a fixed dataset.
 pub struct SparsityFitness<'a, C: CubeCounter> {
@@ -26,18 +26,16 @@ pub struct SparsityFitness<'a, C: CubeCounter> {
     /// examines internally. The evolutionary search drains this to build its
     /// best-m set, so solutions the algorithm *computed* but never promoted
     /// into the population still count as "kept track of" (paper Fig. 3).
-    ///
-    /// Behind a `Mutex` (not `RefCell`) so the evolve engine can fan fitness
-    /// evaluation out across pool workers; insertion order is irrelevant —
-    /// the evolutionary search sorts the drained map deterministically.
-    tracked: Mutex<Option<HashMap<Cube, f64>>>,
+    /// Insertion order is irrelevant: the evolutionary search sorts the
+    /// drained map deterministically.
+    tracked: RefCell<Option<HashMap<Cube, f64>>>,
     /// Tabu set for multi-restart search: genomes whose cube is banned score
     /// `+∞` so the population is pushed toward *new* sparse regions. Bans
     /// apply only at the genome level ([`SparsityFitness::evaluate`]); the
     /// crossover's internal [`SparsityFitness::sparsity_of_cube`] calls
     /// still see true scores, so banned cubes remain usable as stepping
     /// stones.
-    banned: Mutex<std::collections::HashSet<Cube>>,
+    banned: RefCell<HashSet<Cube>>,
 }
 
 impl<'a, C: CubeCounter> SparsityFitness<'a, C> {
@@ -67,8 +65,8 @@ impl<'a, C: CubeCounter> SparsityFitness<'a, C> {
             counter,
             k,
             params_by_k,
-            tracked: Mutex::new(None),
-            banned: Mutex::new(std::collections::HashSet::new()),
+            tracked: RefCell::new(None),
+            banned: RefCell::new(HashSet::new()),
         }
     }
 
@@ -76,34 +74,30 @@ impl<'a, C: CubeCounter> SparsityFitness<'a, C> {
     /// [`crate::evolutionary::multi_restart_search`] to force successive
     /// restarts into unexplored regions.
     pub fn ban(&self, cube: Cube) {
-        self.banned.lock().expect("ban set poisoned").insert(cube);
+        self.banned.borrow_mut().insert(cube);
     }
 
     /// Number of currently banned cubes.
     pub fn banned_len(&self) -> usize {
-        self.banned.lock().expect("ban set poisoned").len()
+        self.banned.borrow().len()
     }
 
     /// Removes all bans.
     pub fn clear_bans(&self) {
-        self.banned.lock().expect("ban set poisoned").clear();
+        self.banned.borrow_mut().clear();
     }
 
     /// Starts recording every full-k cube scored by this fitness (idempotent;
     /// clears any previous recording).
     pub fn enable_tracking(&self) {
-        *self.tracked.lock().expect("tracking map poisoned") = Some(HashMap::new());
+        *self.tracked.borrow_mut() = Some(HashMap::new());
     }
 
     /// Stops recording and returns everything recorded since
     /// [`SparsityFitness::enable_tracking`]. Returns an empty map if
     /// tracking was never enabled.
     pub fn take_tracked(&self) -> HashMap<Cube, f64> {
-        self.tracked
-            .lock()
-            .expect("tracking map poisoned")
-            .take()
-            .unwrap_or_default()
+        self.tracked.borrow_mut().take().unwrap_or_default()
     }
 
     /// The run's target dimensionality.
@@ -130,12 +124,7 @@ impl<'a, C: CubeCounter> SparsityFitness<'a, C> {
         let cube = projection
             .to_cube()
             .expect("feasible projection with k >= 1 has a cube");
-        if self
-            .banned
-            .lock()
-            .expect("ban set poisoned")
-            .contains(&cube)
-        {
+        if self.banned.borrow().contains(&cube) {
             return f64::INFINITY;
         }
         self.sparsity_of_cube(&cube)
@@ -149,9 +138,7 @@ impl<'a, C: CubeCounter> SparsityFitness<'a, C> {
             Some(params) => {
                 let s = params.sparsity(self.counter.count(cube) as u64);
                 if cube.k() == self.k {
-                    if let Some(tracked) =
-                        self.tracked.lock().expect("tracking map poisoned").as_mut()
-                    {
+                    if let Some(tracked) = self.tracked.borrow_mut().as_mut() {
                         tracked.insert(cube.clone(), s);
                     }
                 }

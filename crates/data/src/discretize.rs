@@ -185,13 +185,17 @@ impl Discretized {
 /// Rank-based equi-depth assignment of one column. NaNs get [`MISSING_CELL`].
 fn equi_depth_assign(column: &[f64], phi: u32) -> Vec<u16> {
     let n = column.len();
-    let mut present: Vec<usize> = (0..n).filter(|&i| !column[i].is_nan()).collect();
-    // Stable sort by value; ties keep row order, making the split
-    // deterministic.
-    present.sort_by(|&a, &b| column[a].partial_cmp(&column[b]).expect("NaNs filtered"));
+    // Sort by value, ties by row, making the split deterministic. `-0.0` is
+    // keyed as `0.0`: `total_cmp` orders the two zeros, but they are equal
+    // values and must tie like any other.
+    let mut present: Vec<(f64, usize)> = (0..n)
+        .filter(|&i| !column[i].is_nan())
+        .map(|i| (if column[i] == 0.0 { 0.0 } else { column[i] }, i))
+        .collect();
+    present.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
     let m = present.len();
     let mut cells = vec![MISSING_CELL; n];
-    for (rank, &row) in present.iter().enumerate() {
+    for (rank, &(_, row)) in present.iter().enumerate() {
         // Range of rank r in a φ-way split of m items: floor(r·φ/m),
         // clamped for safety at the top.
         let cell = ((rank as u64 * phi as u64) / m.max(1) as u64).min(phi as u64 - 1);

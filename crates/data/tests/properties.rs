@@ -86,6 +86,19 @@ fn equi_depth_ranges_hold_within_one_of_each_other() {
     });
 }
 
+/// `0.0` and `-0.0` are one value: they tie, and ties split by row order.
+#[test]
+fn equi_depth_ties_both_zeros_in_row_order() {
+    let column = [0.0, -0.0, -0.0, 0.0, -1.0, 1.0];
+    let ds = Dataset::new(column.to_vec(), column.len(), 1).unwrap();
+    let disc = Discretized::new(&ds, 3, DiscretizeStrategy::EquiDepth).unwrap();
+    let cells: Vec<u16> = (0..column.len()).map(|row| disc.cell(row, 0)).collect();
+    // Ranks: -1.0 first, then the four zeros as rows 0, 1, 2, 3, then 1.0.
+    assert_eq!(cells, [0, 1, 1, 2, 0, 2]);
+    let counts: Vec<usize> = (0..3).map(|r| disc.grid_range(0, r).count).collect();
+    assert_eq!(counts, [2, 2, 2]);
+}
+
 #[test]
 fn discretization_preserves_missingness() {
     for_each_case(0xda7a_0002, 256, |rng| {

@@ -105,22 +105,8 @@ pub struct EngineConfig {
     /// Hard cap on generations (safety net — convergence is the intended
     /// termination, but pathological operators could cycle forever).
     pub max_generations: usize,
-    /// Stop after this many consecutive generations without improving the
-    /// best fitness seen. `None` disables the stall check.
-    pub stall_generations: Option<usize>,
-    /// Elitism: carry the `elitism` fittest genomes of each generation into
-    /// the next unchanged, replacing its worst children. The paper relies on
-    /// its external BestSet instead of elitism (0 here reproduces that);
-    /// nonzero values are a standard refinement that guarantees the
-    /// population's best fitness is monotone.
-    pub elitism: usize,
     /// RNG seed; every run with the same seed and problem is identical.
     pub seed: u64,
-    /// Worker threads for fitness evaluation. Fitness is the only stage that
-    /// fans out: it consumes no RNG, so the fitness vector is byte-identical
-    /// at any thread count, while selection, crossover, and mutation stay on
-    /// the single seeded stream. `1` evaluates inline with no pool.
-    pub threads: usize,
 }
 
 impl Default for EngineConfig {
@@ -130,32 +116,7 @@ impl Default for EngineConfig {
             selection: SelectionScheme::RankRoulette,
             convergence_threshold: 0.95,
             max_generations: 1000,
-            stall_generations: None,
-            elitism: 0,
             seed: 0,
-            threads: 1,
-        }
-    }
-}
-
-/// Why a run ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Termination {
-    /// De Jong convergence: ≥ threshold agreement on every gene.
-    Converged,
-    /// Hit the `max_generations` cap.
-    MaxGenerations,
-    /// No improvement for `stall_generations` generations.
-    Stalled,
-}
-
-impl Termination {
-    /// Short lower-case name, as emitted in run-summary events.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Termination::Converged => "converged",
-            Termination::MaxGenerations => "max_generations",
-            Termination::Stalled => "stalled",
         }
     }
 }
@@ -169,13 +130,11 @@ pub struct RunStats {
     pub evaluations: u64,
     /// Best fitness ever observed.
     pub best_fitness: f64,
-    /// Why the run ended.
-    pub termination: Termination,
-    /// Whether the run ended by De Jong convergence (shorthand for
-    /// `termination == Termination::Converged`).
+    /// Whether the run ended by De Jong convergence (≥ threshold agreement
+    /// on every gene) rather than at the `max_generations` cap.
     pub converged: bool,
     /// Best fitness of each evaluated population, in order: entry 0 is the
-    /// seed population, entry `i > 0` is generation `i` (after elitism).
+    /// seed population, entry `i > 0` is generation `i`.
     /// Length is `generations_run + 1`.
     pub best_history: Vec<f64>,
 }
@@ -198,16 +157,7 @@ impl<'a, P: EvolutionaryProblem> Engine<'a, P> {
 
     /// Runs to termination. `observer` sees every `(genome, fitness)`
     /// evaluation, including the seed population, in evaluation order.
-    ///
-    /// With `threads > 1` the fitness values are computed by a worker pool,
-    /// but the observer still runs serially on this thread in population
-    /// order, so callers see the exact same call sequence at any thread
-    /// count.
-    pub fn run<F: FnMut(&P::Genome, f64)>(&self, mut observer: F) -> RunStats
-    where
-        P: Sync,
-        P::Genome: Sync,
-    {
+    pub fn run<F: FnMut(&P::Genome, f64)>(&self, mut observer: F) -> RunStats {
         let metrics = EngineMetrics::resolve();
         // Stage timing costs four clock reads per generation; spend them
         // only when someone collects the numbers (debug logging or an
@@ -221,35 +171,24 @@ impl<'a, P: EvolutionaryProblem> Engine<'a, P> {
         let mut evaluations: u64 = 0;
         let mut best = f64::INFINITY;
 
+        // Scores each member in population order, on this thread: the
+        // observer sees the same call sequence as the fitness.
         let evaluate =
             |pop: &[P::Genome], observer: &mut F, evals: &mut u64, best: &mut f64| -> Vec<f64> {
-                // Fitness first, fanned out when configured: `fitness` takes
-                // `&self` and no RNG, so the values are independent of the
-                // thread count. The bookkeeping pass below stays serial and
-                // in population order — the observer (and therefore the
-                // detector's best-set) sees an identical call sequence
-                // whether the pool ran with 1 worker or 8.
-                let values: Vec<f64> = if self.config.threads > 1 {
-                    hdoutlier_pool::map(self.config.threads, pop, |_, g| {
-                        let _eval = obs::profile_span(TARGET, "evaluate");
-                        self.problem.fitness(g)
-                    })
-                } else {
-                    pop.iter()
-                        .map(|g| {
+                pop.iter()
+                    .map(|g| {
+                        let f = {
                             let _eval = obs::profile_span(TARGET, "evaluate");
                             self.problem.fitness(g)
-                        })
-                        .collect()
-                };
-                for (g, &f) in pop.iter().zip(&values) {
-                    *evals += 1;
-                    if f < *best {
-                        *best = f;
-                    }
-                    observer(g, f);
-                }
-                values
+                        };
+                        *evals += 1;
+                        if f < *best {
+                            *best = f;
+                        }
+                        observer(g, f);
+                        f
+                    })
+                    .collect()
             };
 
         let gen_best = |fitness: &[f64]| fitness.iter().copied().fold(f64::INFINITY, f64::min);
@@ -270,35 +209,17 @@ impl<'a, P: EvolutionaryProblem> Engine<'a, P> {
         );
 
         let mut generations = 0usize;
-        let mut stall = 0usize;
-        // Elite snapshot carried between generations when elitism is on.
-        let mut elite: Vec<(P::Genome, f64)> = if self.config.elitism > 0 {
-            let mut order: Vec<usize> = (0..population.len()).collect();
-            order.sort_by(|&a, &b| fitness[a].partial_cmp(&fitness[b]).expect("comparable"));
-            order
-                .into_iter()
-                .take(self.config.elitism)
-                .map(|i| (population[i].clone(), fitness[i]))
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let termination = loop {
+        let converged = loop {
             // Termination checks first, so a converged seed stops at once.
             let views: Vec<Vec<u32>> = population
                 .iter()
                 .map(|g| self.problem.gene_view(g))
                 .collect();
             if population_converged(&views, self.config.convergence_threshold) {
-                break Termination::Converged;
+                break true;
             }
             if generations >= self.config.max_generations {
-                break Termination::MaxGenerations;
-            }
-            if let Some(limit) = self.config.stall_generations {
-                if stall >= limit {
-                    break Termination::Stalled;
-                }
+                break false;
             }
 
             let gen_start = if timed { Some(Instant::now()) } else { None };
@@ -331,38 +252,12 @@ impl<'a, P: EvolutionaryProblem> Engine<'a, P> {
             });
 
             population = next;
-            let before = best;
             let evals_before = evaluations;
             let (new_fitness, evaluate_us) = timed_stage(timed, &metrics.evaluate_us, || {
                 evaluate(&population, &mut observer, &mut evaluations, &mut best)
             });
             fitness = new_fitness;
             metrics.evaluations.add(evaluations - evals_before);
-
-            // Elitism: reinstate the previous generation's best genomes over
-            // this generation's worst (using the already-computed fitness of
-            // both, so no extra evaluations are spent).
-            if self.config.elitism > 0 {
-                let e = self.config.elitism.min(elite.len());
-                let mut worst: Vec<usize> = (0..population.len()).collect();
-                worst.sort_by(|&a, &b| fitness[b].partial_cmp(&fitness[a]).expect("comparable"));
-                for (slot, (genome, f)) in worst.iter().zip(elite.drain(..e)) {
-                    if f < fitness[*slot] {
-                        population[*slot] = genome;
-                        fitness[*slot] = f;
-                    }
-                }
-            }
-            // Snapshot the elite for the next generation.
-            if self.config.elitism > 0 {
-                let mut order: Vec<usize> = (0..population.len()).collect();
-                order.sort_by(|&a, &b| fitness[a].partial_cmp(&fitness[b]).expect("comparable"));
-                elite = order
-                    .into_iter()
-                    .take(self.config.elitism)
-                    .map(|i| (population[i].clone(), fitness[i]))
-                    .collect();
-            }
 
             best_history.push(gen_best(&fitness));
             metrics.generations.inc();
@@ -408,7 +303,6 @@ impl<'a, P: EvolutionaryProblem> Engine<'a, P> {
                 );
             }
 
-            stall = if best < before { 0 } else { stall + 1 };
             generations += 1;
         };
 
@@ -420,7 +314,14 @@ impl<'a, P: EvolutionaryProblem> Engine<'a, P> {
                 ("generations", obs::Value::U64(generations as u64)),
                 ("evaluations", obs::Value::U64(evaluations)),
                 ("best_fitness", obs::Value::F64(best)),
-                ("termination", obs::Value::Str(termination.as_str())),
+                (
+                    "termination",
+                    obs::Value::Str(if converged {
+                        "converged"
+                    } else {
+                        "max_generations"
+                    }),
+                ),
             ],
         );
 
@@ -428,8 +329,7 @@ impl<'a, P: EvolutionaryProblem> Engine<'a, P> {
             generations_run: generations,
             evaluations,
             best_fitness: best,
-            termination,
-            converged: termination == Termination::Converged,
+            converged,
             best_history,
         }
     }
@@ -568,46 +468,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_evaluation_is_thread_count_invariant() {
-        // The pool only computes fitness values; selection/crossover/mutation
-        // stay on the seeded stream and the observer runs serially, so the
-        // full evaluation trace must be byte-identical at any thread count.
-        let problem = OneMax {
-            len: 20,
-            mutation_rate: 0.02,
-        };
-        let run = |threads: usize| {
-            let engine = Engine::new(
-                &problem,
-                EngineConfig {
-                    population: 40,
-                    max_generations: 60,
-                    seed: 11,
-                    threads,
-                    ..EngineConfig::default()
-                },
-            );
-            let mut trace: Vec<u64> = Vec::new();
-            let stats = engine.run(|_, f| trace.push(f.to_bits()));
-            (
-                trace,
-                stats.best_fitness.to_bits(),
-                stats.generations_run,
-                stats.evaluations,
-                stats
-                    .best_history
-                    .iter()
-                    .map(|f| f.to_bits())
-                    .collect::<Vec<_>>(),
-            )
-        };
-        let serial = run(1);
-        for threads in [2, 4, 8] {
-            assert_eq!(run(threads), serial, "threads = {threads}");
-        }
-    }
-
-    #[test]
     fn converged_seed_population_stops_immediately() {
         // Mutation off, crossover preserves identical genomes; a fully
         // uniform random problem where random_genome is constant converges
@@ -632,7 +492,6 @@ mod tests {
         let engine = Engine::new(&Constant, EngineConfig::default());
         let stats = engine.run(|_, _| {});
         assert_eq!(stats.generations_run, 0);
-        assert_eq!(stats.termination, Termination::Converged);
         assert!(stats.converged);
         assert_eq!(stats.evaluations, 100);
         assert_eq!(stats.best_history, vec![0.0]);
@@ -656,47 +515,8 @@ mod tests {
         );
         let stats = engine.run(|_, _| {});
         assert_eq!(stats.generations_run, 5);
-        assert_eq!(stats.termination, Termination::MaxGenerations);
         assert!(!stats.converged);
         assert_eq!(stats.best_history.len(), 6); // seed + 5 generations
-    }
-
-    #[test]
-    fn stall_termination_fires() {
-        // A flat fitness landscape never improves after the seed.
-        struct Flat;
-        impl EvolutionaryProblem for Flat {
-            type Genome = Vec<u8>;
-            fn random_genome(&self, rng: &mut StdRng) -> Vec<u8> {
-                vec![rng.gen_range(0..=200)]
-            }
-            fn fitness(&self, _: &Vec<u8>) -> f64 {
-                1.0
-            }
-            fn crossover(&self, a: &Vec<u8>, b: &Vec<u8>, _: &mut StdRng) -> (Vec<u8>, Vec<u8>) {
-                (a.clone(), b.clone())
-            }
-            fn mutate(&self, g: &mut Vec<u8>, rng: &mut StdRng) {
-                g[0] = rng.gen_range(0..=200); // keep the population diverse
-            }
-            fn gene_view(&self, g: &Vec<u8>) -> Vec<u32> {
-                g.iter().map(|&b| b as u32).collect()
-            }
-        }
-        let engine = Engine::new(
-            &Flat,
-            EngineConfig {
-                population: 50,
-                stall_generations: Some(3),
-                max_generations: 1000,
-                seed: 2,
-                ..EngineConfig::default()
-            },
-        );
-        let stats = engine.run(|_, _| {});
-        assert_eq!(stats.termination, Termination::Stalled);
-        assert!(!stats.converged);
-        assert!(stats.generations_run <= 10);
     }
 
     #[test]
@@ -719,63 +539,6 @@ mod tests {
         let stats = engine.run(|_, _| count += 1);
         assert_eq!(count, stats.evaluations);
         assert_eq!(count, 10 * 4); // seed + 3 generations
-    }
-
-    #[test]
-    fn elitism_rescues_destructive_mutation() {
-        // Mutation so hot it destroys good genomes every generation: without
-        // elitism the population cannot hold on to progress; with it, the
-        // best genomes persist and selection can climb.
-        let problem = OneMax {
-            len: 40,
-            mutation_rate: 0.25,
-        };
-        let run = |elitism: usize| {
-            let engine = Engine::new(
-                &problem,
-                EngineConfig {
-                    population: 40,
-                    max_generations: 120,
-                    convergence_threshold: 1.01, // force the full budget
-                    elitism,
-                    seed: 77,
-                    ..EngineConfig::default()
-                },
-            );
-            engine.run(|_, _| {}).best_fitness
-        };
-        let without = run(0);
-        let with = run(4);
-        assert!(
-            with <= without - 2.0,
-            "elitism {with} vs none {without} (lower = better)"
-        );
-        assert!(with <= -34.0, "elitism should get close to optimal: {with}");
-    }
-
-    #[test]
-    fn elitism_zero_matches_legacy_behavior() {
-        let problem = OneMax {
-            len: 12,
-            mutation_rate: 0.05,
-        };
-        let config = EngineConfig {
-            population: 20,
-            max_generations: 25,
-            seed: 5,
-            ..EngineConfig::default()
-        };
-        let a = Engine::new(&problem, config.clone()).run(|_, _| {});
-        let b = Engine::new(
-            &problem,
-            EngineConfig {
-                elitism: 0,
-                ..config
-            },
-        )
-        .run(|_, _| {});
-        assert_eq!(a.best_fitness, b.best_fitness);
-        assert_eq!(a.evaluations, b.evaluations);
     }
 
     #[test]

@@ -24,7 +24,5 @@ pub mod engine;
 pub mod selection;
 
 pub use convergence::{gene_convergence, population_converged};
-pub use engine::{
-    two_point_crossover, Engine, EngineConfig, EvolutionaryProblem, RunStats, Termination,
-};
+pub use engine::{two_point_crossover, Engine, EngineConfig, EvolutionaryProblem, RunStats};
 pub use selection::SelectionScheme;

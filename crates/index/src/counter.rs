@@ -14,9 +14,8 @@
 use crate::cube::Cube;
 use crate::grid::GridIndex;
 use hdoutlier_data::discretize::{Discretized, MISSING_CELL};
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 /// Anything that can report cube occupancy for a fixed dataset.
 pub trait CubeCounter {
@@ -129,17 +128,13 @@ impl CubeCounter for NaiveCounter {
 /// Only `count` is cached (it is the fitness hot path); `rows` delegates —
 /// it is called once per reported projection, not per generation.
 ///
-/// The memo table sits behind a `Mutex` so parallel fitness evaluation can
-/// share one cache: a race between two workers on the same uncached cube
-/// merely recomputes an idempotent count, it never changes an answer. Only
-/// the insert that adds a key counts as a miss; the loser of such a race
-/// counts as a hit, so [`CachedCounter::stats`] depends on the lookups made,
-/// not on how the workers interleaved.
+/// The memo table is single-threaded (`RefCell`), so the wrapper is not
+/// `Sync`: the evolutionary search that uses it scores on one thread.
 pub struct CachedCounter<C: CubeCounter> {
     inner: C,
-    cache: Mutex<HashMap<Cube, usize>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
+    cache: RefCell<HashMap<Cube, usize>>,
+    hits: Cell<u64>,
+    misses: Cell<u64>,
 }
 
 impl<C: CubeCounter> CachedCounter<C> {
@@ -147,23 +142,20 @@ impl<C: CubeCounter> CachedCounter<C> {
     pub fn new(inner: C) -> Self {
         Self {
             inner,
-            cache: Mutex::new(HashMap::new()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
+            cache: RefCell::new(HashMap::new()),
+            hits: Cell::new(0),
+            misses: Cell::new(0),
         }
     }
 
-    /// `(hits, misses)` since construction — exposed for the cache ablation.
+    /// `(hits, misses)` since construction.
     pub fn stats(&self) -> (u64, u64) {
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-        )
+        (self.hits.get(), self.misses.get())
     }
 
     /// Drops all memoized entries.
     pub fn clear(&self) {
-        self.cache.lock().expect("memo table poisoned").clear();
+        self.cache.borrow_mut().clear();
     }
 
     /// Unwraps the inner counter.
@@ -174,21 +166,14 @@ impl<C: CubeCounter> CachedCounter<C> {
 
 impl<C: CubeCounter> CubeCounter for CachedCounter<C> {
     fn count(&self, cube: &Cube) -> usize {
-        if let Some(&n) = self.cache.lock().expect("memo table poisoned").get(cube) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
+        let mut cache = self.cache.borrow_mut();
+        if let Some(&n) = cache.get(cube) {
+            self.hits.set(self.hits.get() + 1);
             return n;
         }
-        // Count outside the lock: an expensive intersection must not
-        // serialize the other workers behind the memo table.
         let n = self.inner.count(cube);
-        let added = self
-            .cache
-            .lock()
-            .expect("memo table poisoned")
-            .insert(cube.clone(), n)
-            .is_none();
-        let tally = if added { &self.misses } else { &self.hits };
-        tally.fetch_add(1, Ordering::Relaxed);
+        cache.insert(cube.clone(), n);
+        self.misses.set(self.misses.get() + 1);
         n
     }
 

@@ -127,29 +127,58 @@ const SLO_VERDICT_TTL: Duration = Duration::from_millis(250);
 /// capped by `max_sessions` at any moment.
 struct ServeMetrics {
     sessions: obs::Gauge,
-    requests: obs::CounterVec,
-    request_duration_us: obs::HistogramVec,
-    records: obs::CounterVec,
-    record_errors: obs::CounterVec,
     drains: obs::Counter,
     shed: obs::CounterVec,
     replay_hits: obs::Counter,
     drain_errors: obs::Counter,
+    /// The SLO inputs in the process-wide registry, which `/metrics`
+    /// exposes.
+    global: SloSeries,
+    /// The same series in this app's own registry, the only one
+    /// [`ServeApp::sample_slo`] reads: two apps in one process never judge
+    /// each other's traffic.
+    own: SloSeries,
+    own_registry: obs::Registry,
 }
 
 impl ServeMetrics {
     fn resolve() -> Self {
         let r = obs::registry();
+        let own_registry = obs::Registry::new();
         ServeMetrics {
             sessions: r.gauge("hdoutlier.serve.sessions"),
-            requests: r.counter_vec("hdoutlier.serve.requests", &["route", "status"]),
-            request_duration_us: r.histogram_vec("hdoutlier.serve.request_duration_us", &["route"]),
-            records: r.counter_vec("hdoutlier.serve.records", &["session"]),
-            record_errors: r.counter_vec("hdoutlier.serve.record_errors", &["session"]),
             drains: r.counter("hdoutlier.serve.drains"),
             shed: r.counter_vec("hdoutlier.serve.shed", &["reason"]),
             replay_hits: r.counter("hdoutlier.serve.replay_hits"),
             drain_errors: r.counter("hdoutlier.serve.drain_errors"),
+            global: SloSeries::resolve(r),
+            own: SloSeries::resolve(&own_registry),
+            own_registry,
+        }
+    }
+
+    /// Both copies of the SLO inputs.
+    fn slo_series(&self) -> [&SloSeries; 2] {
+        [&self.global, &self.own]
+    }
+}
+
+/// The four series the SLO engine judges: per-route requests and latency,
+/// per-session records and bad records.
+struct SloSeries {
+    requests: obs::CounterVec,
+    request_duration_us: obs::HistogramVec,
+    records: obs::CounterVec,
+    record_errors: obs::CounterVec,
+}
+
+impl SloSeries {
+    fn resolve(r: &obs::Registry) -> Self {
+        SloSeries {
+            requests: r.counter_vec("hdoutlier.serve.requests", &["route", "status"]),
+            request_duration_us: r.histogram_vec("hdoutlier.serve.request_duration_us", &["route"]),
+            records: r.counter_vec("hdoutlier.serve.records", &["session"]),
+            record_errors: r.counter_vec("hdoutlier.serve.record_errors", &["session"]),
         }
     }
 }
@@ -226,7 +255,7 @@ impl ServeApp {
             },
             config.slo_window,
         );
-        let app = Arc::new(ServeApp {
+        Arc::new(ServeApp {
             config,
             sessions: Mutex::new(BTreeMap::new()),
             next_id: AtomicU64::new(1),
@@ -235,14 +264,7 @@ impl ServeApp {
             slo,
             inflight_scores: AtomicU64::new(0),
             slo_verdict: Mutex::new(None),
-        });
-        // Establish a baseline SLO sample now, so every later evaluation
-        // deltas against *this server's* start rather than a zero origin —
-        // the process-global metrics registry may carry history from an
-        // earlier server in the same process (tests, embedding), and that
-        // history must not feed the admission controller.
-        app.sample_slo();
-        app
+        })
     }
 
     /// The configuration the app was built with.
@@ -332,11 +354,13 @@ impl ServeApp {
         // `shed{reason}` only (see [`Activity::shed`]), so admission
         // control's 503s cannot feed the SLO verdict it sheds on.
         if !activity.shed {
-            self.metrics.requests.with(&[route, &status]).inc();
-            self.metrics
-                .request_duration_us
-                .with(&[route])
-                .record_duration(duration);
+            for series in self.metrics.slo_series() {
+                series.requests.with(&[route, &status]).inc();
+                series
+                    .request_duration_us
+                    .with(&[route])
+                    .record_duration(duration);
+            }
         }
         obs::event(
             obs::Level::Info,
@@ -404,13 +428,12 @@ impl ServeApp {
     }
 
     /// Feeds the SLO engine one cumulative reading per key, derived from
-    /// the live metrics registry: per-route request totals, 5xx errors,
-    /// and latency buckets; per-session record totals and bad-record
-    /// errors.
+    /// this app's own registry: per-route request totals, 5xx errors, and
+    /// latency buckets; per-session record totals and bad-record errors.
     fn sample_slo(&self) {
         let mut routes: BTreeMap<String, obs::SloSample> = BTreeMap::new();
         let mut sessions: BTreeMap<String, (u64, u64)> = BTreeMap::new();
-        for metric in obs::registry().snapshot() {
+        for metric in self.metrics.own_registry.snapshot() {
             let label = |key: &str| {
                 metric
                     .labels
@@ -702,8 +725,10 @@ impl ServeApp {
         activity.records = outcome.records;
         activity.outliers = outcome.outliers;
         activity.errors = outcome.errors;
-        self.metrics.records.with(&[id]).add(outcome.records);
-        self.metrics.record_errors.with(&[id]).add(outcome.errors);
+        for series in self.metrics.slo_series() {
+            series.records.with(&[id]).add(outcome.records);
+            series.record_errors.with(&[id]).add(outcome.errors);
+        }
         // Whatever the outcome, the scorer has advanced — remember the
         // response under the client's id so a retry replays instead of
         // double-scoring.
@@ -1006,8 +1031,8 @@ mod tests {
         assert!(lock.is_poisoned());
     }
 
-    /// An app that never sheds on its SLO verdict: the 500s these tests
-    /// provoke on the score route would turn it unhealthy.
+    /// An app that never sheds on its SLO verdict: the 500s a test
+    /// provokes on its score route would turn it unhealthy.
     fn unshed_app() -> Arc<ServeApp> {
         ServeApp::new(ServeConfig {
             shed_on_unhealthy: false,
@@ -1071,8 +1096,25 @@ mod tests {
     }
 
     #[test]
+    fn an_app_is_not_judged_by_another_apps_traffic() {
+        let b = ServeApp::new(ServeConfig::default());
+        let a = unshed_app();
+        let created = a.handle(&req("POST", "/sessions", &create_body("bad")));
+        assert_eq!(created.status, 201, "{}", text(&created));
+        poison(&a.session("bad").unwrap());
+        for _ in 0..5 {
+            let failed = a.handle(&req("POST", "/sessions/bad/score", RECORD));
+            assert_eq!(failed.status, 500, "{}", text(&failed));
+        }
+        let created = b.handle(&req("POST", "/sessions", &create_body("s")));
+        assert_eq!(created.status, 201, "{}", text(&created));
+        let scored = b.handle(&req("POST", "/sessions/s/score", RECORD));
+        assert_eq!(scored.status, 200, "{}", text(&scored));
+    }
+
+    #[test]
     fn a_poisoned_registry_or_verdict_cache_keeps_serving() {
-        let app = unshed_app();
+        let app = ServeApp::new(ServeConfig::default());
         poison(&app.sessions);
         poison(&app.slo_verdict);
         app.admission_verdict();
