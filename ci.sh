@@ -100,9 +100,9 @@ cargo test -q --offline --workspace
 # wall-clock varies across machines: the gates catch order-of-magnitude
 # slips, such as per-record I/O, timing syscalls or allocation storms.
 #
-# Stream (tolerance 0.5, BENCH_stream.json): `end-to-end` (sketch + score +
-# window, no parsing) and `pipeline.csv` (CSV lines through the record
-# pipeline `stream` ships, into a discarding sink).
+# Stream (tolerance 0.5, BENCH_stream.json): `scorer.score_record` (the
+# scorer `stream` and `serve` run, on parsed rows) and `pipeline.csv` (CSV
+# lines through the record pipeline `stream` ships, into a discarding sink).
 cargo run -q --offline --release -p hdoutlier-bench --bin stream_throughput -- \
     --assert-against BENCH_stream.json
 

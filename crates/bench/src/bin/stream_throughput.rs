@@ -1,5 +1,5 @@
-//! Streaming-throughput bench: records/second through each stage of the
-//! streaming layer, std-only (no criterion needed).
+//! Streaming-throughput bench: records/second through the record path that
+//! `hdoutlier stream` and `serve` run, std-only (no criterion needed).
 //!
 //! ```text
 //! cargo run -p hdoutlier-bench --release --bin stream_throughput -- \
@@ -7,11 +7,9 @@
 //!     [--assert-against <BENCH_stream.json>]
 //! ```
 //!
-//! Stages measured independently, then end-to-end:
-//! - sketch: `StreamingDiscretizer::observe` (per-dimension GK inserts)
-//! - window: `WindowCounter::push` (insert + evict postings maintenance)
-//! - score:  `OnlineScorer::score_record` (grid assign + projection match
-//!   + drift accounting)
+//! Two stages, both on the shipped path:
+//! - scorer.score_record: `OnlineScorer::score_record` on parsed rows (grid
+//!   assign + projection match + drift accounting)
 //! - pipeline.csv: the records as one CSV byte buffer through
 //!   `hdoutlier_stream::Pipeline` into a discarding sink — the split →
 //!   parse → score → render loop `hdoutlier stream` runs, minus the stdout
@@ -32,8 +30,8 @@
 //! `config.timing` records whether `--metrics-out` timed them.
 //!
 //! With `--assert-against <BENCH_stream.json>` the run becomes a regression
-//! gate: the end-to-end and pipeline.csv us/record go through
-//! [`assert_against`] against the baseline datapoint.
+//! gate: both stages' us/record go through [`assert_against`] against the
+//! baseline datapoint.
 //!
 //! Every stage is timed [`REPEATS`] times, each from fresh state, and the
 //! fastest run is reported, recorded and gated.
@@ -44,10 +42,7 @@ use hdoutlier_bench::bench_json::{
 use hdoutlier_core::{OutlierDetector, SearchMethod};
 use hdoutlier_data::generators::{planted_outliers, PlantedConfig};
 use hdoutlier_obs as obs;
-use hdoutlier_stream::{
-    ErrorPolicy, OnlineScorer, Pipeline, RecordFormat, Settings, Sink, StreamingDiscretizer,
-    WindowCounter,
-};
+use hdoutlier_stream::{ErrorPolicy, OnlineScorer, Pipeline, RecordFormat, Settings, Sink};
 use std::time::Instant;
 
 /// Drops every verdict line, counting its bytes.
@@ -81,16 +76,14 @@ fn main() {
     let n_rows: usize = args.first().and_then(|s| s.parse().ok()).unwrap_or(200_000);
     let n_dims: usize = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(10);
     let phi = 5u32;
-    let window = 10_000usize;
     if let Some(b) = bench.as_mut() {
         b.config("n_rows", n_rows as f64)
             .config("n_dims", n_dims as f64)
             .config("phi", phi as f64)
-            .config("window", window as f64)
             .config("timing", f64::from(u8::from(metrics_out.is_some())));
     }
 
-    println!("streaming throughput: {n_rows} rows x {n_dims} dims, phi={phi}, window={window}");
+    println!("streaming throughput: {n_rows} rows x {n_dims} dims, phi={phi}");
 
     // Train a model on a planted batch, then replay the batch as a stream
     // (cycling so n_rows is independent of the training size).
@@ -114,38 +107,9 @@ fn main() {
 
     let row = |i: usize| ds.row(i % ds.n_rows());
 
-    // Stage 1: quantile sketches.
-    let mut disc = None;
-    stage("sketch.observe", n_rows, &mut bench, || {
-        let mut d = StreamingDiscretizer::new(n_dims, phi, 0.01).expect("discretizer");
-        let t = Instant::now();
-        for i in 0..n_rows {
-            d.observe(row(i)).expect("observe");
-        }
-        let secs = t.elapsed().as_secs_f64();
-        disc = Some(d);
-        secs
-    });
-    let disc = disc.expect("at least one run");
-    let spec = disc.grid_spec().expect("grid");
-
-    // Stage 2: sliding-window counting (push only; queries are the batch
-    // engines' job and already benched).
-    let cells: Vec<Vec<u16>> = (0..ds.n_rows())
-        .map(|i| spec.assign_row(ds.row(i)).expect("assign"))
-        .collect();
-    stage("window.push", n_rows, &mut bench, || {
-        let mut counter = WindowCounter::new(window, n_dims, phi).expect("window");
-        let t = Instant::now();
-        for i in 0..n_rows {
-            counter.push(&cells[i % cells.len()]).expect("push");
-        }
-        t.elapsed().as_secs_f64()
-    });
-
-    // Stage 3: online scoring.
+    // The scorer alone, on parsed rows.
     let mut outliers = 0usize;
-    stage("scorer.score_record", n_rows, &mut bench, || {
+    let score_record = stage("scorer.score_record", n_rows, &mut bench, || {
         let mut scorer = OnlineScorer::new(model.clone()).expect("scorer");
         outliers = 0;
         let t = Instant::now();
@@ -157,22 +121,6 @@ fn main() {
         t.elapsed().as_secs_f64()
     });
     println!("  ({outliers} outliers flagged)");
-
-    // End-to-end: what the `hdoutlier stream` hot loop does per record,
-    // plus keeping the sketches warm for an eventual re-fit.
-    let end_to_end = stage("end-to-end", n_rows, &mut bench, || {
-        let mut disc = StreamingDiscretizer::new(n_dims, phi, 0.01).expect("discretizer");
-        let mut counter = WindowCounter::new(window, n_dims, phi).expect("window");
-        let mut scorer = OnlineScorer::new(model.clone()).expect("scorer");
-        let t = Instant::now();
-        for i in 0..n_rows {
-            let r = row(i);
-            disc.observe(r).expect("observe");
-            let v = scorer.score_record(r).expect("score");
-            counter.push(&v.cells).expect("push");
-        }
-        t.elapsed().as_secs_f64()
-    });
 
     // The shipped per-record loop: CSV lines through the stream pipeline
     // with the `stream` command's default settings, read from one buffer.
@@ -209,12 +157,6 @@ fn main() {
         t.elapsed().as_secs_f64()
     });
     println!("  ({} verdict bytes rendered)", sink.0);
-    println!(
-        "  (sketch summary sizes: {:?})",
-        (0..n_dims.min(4))
-            .map(|d| disc.sketch(d).summary_size())
-            .collect::<Vec<_>>()
-    );
 
     if bench.is_some() && !obs::timing_enabled() {
         obs::set_timing(true);
@@ -255,7 +197,10 @@ fn main() {
     }
 
     if let Some(path) = baseline {
-        let readings = [("end-to-end", end_to_end), ("pipeline.csv", pipeline_csv)];
+        let readings = [
+            ("scorer.score_record", score_record),
+            ("pipeline.csv", pipeline_csv),
+        ];
         assert_against(&path, TOLERANCE, &readings);
     }
 }

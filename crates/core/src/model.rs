@@ -15,15 +15,6 @@ use crate::detector::{DetectError, OutlierDetector};
 use crate::report::{OutlierReport, ScoredProjection};
 use hdoutlier_data::{DataError, Dataset, GridSpec};
 
-/// One projection matched by a scored record.
-#[derive(Debug, Clone)]
-pub struct MatchedProjection<'a> {
-    /// Index into [`FittedModel::projections`].
-    pub index: usize,
-    /// The matched projection with its training-time score.
-    pub projection: &'a ScoredProjection,
-}
-
 /// A fitted, data-free outlier model.
 #[derive(Debug, Clone)]
 pub struct FittedModel {
@@ -47,39 +38,35 @@ impl FittedModel {
         &self.projections
     }
 
-    /// Scores one new record: every mined projection whose cube the record
-    /// falls into. Missing attributes never match a constrained position
-    /// (the paper's §1.2 semantics).
+    /// The verdict rule, on a record's already-assigned grid cells: the
+    /// indices of every mined projection whose cube the cells fall into, in
+    /// ascending order, and the most negative sparsity among them (`None`
+    /// when nothing matches). A missing attribute's cell never matches a
+    /// constrained position (the paper's §1.2 semantics). Allocates nothing
+    /// when nothing matches.
     ///
-    /// # Errors
-    /// [`DataError::ShapeMismatch`] if the record width differs from the
-    /// fitted dimensionality.
-    pub fn matches<'a>(&'a self, row: &[f64]) -> Result<Vec<MatchedProjection<'a>>, DataError> {
-        let cells = self.grid.assign_row(row)?;
-        Ok(self
-            .projections
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.projection.covers(&cells))
-            .map(|(index, projection)| MatchedProjection { index, projection })
-            .collect())
-    }
-
-    /// Whether the record matches any mined projection.
-    pub fn is_outlier(&self, row: &[f64]) -> Result<bool, DataError> {
-        Ok(!self.matches(row)?.is_empty())
+    /// `cells` must come from [`GridSpec::assign_row`] (or
+    /// [`GridSpec::assign_row_into`]) on this model's grid.
+    pub fn match_cells(&self, cells: &[u16]) -> (Vec<usize>, Option<f64>) {
+        let mut matched = Vec::new();
+        let mut score: Option<f64> = None;
+        for (i, p) in self.projections.iter().enumerate() {
+            if p.projection.covers(cells) {
+                matched.push(i);
+                score = Some(score.map_or(p.sparsity, |a| a.min(p.sparsity)));
+            }
+        }
+        (matched, score)
     }
 
     /// Outlier score of a record: the most negative sparsity among matched
     /// projections, or `None` if nothing matches.
+    ///
+    /// # Errors
+    /// [`DataError::ShapeMismatch`] if the record width differs from the
+    /// fitted dimensionality.
     pub fn score(&self, row: &[f64]) -> Result<Option<f64>, DataError> {
-        Ok(self
-            .matches(row)?
-            .into_iter()
-            .map(|m| m.projection.sparsity)
-            .fold(None, |acc: Option<f64>, s| {
-                Some(acc.map_or(s, |a| a.min(s)))
-            }))
+        Ok(self.match_cells(&self.grid.assign_row(row)?).1)
     }
 
     /// Scores a whole dataset; `results[i]` is the score of row `i`.
@@ -132,7 +119,7 @@ mod tests {
         let (model, planted) = fit_on_planted();
         let mut hits = 0usize;
         for &row in &planted.outlier_rows {
-            if model.is_outlier(planted.dataset.row(row)).unwrap() {
+            if model.score(planted.dataset.row(row)).unwrap().is_some() {
                 hits += 1;
             }
         }
@@ -152,17 +139,17 @@ mod tests {
         let mut fresh = vec![0.0f64; 10];
         fresh[lo] = -1.3; // ~10th percentile of the N(0,1) marginal
         fresh[hi] = 1.3; // ~90th — jointly contrarian under strong correlation
-        let matched = model.matches(&fresh).unwrap();
-        assert!(
-            !matched.is_empty(),
-            "fresh contrarian record not flagged (projections: {:?})",
-            model
-                .projections()
-                .iter()
-                .map(|s| s.projection.to_string())
-                .collect::<Vec<_>>()
-        );
-        assert!(model.score(&fresh).unwrap().unwrap() < -3.0);
+        let score = model.score(&fresh).unwrap().unwrap_or_else(|| {
+            panic!(
+                "fresh contrarian record not flagged (projections: {:?})",
+                model
+                    .projections()
+                    .iter()
+                    .map(|s| s.projection.to_string())
+                    .collect::<Vec<_>>()
+            )
+        });
+        assert!(score < -3.0);
     }
 
     #[test]
@@ -170,27 +157,12 @@ mod tests {
         let (model, _) = fit_on_planted();
         // A record at the marginal medians sits in dense diagonal cells.
         let typical = vec![0.0f64; 10];
-        assert!(!model.is_outlier(&typical).unwrap());
         assert_eq!(model.score(&typical).unwrap(), None);
-    }
-
-    #[test]
-    fn missing_attributes_never_match() {
-        let (model, planted) = fit_on_planted();
-        let (lo, hi) = planted.signatures[0];
-        let mut fresh = vec![0.0f64; 10];
-        fresh[lo] = f64::NAN; // the contrarian attribute is unknown
-        fresh[hi] = 1.3;
-        // Projections constraining `lo` cannot match this record.
-        for m in model.matches(&fresh).unwrap() {
-            assert_eq!(m.projection.projection.gene(lo), None);
-        }
     }
 
     #[test]
     fn shape_mismatch_is_an_error() {
         let (model, _) = fit_on_planted();
-        assert!(model.matches(&[0.0; 3]).is_err());
         assert!(model.score(&[0.0; 3]).is_err());
     }
 

@@ -1,17 +1,21 @@
-//! Seeded property tests for the detector's genetic operators and fitness:
-//! crossover and mutation keep exactly k non-star genes and build children
-//! from parent material only, and infeasible strings never score. All run
-//! on [`hdoutlier_rng::for_each_case`]; a failing case prints the seed that
-//! replays it alone.
+//! Seeded property tests for the detector's genetic operators, fitness and
+//! verdict rule: crossover and mutation keep exactly k non-star genes and
+//! build children from parent material only, infeasible strings never
+//! score, and a fitted model matches records by one rule wherever it is
+//! applied. All run on [`hdoutlier_rng::for_each_case`]; a failing case
+//! prints the seed that replays it alone.
 
 use hdoutlier_core::crossover::{optimized, two_point, two_point_at};
 use hdoutlier_core::fitness::SparsityFitness;
 use hdoutlier_core::mutation::{mutate, MutationConfig};
 use hdoutlier_core::projection::{Projection, STAR};
+use hdoutlier_core::{FittedModel, ScoredProjection};
 use hdoutlier_data::discretize::{DiscretizeStrategy, Discretized};
 use hdoutlier_data::generators::uniform;
+use hdoutlier_data::GridSpec;
 use hdoutlier_index::BitmapCounter;
 use hdoutlier_rng::{for_each_case, Rng};
+use hdoutlier_stream::OnlineScorer;
 
 const D: usize = 8;
 const PHI: u32 = 4;
@@ -128,5 +132,76 @@ fn projection_display_parses_back() {
             })
             .collect();
         assert_eq!(Projection::from_genes(genes), p);
+    });
+}
+
+/// `FittedModel::match_cells` on random models (k ≤ 3, tied sparsities,
+/// `-0.0` beside `0.0`) and random rows with missing attributes: it equals
+/// the naive filter-then-fold reference bit for bit, never matches a
+/// projection on a missing attribute it constrains, and allocates nothing
+/// when nothing matches; `OnlineScorer::score_record` reports the same
+/// matches and score under consecutive arrival indices.
+#[test]
+fn match_cells_is_the_filter_then_fold_rule() {
+    const TIED: [f64; 6] = [-4.0, -2.5, -2.5, -1.0, -0.0, 0.0];
+    for_each_case(0xc04e_0007, 64, |rng| {
+        let uppers = (0..D).map(|_| (1..PHI).map(f64::from).collect()).collect();
+        let names = (0..D).map(|j| format!("x{j}")).collect();
+        let grid = GridSpec::from_parts(uppers, PHI, names).unwrap();
+        let projections = (0..rng.gen_range(0..12))
+            .map(|_| ScoredProjection {
+                projection: Projection::random(D, rng.gen_range(1..=3), PHI, rng),
+                sparsity: TIED[rng.gen_range(0..TIED.len())],
+                count: 0,
+            })
+            .collect();
+        let model = FittedModel::new(grid, projections);
+        let all = model.projections();
+        let mut scorer = OnlineScorer::new(model.clone()).unwrap();
+        for t in 0..32 {
+            // Values on and between the boundaries; half the rows are laid
+            // into one projection's cube so that matches are common.
+            let mut row: Vec<f64> = (0..D)
+                .map(|_| f64::from(rng.gen_range(0..=2 * PHI)) / 2.0)
+                .collect();
+            if !all.is_empty() && rng.gen_range(0..2) == 0 {
+                let p = &all[rng.gen_range(0..all.len())].projection;
+                for (pos, value) in row.iter_mut().enumerate() {
+                    if let Some(range) = p.gene(pos) {
+                        *value = f64::from(range) + 0.5;
+                    }
+                }
+            }
+            for value in &mut row {
+                if rng.gen_range(0..6) == 0 {
+                    *value = f64::NAN;
+                }
+            }
+            let cells = model.grid().assign_row(&row).unwrap();
+            let want: Vec<usize> = (0..all.len())
+                .filter(|&i| all[i].projection.covers(&cells))
+                .collect();
+            let want_score = want.iter().map(|&i| all[i].sparsity).reduce(f64::min);
+
+            let (matched, score) = model.match_cells(&cells);
+            assert_eq!(matched, want, "{row:?}");
+            assert_eq!(score.map(f64::to_bits), want_score.map(f64::to_bits));
+            for &i in &matched {
+                let p = &all[i].projection;
+                let known = |pos: &usize| !row[*pos].is_nan();
+                assert!(
+                    p.constrained_positions().iter().all(known),
+                    "{p} on {row:?}"
+                );
+            }
+            if matched.is_empty() {
+                assert_eq!(matched.capacity(), 0, "an empty match allocated");
+            }
+            let verdict = scorer.score_record(&row).unwrap();
+            assert_eq!(verdict.index, t);
+            assert_eq!(verdict.matched, matched, "{row:?}");
+            assert_eq!(verdict.score.map(f64::to_bits), score.map(f64::to_bits));
+            assert_eq!(verdict.outlier, !matched.is_empty());
+        }
     });
 }

@@ -12,7 +12,7 @@
 //! equi-depth split broke by row order land in the lower of the candidate
 //! ranges.
 
-use crate::dataset::{DataError, Dataset};
+use crate::dataset::DataError;
 use crate::discretize::{Discretized, MISSING_CELL};
 
 /// Fitted per-dimension cell boundaries.
@@ -145,28 +145,33 @@ impl GridSpec {
     /// [`DataError::ShapeMismatch`] if the record width differs from the
     /// fitted dimensionality.
     pub fn assign_row(&self, row: &[f64]) -> Result<Vec<u16>, DataError> {
+        let mut cells = Vec::new();
+        self.assign_row_into(row, &mut cells).map(|()| cells)
+    }
+
+    /// Cells of one new record, written over `cells`, so a caller scoring
+    /// record after record reuses one buffer.
+    ///
+    /// # Errors
+    /// [`DataError::ShapeMismatch`] if the record width differs from the
+    /// fitted dimensionality; `cells` is then left untouched.
+    pub fn assign_row_into(&self, row: &[f64], cells: &mut Vec<u16>) -> Result<(), DataError> {
         if row.len() != self.n_dims() {
             return Err(DataError::ShapeMismatch {
                 expected: self.n_dims(),
                 actual: row.len(),
             });
         }
-        Ok(row
-            .iter()
-            .enumerate()
-            .map(|(dim, &v)| self.cell_of(dim, v))
-            .collect())
-    }
-
-    /// Cells for a whole new dataset, row-major.
-    pub fn assign(&self, dataset: &Dataset) -> Result<Vec<Vec<u16>>, DataError> {
-        dataset.rows().map(|row| self.assign_row(row)).collect()
+        cells.clear();
+        cells.extend(row.iter().enumerate().map(|(dim, &v)| self.cell_of(dim, v)));
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dataset::Dataset;
     use crate::discretize::DiscretizeStrategy;
     use crate::generators::uniform;
 
@@ -215,10 +220,9 @@ mod tests {
         let (_, _, spec) = fitted();
         assert!(spec.assign_row(&[0.5, 0.5]).is_err());
         assert!(spec.assign_row(&[0.5, 0.5, 0.5]).is_ok());
-        let other = uniform(10, 3, 5);
-        let assigned = spec.assign(&other).unwrap();
-        assert_eq!(assigned.len(), 10);
-        assert!(assigned.iter().all(|r| r.len() == 3));
+        let mut cells = vec![7; 3];
+        assert!(spec.assign_row_into(&[0.5], &mut cells).is_err());
+        assert_eq!(cells, [7, 7, 7], "a rejected row leaves the buffer alone");
     }
 
     #[test]

@@ -19,7 +19,6 @@
 //!   for the ablation that shows why the paper chose equi-depth.
 //! - [`grid_spec`]: fitted grid boundaries detached from their data, for
 //!   assigning cells to *new* records (the train/apply split).
-//! - [`split`]: seeded shuffling, train/test and k-fold splitting.
 //! - [`generators`]: seeded synthetic workloads, including the UCI-shaped
 //!   simulacra used by the reproduction (see DESIGN.md §4 for the
 //!   substitution rationale) and planted-subspace-outlier benchmarks with
@@ -31,7 +30,6 @@ pub mod dataset;
 pub mod discretize;
 pub mod generators;
 pub mod grid_spec;
-pub mod split;
 
 pub use dataset::{DataError, Dataset, DatasetBuilder};
 pub use discretize::{DiscretizeStrategy, Discretized, GridRange};

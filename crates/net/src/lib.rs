@@ -55,8 +55,6 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-pub mod retry;
-
 /// Write budget for connection-budget `503` refusals. These are written
 /// inline on the single accept thread (there is no free worker to hand
 /// them to — that is why they are being refused), so they get a short
@@ -183,8 +181,8 @@ impl Response {
     }
 
     /// Adds a `Retry-After: <seconds>` header — the contract every shedding
-    /// or over-budget `503` honors so clients built on [`retry::Backoff`]
-    /// know how long to stay away.
+    /// or over-budget `503` honors so a retrying client knows how long to
+    /// stay away.
     #[must_use]
     pub fn with_retry_after(self, delay: Duration) -> Self {
         self.with_header("Retry-After", delay.as_secs().max(1).to_string())

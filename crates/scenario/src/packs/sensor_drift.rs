@@ -137,9 +137,16 @@ fn run(config: &RunConfig) -> Result<Outcome, ScenarioError> {
         &mut resumed,
         &mut resumed_checks,
     )?;
+    // One directory per process and thread: the pack can run in several
+    // threads at once (parallel tests), and two saves to one path race on
+    // its temp-file rename.
     let ckpt_dir = std::env::temp_dir()
         .join("hdoutlier-scenario")
-        .join("sensor-drift");
+        .join(format!(
+            "sensor-drift-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
     std::fs::create_dir_all(&ckpt_dir).map_err(pipe)?;
     let ckpt_path = ckpt_dir.join("scorer.ckpt.json");
     Checkpoint::capture(&first, 0, 0)
@@ -147,6 +154,8 @@ fn run(config: &RunConfig) -> Result<Outcome, ScenarioError> {
         .map_err(pipe)?;
     drop(first); // the "kill"
     let (loaded, _recovered_from) = Checkpoint::load_with_recovery(&ckpt_path).map_err(pipe)?;
+    // Best effort: a leftover temp directory changes no result.
+    let _ = std::fs::remove_dir_all(&ckpt_dir);
     let mut second = new_scorer(&model)?;
     loaded.restore(&mut second).map_err(pipe)?;
     score_range(

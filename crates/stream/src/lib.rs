@@ -4,17 +4,10 @@
 //! instead of re-running the whole pipeline per batch.
 //!
 //! The paper's pipeline — equi-depth grid, sparsity coefficient `S(D)`,
-//! projection search — is batch-only. A deployment serving continuous
-//! traffic needs three incremental substitutes, which this crate provides:
+//! projection search — is batch. A deployment mines the sparse projections
+//! offline and then checks each new record against them; this crate is the
+//! online half:
 //!
-//! - [`GkSketch`] / [`StreamingDiscretizer`]: per-dimension
-//!   Greenwald–Khanna quantile sketches that maintain the φ equi-depth
-//!   range boundaries under inserts, exposing the same cell mapping as
-//!   `hdoutlier_data::discretize` (via [`hdoutlier_data::GridSpec`]);
-//! - [`WindowCounter`]: a sliding-window [`hdoutlier_index::CubeCounter`]
-//!   over a ring buffer of discretized rows, with O(d) insert/evict, so the
-//!   brute-force and evolutionary searches run unchanged against the most
-//!   recent records;
 //! - [`OnlineScorer`] + [`DriftMonitor`]: a trained
 //!   [`hdoutlier_core::FittedModel`] applied record-by-record, with a
 //!   per-dimension occupancy χ² test against the trained grid that signals
@@ -24,7 +17,6 @@
 //!   guarded by a grid fingerprint, so a crashed or redeployed scorer
 //!   resumes where it left off instead of silently resetting drift
 //!   statistics.
-
 //!
 //! The deployment surfaces — the CLI `stream` subcommand and the
 //! `hdoutlier serve` network server — share one implementation of
@@ -40,13 +32,9 @@ pub mod model_io;
 pub mod ndjson;
 pub mod pipeline;
 pub mod scorer;
-pub mod sketch;
-pub mod window;
 
 pub use checkpoint::{Checkpoint, CheckpointError, RecoveredFrom};
 pub use drift::{DriftMonitor, DriftReport};
 pub use model_io::ModelIoError;
 pub use pipeline::{ErrorPolicy, OpenError, Pipeline, RecordFormat, Settings, Sink, Stop};
 pub use scorer::{OnlineScorer, Verdict};
-pub use sketch::{GkSketch, StreamingDiscretizer};
-pub use window::WindowCounter;

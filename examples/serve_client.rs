@@ -12,18 +12,17 @@
 //! library. Point the same code at a real `hdoutlier serve` process and it
 //! works unchanged.
 //!
-//! The score POSTs demonstrate the full client discipline for a server
-//! that sheds load: each logical request gets one `X-Request-Id`, and on a
-//! `503` the client backs off ([`Backoff`], decorrelated jitter floored by
-//! the server's `Retry-After`) and resends under the *same* id — the
-//! server's per-session replay cache guarantees a retry that raced a
-//! delivered response replays the original verdicts instead of scoring
-//! the records twice.
+//! The score POSTs demonstrate the client discipline for a server that
+//! sheds load: each logical request gets one `X-Request-Id`, and on a
+//! `503` the client waits out the server's `Retry-After` and resends under
+//! the *same* id, a fixed number of times at most — the server's
+//! per-session replay cache guarantees a retry that raced a delivered
+//! response replays the original verdicts instead of scoring the records
+//! twice.
 
 use hdoutlier::core::{OutlierDetector, SearchMethod};
 use hdoutlier::data::generators::{planted_outliers, PlantedConfig};
 use hdoutlier_json::Json;
-use hdoutlier_net::retry::{parse_retry_after, Backoff, RetryPolicy};
 use hdoutlier_serve::{ServeConfig, ServeHandle};
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -105,35 +104,30 @@ fn main() {
     );
 }
 
-/// A score POST with the full retry discipline: one `X-Request-Id` per
-/// logical request, reused verbatim across retries, with decorrelated
-/// backoff floored by the server's `Retry-After` on every `503`.
+/// Attempts per score POST before the client gives up on a shedding
+/// server.
+const MAX_ATTEMPTS: u32 = 5;
+
+/// A score POST with the retry discipline: one `X-Request-Id` per logical
+/// request, reused verbatim across retries, and on every `503` a wait of
+/// the server's `Retry-After` (one second when it sends none).
 fn score_with_retry(addr: &str, path: &str, records: &str, request_id: &str) -> (u16, String) {
-    let mut backoff = Backoff::new(RetryPolicy::default(), fingerprint(request_id));
+    let mut attempt = 1;
     loop {
         let (status, retry_after, body) = http(addr, "POST", path, records, Some(request_id));
-        if status != 503 {
+        if status != 503 || attempt == MAX_ATTEMPTS {
             return (status, body);
         }
-        match backoff.next_delay(retry_after) {
-            Some(delay) => {
-                println!("server shedding ({body:?}); retrying {request_id} in {delay:?}");
-                std::thread::sleep(delay);
-            }
-            None => return (status, body),
-        }
+        let delay = retry_after.unwrap_or(Duration::from_secs(1));
+        println!("server shedding ({body:?}); retrying {request_id} in {delay:?}");
+        std::thread::sleep(delay);
+        attempt += 1;
     }
 }
 
-/// A stable per-request seed so concurrent clients decorrelate.
-fn fingerprint(id: &str) -> u64 {
-    id.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
-
 /// One close-delimited HTTP/1.1 request over a fresh connection. Returns
-/// the status, the parsed `Retry-After` hint (if any), and the body.
+/// the status, the `Retry-After` hint in whole seconds (if any), and the
+/// body.
 fn http(
     addr: &str,
     method: &str,
@@ -167,7 +161,7 @@ fn http(
     let retry_after = head.lines().find_map(|l| {
         let (name, value) = l.split_once(':')?;
         name.eq_ignore_ascii_case("retry-after")
-            .then(|| parse_retry_after(value))
+            .then(|| value.trim().parse().ok().map(Duration::from_secs))
             .flatten()
     });
     (status, retry_after, payload.to_string())

@@ -1,7 +1,7 @@
-//! The full streaming loop: train a model on history, then serve a live
-//! stream — scoring each record as it arrives, keeping a sliding window
-//! queryable for ad-hoc investigation, maintaining online equi-depth
-//! sketches, and re-fitting when the drift monitor says the grid went stale.
+//! The streaming loop through the library API: train a model on history,
+//! then score a live stream record by record while the drift monitor
+//! watches for the grid going stale — what `hdoutlier stream` and
+//! `hdoutlier serve` run per record.
 //!
 //! ```text
 //! cargo run --release --example streaming
@@ -9,8 +9,7 @@
 
 use hdoutlier::core::detector::{OutlierDetector, SearchMethod};
 use hdoutlier::data::generators::{planted_outliers, PlantedConfig};
-use hdoutlier::index::{Cube, CubeCounter};
-use hdoutlier::stream::{OnlineScorer, StreamingDiscretizer, WindowCounter};
+use hdoutlier::stream::OnlineScorer;
 
 fn main() {
     // --- Offline: fit on historical data, as in `model_deployment`. ---
@@ -30,18 +29,16 @@ fn main() {
         .build()
         .fit(&history.dataset)
         .expect("valid parameters");
-    let n_dims = model.grid().n_dims();
-    let phi = model.grid().phi();
     println!(
-        "trained: {} projections, {n_dims} dims, phi={phi}",
-        model.projections().len()
+        "trained: {} projections, {} dims, phi={}",
+        model.projections().len(),
+        model.grid().n_dims(),
+        model.grid().phi()
     );
 
-    // --- Online: the three streaming pieces. ---
+    // --- Online: one scorer, with a drift check every 1000 records. ---
     let mut scorer = OnlineScorer::new(model).expect("phi >= 2");
     scorer.set_check_every(1000).expect("positive cadence");
-    let mut window = WindowCounter::new(500, n_dims, phi).expect("valid window");
-    let mut sketches = StreamingDiscretizer::new(n_dims, phi, 0.01).expect("valid sketch");
 
     // Fresh traffic from the same process (different seed), so the model's
     // sparse cubes stay rare; after t=2000 the first attribute shifts — the
@@ -60,11 +57,7 @@ fn main() {
         if t >= 2000 {
             record[0] += 4.0;
         }
-
-        sketches.observe(&record).expect("shape");
         let verdict = scorer.score_record(&record).expect("shape");
-        window.push(&verdict.cells).expect("cells fit the grid");
-
         if verdict.outlier {
             flagged += 1;
             if flagged <= 3 {
@@ -82,25 +75,8 @@ fn main() {
             );
         }
     }
-    println!("{flagged} of 3000 streamed records flagged");
-
-    // The window answers the same cube queries the batch engines use, over
-    // just the most recent records.
-    let cube = Cube::new([(0, 0), (1, 0)]).expect("distinct dims");
     println!(
-        "window: {} of the last {} records in cube {cube}",
-        window.count(&cube),
-        window.n_rows()
-    );
-
-    // The sketches can snapshot a fresh grid whenever a re-fit is wanted.
-    let fresh = sketches.grid_spec().expect("observed data");
-    println!(
-        "fresh grid boundaries, dim 0: {:?}",
-        fresh
-            .boundaries(0)
-            .iter()
-            .map(|b| format!("{b:.2}"))
-            .collect::<Vec<_>>()
+        "{flagged} of {} streamed records flagged",
+        scorer.records_scored()
     );
 }

@@ -33,8 +33,5 @@ pub mod prelude {
         empty_cube_coefficient, recommended_k, significance_of, sparsity_coefficient,
         SparsityParams,
     };
-    pub use hdoutlier_stream::{
-        DriftMonitor, DriftReport, GkSketch, OnlineScorer, StreamingDiscretizer, Verdict,
-        WindowCounter,
-    };
+    pub use hdoutlier_stream::{DriftMonitor, DriftReport, OnlineScorer, Verdict};
 }
