@@ -25,6 +25,10 @@ cargo fmt --check
 cargo clippy --offline --workspace --all-targets -- -D warnings
 cargo build --release --offline --workspace
 cargo build --offline --examples
+# Rustdoc: a broken or ambiguous intra-doc link fails the build, so a
+# deletion cannot leave a dangling link behind. `--lib` because the umbrella
+# library and the CLI binary are both named `hdoutlier`.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps --lib
 cargo test -q --offline --workspace
 
 # The workspace run above builds and runs every test target once, the root

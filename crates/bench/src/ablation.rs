@@ -16,9 +16,9 @@ use hdoutlier_core::brute::{brute_force_search_incremental_parallel, BruteForceC
 use hdoutlier_core::crossover::CrossoverKind;
 use hdoutlier_core::evolutionary::{evolutionary_search, EvolutionaryConfig};
 use hdoutlier_core::fitness::SparsityFitness;
+use hdoutlier_core::SelectionScheme;
 use hdoutlier_data::discretize::{DiscretizeStrategy, Discretized};
 use hdoutlier_data::generators::{planted_outliers, PlantedConfig, PlantedOutliers};
-use hdoutlier_evolve::SelectionScheme;
 use hdoutlier_index::{BitmapCounter, CachedCounter, CubeCounter};
 
 fn workload(seed: u64) -> PlantedOutliers {

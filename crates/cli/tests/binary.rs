@@ -144,6 +144,38 @@ fn runtime_errors_go_to_stderr_with_code_1() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("failed to read"));
 }
 
+/// Parameters outside a search's domain are refused before the search
+/// runs, with a message and exit 1, not a panic.
+#[test]
+fn degenerate_detect_parameters_are_refused() {
+    let csv = write_planted_csv("degenerate-parameters");
+    for (search, flags, message) in [
+        ("evolutionary", ["--phi", "3", "--k", "0"], "k = 0"),
+        ("brute", ["--phi", "3", "--k", "0"], "k = 0"),
+        ("evolutionary", ["--m", "0", "--k", "2"], "m = 0"),
+        (
+            "evolutionary",
+            ["--population", "0", "--k", "2"],
+            "population = 0",
+        ),
+        ("evolutionary", ["--phi", "1", "--k", "2"], "phi = 1"),
+        ("brute", ["--phi", "1", "--k", "2"], "phi = 1"),
+    ] {
+        let out = binary()
+            .args(["detect", "--search", search])
+            .args(flags)
+            .arg(&csv)
+            .output()
+            .expect("spawn");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{search} {flags:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("detection failed: {message} is out of range")),
+            "{search} {flags:?}: {stderr}"
+        );
+    }
+}
+
 /// Records read from a file arrive many to a read, and `stream` flushes its
 /// verdicts once per read rather than once per record.
 #[test]

@@ -5,21 +5,17 @@
 //! have converged when all genes have converged."
 //!
 //! Genomes are viewed as slices of discrete gene values (`u32`); the
-//! problem adapter in `hdoutlier-core` maps projection strings onto that
-//! view.
+//! generation loop in [`crate::evolutionary`] maps each projection string's
+//! k constrained slots onto that view.
 
 use std::collections::HashMap;
 
 /// Fraction of the population sharing the most common value for each gene
 /// position. Positions range over the *shortest* genome if lengths differ
 /// (length disagreement means the population certainly has not converged,
-/// and the engine treats it so).
+/// and [`population_converged`] treats it so).
 pub fn gene_convergence(population: &[Vec<u32>]) -> Vec<f64> {
-    let Some(first) = population.first() else {
-        return Vec::new();
-    };
     let len = population.iter().map(Vec::len).min().unwrap_or(0);
-    let _ = first;
     let p = population.len() as f64;
     (0..len)
         .map(|g| {
@@ -32,18 +28,16 @@ pub fn gene_convergence(population: &[Vec<u32>]) -> Vec<f64> {
         .collect()
 }
 
-/// Whether every gene position has converged at `threshold` (De Jong used
-/// 0.95). Populations with genomes of unequal length never converge; empty
+/// De Jong's termination test: whether every gene position has converged
+/// at `threshold` (De Jong used 0.95), returned beside the smallest
+/// per-gene agreement it decided from (1 when there are no genes).
+/// Populations with genomes of unequal length never converge; empty
 /// populations are vacuously converged.
-pub fn population_converged(population: &[Vec<u32>], threshold: f64) -> bool {
-    if population.is_empty() {
-        return true;
-    }
-    let len = population[0].len();
-    if population.iter().any(|g| g.len() != len) {
-        return false;
-    }
-    gene_convergence(population).iter().all(|&f| f >= threshold)
+pub fn population_converged(population: &[Vec<u32>], threshold: f64) -> (bool, f64) {
+    let shares = gene_convergence(population);
+    let equal_lengths = population.windows(2).all(|w| w[0].len() == w[1].len());
+    let converged = equal_lengths && shares.iter().all(|&f| f >= threshold);
+    (converged, shares.into_iter().fold(1.0, f64::min))
 }
 
 #[cfg(test)]
@@ -53,7 +47,7 @@ mod tests {
     #[test]
     fn fully_identical_population_is_converged() {
         let pop = vec![vec![1, 2, 3]; 20];
-        assert!(population_converged(&pop, 0.95));
+        assert_eq!(population_converged(&pop, 0.95), (true, 1.0));
         assert_eq!(gene_convergence(&pop), vec![1.0, 1.0, 1.0]);
         // Any genome, any population size, any threshold.
         hdoutlier_rng::for_each_case(0xc0a7_0001, 256, |rng| {
@@ -63,7 +57,7 @@ mod tests {
             let pop = vec![genome; rng.gen_range(1..20)];
             let threshold = rng.gen_range(0.05..1.0);
             assert!(
-                population_converged(&pop, threshold),
+                population_converged(&pop, threshold).0,
                 "{pop:?} at {threshold}"
             );
         });
@@ -74,8 +68,8 @@ mod tests {
         // 19 of 20 share each gene: 0.95 exactly.
         let mut pop = vec![vec![1, 1]; 19];
         pop.push(vec![2, 2]);
-        assert!(population_converged(&pop, 0.95));
-        assert!(!population_converged(&pop, 0.96));
+        assert_eq!(population_converged(&pop, 0.95), (true, 0.95));
+        assert!(!population_converged(&pop, 0.96).0);
     }
 
     #[test]
@@ -86,29 +80,30 @@ mod tests {
         let conv = gene_convergence(&pop);
         assert_eq!(conv[0], 1.0);
         assert_eq!(conv[1], 0.5);
-        assert!(!population_converged(&pop, 0.95));
+        assert_eq!(population_converged(&pop, 0.95), (false, 0.5));
     }
 
     #[test]
     fn unequal_lengths_never_converge() {
+        // The shared positions agree fully; the lengths still differ.
         let pop = vec![vec![1, 2], vec![1, 2, 3]];
-        assert!(!population_converged(&pop, 0.5));
+        assert_eq!(population_converged(&pop, 0.5), (false, 1.0));
     }
 
     #[test]
     fn empty_population_is_vacuously_converged() {
-        assert!(population_converged(&[], 0.95));
+        assert_eq!(population_converged(&[], 0.95), (true, 1.0));
         assert!(gene_convergence(&[]).is_empty());
     }
 
     #[test]
     fn single_member_population_is_converged() {
-        assert!(population_converged(&[vec![3, 1, 4]], 0.95));
+        assert!(population_converged(&[vec![3, 1, 4]], 0.95).0);
     }
 
     #[test]
     fn zero_length_genomes_are_converged() {
         let pop = vec![vec![], vec![]];
-        assert!(population_converged(&pop, 0.95));
+        assert!(population_converged(&pop, 0.95).0);
     }
 }

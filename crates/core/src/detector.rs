@@ -13,8 +13,8 @@ use crate::evolutionary::{evolutionary_search, EvolutionaryConfig};
 use crate::fitness::SparsityFitness;
 use crate::params::{advise, DEFAULT_TARGET_SPARSITY};
 use crate::report::{OutlierReport, SearchStats};
+use crate::selection::SelectionScheme;
 use hdoutlier_data::{DataError, Dataset, DiscretizeStrategy, Discretized};
-use hdoutlier_evolve::SelectionScheme;
 use hdoutlier_index::{BitmapCounter, CachedCounter, CubeCounter};
 use hdoutlier_obs as obs;
 use std::fmt;
@@ -23,9 +23,9 @@ use std::time::Instant;
 /// Event target for the detector pipeline.
 const TARGET: &str = "hdoutlier.core";
 
-/// Buckets of `hdoutlier.core.pruned_fraction` and
-/// `hdoutlier.core.cache_hit_ratio`: deciles, then the nines that separate
-/// "pruning (or the memo table) helps" from "it is nearly the whole search".
+/// Buckets of the share-valued histograms `hdoutlier.core.pruned_fraction`,
+/// `hdoutlier.core.cache_hit_ratio` and `hdoutlier.core.gene_convergence`:
+/// deciles, then the nines that separate a large share from nearly all.
 const PRUNED_FRACTION_BOUNDS: &[f64] = &[
     0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99, 0.999, 1.0,
 ];
@@ -70,6 +70,18 @@ pub enum DetectError {
         /// Dataset dimensionality.
         d: usize,
     },
+    /// A search parameter below its domain: `k` of zero, φ below 2 (with
+    /// one range per dimension every cube expects the whole dataset and
+    /// Eq. 1 divides by zero), or, under the evolutionary search, `m` or the
+    /// population of zero.
+    ParameterTooSmall {
+        /// The parameter, as the CLI spells it.
+        name: &'static str,
+        /// The value given.
+        value: u64,
+        /// The smallest value the search accepts.
+        min: u64,
+    },
 }
 
 impl fmt::Display for DetectError {
@@ -80,6 +92,12 @@ impl fmt::Display for DetectError {
                 write!(
                     f,
                     "projection dimensionality k = {k} exceeds dataset dimensionality {d}"
+                )
+            }
+            DetectError::ParameterTooSmall { name, value, min } => {
+                write!(
+                    f,
+                    "{name} = {value} is out of range: it must be at least {min}"
                 )
             }
         }
@@ -208,6 +226,19 @@ impl OutlierDetector {
             Some(k) => k,
             None => advise(disc.n_rows() as u64, self.config.target_sparsity).k as usize,
         };
+        let evolutionary = self.config.search == SearchMethod::Evolutionary;
+        let floors = [
+            ("k", k as u64, 1, true),
+            ("phi", disc.phi() as u64, 2, true),
+            ("m", self.config.m as u64, 1, evolutionary),
+            ("population", self.config.population as u64, 1, evolutionary),
+        ];
+        if let Some(&(name, value, min, _)) = floors
+            .iter()
+            .find(|&&(_, value, min, applies)| applies && value < min)
+        {
+            return Err(DetectError::ParameterTooSmall { name, value, min });
+        }
         if k > disc.n_dims() {
             return Err(DetectError::KTooLarge {
                 k,
@@ -333,6 +364,11 @@ impl OutlierDetector {
             },
         );
         drop(search_span);
+        // How far the final population agrees on its least settled slot,
+        // one observation per search like `cache_hit_ratio`.
+        obs::registry()
+            .histogram_with_bounds("hdoutlier.core.gene_convergence", PRUNED_FRACTION_BOUNDS)
+            .record(outcome.gene_convergence);
         let stats = SearchStats {
             work: outcome.evaluations,
             generations: outcome.generations,
@@ -591,6 +627,38 @@ mod tests {
         // one half whatever else lands in the histogram.
         assert!(after.count > before, "no observation recorded");
         assert!(after.max > 0.5 && after.max <= 1.0, "{}", after.max);
+    }
+
+    #[test]
+    fn evolutionary_search_records_its_gene_convergence() {
+        let convergence = || {
+            obs::registry()
+                .histogram_with_bounds("hdoutlier.core.gene_convergence", PRUNED_FRACTION_BOUNDS)
+                .snapshot()
+        };
+        let detect = |population, generations| {
+            OutlierDetector::builder()
+                .phi(5)
+                .k(2)
+                .seed(3)
+                .population(population)
+                .max_generations(generations)
+                .search(SearchMethod::Evolutionary)
+                .build()
+                .detect(&planted().dataset)
+                .unwrap()
+        };
+        let before = convergence().count;
+        // A random seed population of 100 spreads each slot over many
+        // (dimension, range) pairs; a population of one agrees with itself.
+        detect(100, 0);
+        detect(1, 30);
+        let after = convergence();
+        // Other tests may record concurrently; these two runs bound the
+        // extremes whatever else lands in the histogram.
+        assert!(after.count >= before + 2, "no observation recorded");
+        assert!(after.min < 0.5, "{}", after.min);
+        assert_eq!(after.max, 1.0);
     }
 
     #[test]

@@ -1,19 +1,38 @@
 //! The evolutionary outlier search (paper Fig. 3).
 //!
-//! Adapts the projection-string problem onto the generic engine of
-//! `hdoutlier-evolve`: rank-roulette selection (Fig. 4), optimized or
-//! two-point crossover (Fig. 5), Type I/II mutation (Fig. 6), De Jong
-//! convergence, and a deduplicated best-m set maintained across the whole
-//! run ("the m best projection solutions were kept track of at each stage").
+//! ```text
+//! S = initial seed population of p strings
+//! while not(termination_criterion):
+//!     S = Selection(S)
+//!     S = CrossOver(S)
+//!     S = Mutation(S, p1, p2)
+//!     update BestSet
+//! ```
+//!
+//! One generation loop over projection strings: rank-roulette selection
+//! (Fig. 4, [`crate::selection`]), optimized or two-point crossover
+//! (Fig. 5), Type I/II mutation (Fig. 6), De Jong convergence
+//! ([`crate::convergence`]), and a deduplicated best-m set maintained across
+//! the whole run ("the m best projection solutions were kept track of at
+//! each stage"). Fitness is minimized: the most negative sparsity
+//! coefficient is best.
 
+use crate::convergence::population_converged;
 use crate::crossover::{recombine, CrossoverKind};
 use crate::fitness::SparsityFitness;
 use crate::mutation::{mutate, MutationConfig};
 use crate::projection::Projection;
 use crate::report::ScoredProjection;
-use hdoutlier_evolve::{Engine, EngineConfig, EvolutionaryProblem, SelectionScheme};
+use crate::selection::SelectionScheme;
 use hdoutlier_index::CubeCounter;
+use hdoutlier_obs as obs;
 use hdoutlier_rng::rngs::StdRng;
+use hdoutlier_rng::SeedableRng;
+use std::collections::HashMap;
+use std::time::Instant;
+
+/// Event target for everything the generation loop emits.
+const TARGET: &str = "hdoutlier.evolve";
 
 /// Configuration of one evolutionary run.
 #[derive(Debug, Clone)]
@@ -42,7 +61,7 @@ pub struct EvolutionaryConfig {
     /// candidates come for free (their counts are already computed) and
     /// measurably improve the best-m — `repro ablation` quantifies the gap.
     pub track_internal_candidates: bool,
-    /// RNG seed.
+    /// RNG seed; every run with the same seed and fitness is identical.
     pub seed: u64,
     /// Ignored: the search scores fitness on the calling thread. Kept only
     /// so existing struct literals still compile; nothing reads it.
@@ -73,65 +92,86 @@ impl Default for EvolutionaryConfig {
 pub struct EvolutionaryOutcome {
     /// The deduplicated best projections, most negative sparsity first.
     pub best: Vec<ScoredProjection>,
-    /// Generations executed.
+    /// Generations executed (selection + crossover + mutation cycles).
     pub generations: usize,
-    /// Total fitness evaluations.
+    /// Total fitness evaluations, the seed population's included.
     pub evaluations: u64,
     /// Whether the run ended by De Jong convergence (vs. the generation cap).
     pub converged: bool,
+    /// The final population's smallest per-slot agreement: the share of
+    /// members holding the most common value of its least settled slot.
+    pub gene_convergence: f64,
 }
 
-struct ProjectionProblem<'a, C: CubeCounter> {
-    fitness: &'a SparsityFitness<'a, C>,
-    d: usize,
-    k: usize,
-    phi: u32,
-    crossover: CrossoverKind,
-    mutation: MutationConfig,
+/// Metric handles resolved once per run (resolution takes the registry
+/// lock; updates are lock-free).
+struct GaMetrics {
+    generations: obs::Counter,
+    evaluations: obs::Counter,
+    selection_us: obs::Histogram,
+    crossover_us: obs::Histogram,
+    mutation_us: obs::Histogram,
+    evaluate_us: obs::Histogram,
+    generation_us: obs::Histogram,
 }
 
-impl<C: CubeCounter> EvolutionaryProblem for ProjectionProblem<'_, C> {
-    type Genome = Projection;
-
-    fn random_genome(&self, rng: &mut StdRng) -> Projection {
-        Projection::random(self.d, self.k, self.phi, rng)
+impl GaMetrics {
+    fn resolve() -> Self {
+        let r = obs::registry();
+        GaMetrics {
+            generations: r.counter("hdoutlier.evolve.generations"),
+            evaluations: r.counter("hdoutlier.evolve.evaluations"),
+            selection_us: r.histogram("hdoutlier.evolve.selection_us"),
+            crossover_us: r.histogram("hdoutlier.evolve.crossover_us"),
+            mutation_us: r.histogram("hdoutlier.evolve.mutation_us"),
+            evaluate_us: r.histogram("hdoutlier.evolve.evaluate_us"),
+            generation_us: r.histogram("hdoutlier.evolve.generation_us"),
+        }
     }
+}
 
-    fn fitness(&self, genome: &Projection) -> f64 {
-        // Feasible genomes are recorded by the fitness's tracker; infeasible
-        // ones score +inf and are never candidates.
-        self.fitness.evaluate(genome)
+/// Elapsed microseconds of `f`, recording into `hist` and returning the
+/// elapsed count alongside the result. When `timed` is false no clock is
+/// read and the reported elapsed is 0.
+fn timed_stage<T>(timed: bool, hist: &obs::Histogram, f: impl FnOnce() -> T) -> (T, u64) {
+    if timed {
+        let start = Instant::now();
+        let out = f();
+        let us = start.elapsed().as_micros() as u64;
+        hist.record(us as f64);
+        (out, us)
+    } else {
+        (f(), 0)
     }
+}
 
-    fn crossover(
-        &self,
-        a: &Projection,
-        b: &Projection,
-        rng: &mut StdRng,
-    ) -> (Projection, Projection) {
-        recombine(self.crossover, a, b, self.fitness, rng)
-    }
-
-    fn mutate(&self, genome: &mut Projection, rng: &mut StdRng) {
-        mutate(genome, &self.mutation, rng);
-    }
-
-    fn gene_view(&self, genome: &Projection) -> Vec<u32> {
-        // De Jong convergence must be checked on the k constrained slots,
-        // not the raw d-position string: with k ≪ d every raw position is
-        // ≥ 95 % star in any population, so the raw view "converges" on the
-        // seed generation. Encoding slot i as its i-th (dim, range) pair
-        // makes convergence mean what it should: the population agrees on
-        // the projection itself.
-        genome
-            .constrained_positions()
-            .into_iter()
-            .map(|pos| pos as u32 * (self.phi + 1) + genome.gene(pos).expect("constrained") as u32)
-            .collect()
-    }
+/// De Jong's test on the population's gene view: whether it has converged,
+/// and its smallest per-slot agreement.
+///
+/// Convergence must be checked on the k constrained slots, not the raw
+/// d-position string: with k ≪ d every raw position is ≥ 95 % star in any
+/// population, so the raw view "converges" on the seed generation. Encoding
+/// slot i as its i-th (dim, range) pair makes convergence mean what it
+/// should: the population agrees on the projection itself.
+fn check_convergence(population: &[Projection], phi: u32, threshold: f64) -> (bool, f64) {
+    let views: Vec<Vec<u32>> = population
+        .iter()
+        .map(|genome| {
+            genome
+                .constrained_positions()
+                .into_iter()
+                .map(|pos| pos as u32 * (phi + 1) + genome.gene(pos).expect("constrained") as u32)
+                .collect()
+        })
+        .collect();
+    population_converged(&views, threshold)
 }
 
 /// Runs the evolutionary outlier search of Fig. 3.
+///
+/// The random stream is drawn in a fixed order — the seed population, then
+/// per generation selection, pairwise crossover and mutation — so a seed
+/// fixes the run.
 ///
 /// # Panics
 /// Panics if the population size or `m` is zero.
@@ -140,58 +180,178 @@ pub fn evolutionary_search<C: CubeCounter>(
     config: &EvolutionaryConfig,
 ) -> EvolutionaryOutcome {
     assert!(config.m > 0, "m must be positive");
+    assert!(config.population > 0, "population must be positive");
     if config.track_internal_candidates {
         fitness.enable_tracking();
     }
-    let problem = ProjectionProblem {
-        fitness,
-        d: fitness.counter().n_dims(),
-        k: fitness.k(),
-        phi: fitness.counter().phi(),
-        crossover: config.crossover,
-        mutation: MutationConfig {
-            p1: config.p1,
-            p2: config.p2,
-            phi: fitness.counter().phi(),
-        },
+    let d = fitness.counter().n_dims();
+    let phi = fitness.counter().phi();
+    let mutation = MutationConfig {
+        p1: config.p1,
+        p2: config.p2,
+        phi,
     };
-    let engine = Engine::new(
-        &problem,
-        EngineConfig {
-            population: config.population,
-            selection: config.selection,
-            convergence_threshold: config.convergence_threshold,
-            max_generations: config.max_generations,
-            seed: config.seed,
-        },
+    let metrics = GaMetrics::resolve();
+    // Stage timing costs four clock reads per generation; spend them only
+    // when someone collects the numbers (debug logging or an explicit
+    // metrics request).
+    let timed = obs::enabled(obs::Level::Debug) || obs::timing_enabled();
+    let mut rng = StdRng::seed_from_u64(config.seed);
+    let mut population: Vec<Projection> = (0..config.population)
+        .map(|_| Projection::random(d, fitness.k(), phi, &mut rng))
+        .collect();
+
+    // Without internal tracking the best set is the population members
+    // alone (the literal Fig. 3 BestSet semantics).
+    let mut population_seen: HashMap<Projection, f64> = HashMap::new();
+    // Scores each member in population order, on this thread. Feasible
+    // genomes are recorded by the fitness's tracker; infeasible ones score
+    // +inf and are never candidates.
+    let mut evaluate = |pop: &[Projection]| -> Vec<f64> {
+        pop.iter()
+            .map(|genome| {
+                let f = {
+                    let _eval = obs::profile_span(TARGET, "evaluate");
+                    fitness.evaluate(genome)
+                };
+                if !config.track_internal_candidates && f.is_finite() {
+                    population_seen.entry(genome.clone()).or_insert(f);
+                }
+                f
+            })
+            .collect()
+    };
+
+    let lowest = |scores: &[f64]| scores.iter().copied().fold(f64::INFINITY, f64::min);
+
+    let (mut scores, _) = timed_stage(timed, &metrics.evaluate_us, || evaluate(&population));
+    let mut evaluations = scores.len() as u64;
+    let mut best = lowest(&scores);
+    metrics.evaluations.add(evaluations);
+    obs::event(
+        obs::Level::Debug,
+        TARGET,
+        "seed",
+        &[
+            ("population", obs::Value::U64(config.population as u64)),
+            ("best", obs::Value::F64(best)),
+        ],
     );
-    // Without internal tracking, collect population-level evaluations only
-    // (the literal Fig. 3 BestSet semantics) through the observer.
-    let population_seen: std::cell::RefCell<std::collections::HashMap<Projection, f64>> =
-        std::cell::RefCell::new(std::collections::HashMap::new());
-    let stats = engine.run(|genome, f| {
-        if !config.track_internal_candidates && f.is_finite() {
-            population_seen
-                .borrow_mut()
-                .entry(genome.clone())
-                .or_insert(f);
+
+    // Termination is checked before each generation, so a converged seed
+    // stops at once.
+    let (mut done, mut gene_convergence) =
+        check_convergence(&population, phi, config.convergence_threshold);
+    let mut generations = 0usize;
+    while !done && generations < config.max_generations {
+        let gen_start = if timed { Some(Instant::now()) } else { None };
+
+        let (mut next, selection_us) = timed_stage(timed, &metrics.selection_us, || {
+            let parents = config.selection.select(&scores, &mut rng);
+            parents
+                .iter()
+                .map(|&i| population[i].clone())
+                .collect::<Vec<Projection>>()
+        });
+
+        // Crossover: match pairwise (Fig. 5 "match the solutions in the
+        // population pairwise"); an odd trailing member passes through.
+        let (_, crossover_us) = timed_stage(timed, &metrics.crossover_us, || {
+            for pair in (0..next.len() / 2).map(|i| 2 * i) {
+                let (a, b) = recombine(
+                    config.crossover,
+                    &next[pair],
+                    &next[pair + 1],
+                    fitness,
+                    &mut rng,
+                );
+                next[pair] = a;
+                next[pair + 1] = b;
+            }
+        });
+
+        let (_, mutation_us) = timed_stage(timed, &metrics.mutation_us, || {
+            for genome in next.iter_mut() {
+                mutate(genome, &mutation, &mut rng);
+            }
+        });
+
+        population = next;
+        let (new_scores, evaluate_us) =
+            timed_stage(timed, &metrics.evaluate_us, || evaluate(&population));
+        scores = new_scores;
+        evaluations += scores.len() as u64;
+        metrics.evaluations.add(scores.len() as u64);
+        let gen_best = lowest(&scores);
+        best = best.min(gen_best);
+        metrics.generations.inc();
+        generations += 1;
+        if let Some(start) = gen_start {
+            metrics
+                .generation_us
+                .record(start.elapsed().as_micros() as f64);
         }
-    });
+        (done, gene_convergence) =
+            check_convergence(&population, phi, config.convergence_threshold);
+
+        if obs::enabled(obs::Level::Debug) {
+            // Population statistics are only computed when someone is
+            // listening at Debug.
+            let finite: Vec<f64> = scores.iter().copied().filter(|f| f.is_finite()).collect();
+            let mean = if finite.is_empty() {
+                f64::NAN
+            } else {
+                finite.iter().sum::<f64>() / finite.len() as f64
+            };
+            obs::event(
+                obs::Level::Debug,
+                TARGET,
+                "generation",
+                &[
+                    ("generation", obs::Value::U64(generations as u64)),
+                    ("best", obs::Value::F64(best)),
+                    ("gen_best", obs::Value::F64(gen_best)),
+                    ("mean", obs::Value::F64(mean)),
+                    (
+                        "infeasible",
+                        obs::Value::U64((scores.len() - finite.len()) as u64),
+                    ),
+                    ("convergence", obs::Value::F64(gene_convergence)),
+                    ("selection_us", obs::Value::U64(selection_us)),
+                    ("crossover_us", obs::Value::U64(crossover_us)),
+                    ("mutation_us", obs::Value::U64(mutation_us)),
+                    ("evaluate_us", obs::Value::U64(evaluate_us)),
+                ],
+            );
+        }
+    }
+
+    obs::event(
+        obs::Level::Info,
+        TARGET,
+        "run",
+        &[
+            ("generations", obs::Value::U64(generations as u64)),
+            ("evaluations", obs::Value::U64(evaluations)),
+            ("best_fitness", obs::Value::F64(best)),
+            (
+                "termination",
+                obs::Value::Str(if done { "converged" } else { "max_generations" }),
+            ),
+        ],
+    );
 
     // Assemble the deduplicated best-m from every full-k cube the fitness
     // scored during the run (population members and, by default, the
     // candidates the optimized crossover examined internally).
-    let d = fitness.counter().n_dims();
-    let tracked: std::collections::HashMap<hdoutlier_index::Cube, f64> =
-        if config.track_internal_candidates {
-            fitness.take_tracked()
-        } else {
-            population_seen
-                .into_inner()
-                .into_iter()
-                .filter_map(|(p, f)| p.to_cube().map(|c| (c, f)))
-                .collect()
-        };
+    let tracked: HashMap<hdoutlier_index::Cube, f64> = if config.track_internal_candidates {
+        fitness.take_tracked()
+    } else {
+        population_seen
+            .into_iter()
+            .filter_map(|(p, f)| p.to_cube().map(|c| (c, f)))
+            .collect()
+    };
     let mut scored: Vec<ScoredProjection> = tracked
         .into_iter()
         .map(|(cube, sparsity)| {
@@ -217,9 +377,10 @@ pub fn evolutionary_search<C: CubeCounter>(
 
     EvolutionaryOutcome {
         best: scored,
-        generations: stats.generations_run,
-        evaluations: stats.evaluations,
-        converged: stats.converged,
+        generations,
+        evaluations,
+        converged: done,
+        gene_convergence,
     }
 }
 
@@ -262,8 +423,7 @@ pub fn multi_restart_search<C: CubeCounter>(
     fitness: &SparsityFitness<'_, C>,
     config: &MultiRestartConfig,
 ) -> MultiRestartOutcome {
-    let mut union: std::collections::HashMap<Projection, ScoredProjection> =
-        std::collections::HashMap::new();
+    let mut union: HashMap<Projection, ScoredProjection> = HashMap::new();
     let mut evaluations = 0u64;
     for restart in 0..config.restarts {
         let out = evolutionary_search(
@@ -551,7 +711,7 @@ mod tests {
     fn banned_cubes_score_infinity_at_genome_level_only() {
         let (counter, _) = planted_counter(8, 50);
         let fitness = SparsityFitness::new(&counter, 2);
-        let p = Projection::random(8, 2, 5, &mut hdoutlier_evolve::engine::seeded_rng(1));
+        let p = Projection::random(8, 2, 5, &mut StdRng::seed_from_u64(1));
         let cube = p.to_cube().unwrap();
         let honest = fitness.evaluate(&p);
         assert!(honest.is_finite());
@@ -561,6 +721,58 @@ mod tests {
         assert_eq!(fitness.sparsity_of_cube(&cube), honest);
         fitness.clear_bans();
         assert_eq!(fitness.evaluate(&p), honest);
+    }
+
+    #[test]
+    fn a_population_of_one_is_converged_at_the_seed() {
+        let (counter, _) = planted_counter(8, 51);
+        let fitness = SparsityFitness::new(&counter, 2);
+        let out = evolutionary_search(
+            &fitness,
+            &EvolutionaryConfig {
+                population: 1,
+                ..EvolutionaryConfig::default()
+            },
+        );
+        assert_eq!(out.generations, 0);
+        assert!(out.converged);
+        assert_eq!(out.evaluations, 1);
+        assert_eq!(out.gene_convergence, 1.0);
+    }
+
+    #[test]
+    fn an_unreachable_threshold_runs_to_the_generation_cap() {
+        let (counter, _) = planted_counter(8, 52);
+        let fitness = SparsityFitness::new(&counter, 2);
+        let out = evolutionary_search(
+            &fitness,
+            &EvolutionaryConfig {
+                population: 10,
+                convergence_threshold: 1.01,
+                max_generations: 3,
+                seed: 3,
+                ..EvolutionaryConfig::default()
+            },
+        );
+        assert_eq!(out.generations, 3);
+        assert!(!out.converged);
+        // The seed population plus three generations of ten.
+        assert_eq!(out.evaluations, 40);
+        assert!(out.gene_convergence > 0.0 && out.gene_convergence <= 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "population must be positive")]
+    fn zero_population_panics() {
+        let (counter, _) = planted_counter(8, 53);
+        let fitness = SparsityFitness::new(&counter, 2);
+        evolutionary_search(
+            &fitness,
+            &EvolutionaryConfig {
+                population: 0,
+                ..EvolutionaryConfig::default()
+            },
+        );
     }
 
     #[test]

@@ -35,13 +35,16 @@
 //! ```
 //!
 //! Module map: [`projection`] (the string genome), [`fitness`] (Eq. 1 over a
-//! cube counter), [`brute`] / [`evolutionary`] (the two searches),
-//! [`crossover`] and [`mutation`] (the GA operators), [`report`]
+//! cube counter), [`brute`] / [`evolutionary`] (the two searches; the
+//! latter holds the GA's generation loop), [`selection`], [`crossover`] and
+//! [`mutation`] (the GA operators), [`convergence`] (De Jong's termination
+//! criterion), [`report`]
 //! (post-processing into interpretable outlier reports), [`params`]
 //! (the φ/k advisor of §2.4), [`detector`] (the builder API) and [`model`]
 //! (fitted models that score new records without the training data).
 
 pub mod brute;
+pub mod convergence;
 pub mod crossover;
 pub mod detector;
 pub mod drill;
@@ -53,6 +56,7 @@ pub mod mutation;
 pub mod params;
 pub mod projection;
 pub mod report;
+pub mod selection;
 
 pub use detector::{DetectorConfig, OutlierDetector, SearchMethod};
 pub use drill::{record_profile, record_profile_threaded, RecordView};
@@ -61,3 +65,4 @@ pub use model::FittedModel;
 pub use multi_k::MultiKReport;
 pub use projection::Projection;
 pub use report::{OutlierReport, ScoredProjection};
+pub use selection::SelectionScheme;

@@ -1,19 +1,22 @@
 //! Seeded property tests for the detector's genetic operators, fitness and
 //! verdict rule: crossover and mutation keep exactly k non-star genes and
-//! build children from parent material only, infeasible strings never
-//! score, and a fitted model matches records by one rule wherever it is
-//! applied. All run on [`hdoutlier_rng::for_each_case`]; a failing case
-//! prints the seed that replays it alone.
+//! build children from parent material only, selection returns valid
+//! parents, De Jong convergence is monotone in its threshold, infeasible
+//! strings never score, and a fitted model matches records by one rule
+//! wherever it is applied. All run on [`hdoutlier_rng::for_each_case`]; a
+//! failing case prints the seed that replays it alone.
 
+use hdoutlier_core::convergence::{gene_convergence, population_converged};
 use hdoutlier_core::crossover::{optimized, two_point, two_point_at};
 use hdoutlier_core::fitness::SparsityFitness;
 use hdoutlier_core::mutation::{mutate, MutationConfig};
 use hdoutlier_core::projection::{Projection, STAR};
-use hdoutlier_core::{FittedModel, ScoredProjection};
+use hdoutlier_core::{FittedModel, ScoredProjection, SelectionScheme};
 use hdoutlier_data::discretize::{DiscretizeStrategy, Discretized};
 use hdoutlier_data::generators::uniform;
 use hdoutlier_data::GridSpec;
 use hdoutlier_index::BitmapCounter;
+use hdoutlier_rng::rngs::StdRng;
 use hdoutlier_rng::{for_each_case, Rng};
 use hdoutlier_stream::OnlineScorer;
 
@@ -202,6 +205,89 @@ fn match_cells_is_the_filter_then_fold_rule() {
             assert_eq!(verdict.matched, matched, "{row:?}");
             assert_eq!(verdict.score.map(f64::to_bits), score.map(f64::to_bits));
             assert_eq!(verdict.outlier, !matched.is_empty());
+        }
+    });
+}
+
+fn random_fitness(rng: &mut StdRng, len: std::ops::Range<usize>) -> Vec<f64> {
+    let n = rng.gen_range(len);
+    (0..n).map(|_| rng.gen_range(-100.0..100.0)).collect()
+}
+
+fn random_population(
+    rng: &mut StdRng,
+    size: std::ops::Range<usize>,
+    genes: usize,
+    alleles: u32,
+) -> Vec<Vec<u32>> {
+    let n = rng.gen_range(size);
+    (0..n)
+        .map(|_| (0..genes).map(|_| rng.gen_range(0..alleles)).collect())
+        .collect()
+}
+
+#[test]
+fn selection_returns_one_valid_index_per_member() {
+    for_each_case(0xe70e_0001, 256, |rng| {
+        let fitness = random_fitness(rng, 1..40);
+        for scheme in [
+            SelectionScheme::RankRoulette,
+            SelectionScheme::FitnessProportional,
+            SelectionScheme::Tournament { size: 3 },
+        ] {
+            let selected = scheme.select(&fitness, rng);
+            assert_eq!(selected.len(), fitness.len(), "{scheme:?}");
+            assert!(selected.iter().all(|&i| i < fitness.len()), "{scheme:?}");
+        }
+    });
+}
+
+/// Rank roulette weights the string of 1-based rank `r` by `p − r` (Fig. 4),
+/// so the worst string, the one with the largest fitness, gets weight zero.
+#[test]
+fn rank_roulette_never_selects_the_unique_worst() {
+    for_each_case(0xe70e_0002, 256, |rng| {
+        let mut fitness = random_fitness(rng, 2..30);
+        let max = fitness.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        let worst = fitness.iter().position(|&f| f == max).unwrap();
+        fitness[worst] = max + 1.0;
+        for _ in 0..20 {
+            let selected = SelectionScheme::RankRoulette.select(&fitness, rng);
+            assert!(
+                !selected.contains(&worst),
+                "picked the worst, {worst}, of {fitness:?}"
+            );
+        }
+    });
+}
+
+#[test]
+fn convergence_at_a_strict_threshold_implies_it_at_a_loose_one() {
+    for_each_case(0xe70e_0003, 256, |rng| {
+        let pop = random_population(rng, 1..30, 5, 4);
+        let (t1, t2) = (rng.gen_range(0.1..1.0), rng.gen_range(0.1..1.0));
+        let (lo, hi) = if t1 <= t2 { (t1, t2) } else { (t2, t1) };
+        if population_converged(&pop, hi).0 {
+            assert!(
+                population_converged(&pop, lo).0,
+                "{pop:?}: {hi} but not {lo}"
+            );
+        }
+    });
+}
+
+#[test]
+fn gene_convergence_lies_between_one_member_and_all() {
+    for_each_case(0xe70e_0004, 256, |rng| {
+        let pop = random_population(rng, 1..40, 4, 6);
+        let conv = gene_convergence(&pop);
+        assert_eq!(conv.len(), 4);
+        let min_share = 1.0 / pop.len() as f64;
+        for &c in &conv {
+            assert!(
+                c >= min_share - 1e-12 && c <= 1.0 + 1e-12,
+                "{conv:?} of {pop:?}"
+            );
         }
     });
 }

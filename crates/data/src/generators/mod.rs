@@ -3,10 +3,10 @@
 //! Every generator is deterministic given its seed, so experiments and tests
 //! are exactly reproducible. Three families:
 //!
-//! - [`uniform`]: i.i.d. uniform data — the null model under which Eq. 1's
+//! - [`uniform`](mod@uniform): i.i.d. uniform data — the null model under which Eq. 1's
 //!   sparsity coefficient is exactly a standardized binomial. Used to
 //!   calibrate and to show that *no* strong outliers exist in noise.
-//! - [`correlated`]: latent-factor Gaussian data whose attributes are
+//! - [`correlated`](mod@correlated): latent-factor Gaussian data whose attributes are
 //!   pairwise correlated — the "structured cross-sections" of the paper's
 //!   Figure 1. Correlation is what makes contrarian combinations rare.
 //! - [`planted`]: correlated bulk plus records whose values are *marginally

@@ -16,7 +16,6 @@
 pub use hdoutlier_baselines as baselines;
 pub use hdoutlier_core as core;
 pub use hdoutlier_data as data;
-pub use hdoutlier_evolve as evolve;
 pub use hdoutlier_index as index;
 pub use hdoutlier_obs as obs;
 pub use hdoutlier_scenario as scenario;
