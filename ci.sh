@@ -112,7 +112,9 @@ cargo run -q --offline --release -p hdoutlier-bench --bin stream_throughput -- \
 
 # Detect (tolerance 1.0, BENCH_detect.json): `threads-1`, the one-worker
 # time per scored cube of the brute-force search `detect --search brute`
-# ships, timed by `repro threads`.
+# ships, and `explain-1`, the one-worker time per view of `explain`'s
+# ranking at k = 1, 2, 3 (one exact binomial tail per view), both timed by
+# `repro threads`.
 cargo run -q --offline --release -p hdoutlier-bench --bin repro -- threads \
     --assert-against BENCH_detect.json
 

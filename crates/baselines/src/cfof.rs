@@ -23,26 +23,22 @@ use hdoutlier_data::Dataset;
 /// CFOF scores for every row, in row order. `rho` is the fraction of the
 /// dataset that must "see" the point (the paper's ϱ, typically 0.01–0.1;
 /// clamped here to at least one observer). `O(n²·d + n²·log n)` brute force.
+/// The per-observer rank scans run on `threads` pool workers; each
+/// observer's distance order is computed independently and the reverse-rank
+/// gather is in row order, so the output is bit-identical at any thread
+/// count.
 ///
 /// ```
 /// use hdoutlier_baselines::{cfof_scores, Metric};
 /// use hdoutlier_data::Dataset;
 /// let mut rows: Vec<Vec<f64>> = (0..20).map(|i| vec![(i % 5) as f64, (i / 5) as f64]).collect();
 /// rows.push(vec![100.0, 100.0]);
-/// let scores = cfof_scores(&ds_from(rows), 0.1, Metric::Euclidean).unwrap();
+/// let scores = cfof_scores(&ds_from(rows), 0.1, Metric::Euclidean, 1).unwrap();
 /// let top = (0..scores.len()).max_by(|&a, &b| scores[a].total_cmp(&scores[b])).unwrap();
 /// assert_eq!(top, 20);
 /// # fn ds_from(rows: Vec<Vec<f64>>) -> Dataset { Dataset::from_rows(rows).unwrap() }
 /// ```
-pub fn cfof_scores(dataset: &Dataset, rho: f64, metric: Metric) -> Result<Vec<f64>, BaselineError> {
-    cfof_scores_threaded(dataset, rho, metric, 1)
-}
-
-/// [`cfof_scores`] with the per-observer rank scans fanned out over pool
-/// workers. Each observer's distance order is computed independently and the
-/// reverse-rank gather is in row order, so the output is bit-identical at
-/// any thread count.
-pub fn cfof_scores_threaded(
+pub fn cfof_scores(
     dataset: &Dataset,
     rho: f64,
     metric: Metric,
@@ -66,7 +62,8 @@ pub fn cfof_scores_threaded(
     // reverse_ranks[j] maps each point i to its 1-based rank in observer
     // j's distance order (j itself excluded). Ties break by row index, the
     // same total order used everywhere in this crate.
-    let observer = |j: usize| -> Vec<usize> {
+    let rows: Vec<usize> = (0..n).collect();
+    let reverse_ranks = hdoutlier_pool::map(threads, &rows, |_, &j| {
         let q = dataset.row(j);
         let mut order: Vec<(f64, usize)> = (0..n)
             .filter(|&i| i != j)
@@ -82,13 +79,7 @@ pub fn cfof_scores_threaded(
             ranks[i] = pos + 1;
         }
         ranks
-    };
-    let reverse_ranks: Vec<Vec<usize>> = if threads > 1 {
-        let rows: Vec<usize> = (0..n).collect();
-        hdoutlier_pool::map(threads, &rows, |_, &j| observer(j))
-    } else {
-        (0..n).map(observer).collect()
-    };
+    });
 
     // Score of i: the `observers`-th smallest reverse rank of i, over n.
     Ok((0..n)
@@ -119,7 +110,7 @@ mod tests {
     #[test]
     fn far_point_scores_highest() {
         let ds = cluster_with_far_point();
-        let scores = cfof_scores(&ds, 0.1, Metric::Euclidean).unwrap();
+        let scores = cfof_scores(&ds, 0.1, Metric::Euclidean, 1).unwrap();
         let top = (0..scores.len())
             .max_by(|&a, &b| scores[a].total_cmp(&scores[b]))
             .unwrap();
@@ -133,7 +124,7 @@ mod tests {
     #[test]
     fn scores_are_fractions_of_n() {
         let ds = cluster_with_far_point();
-        let scores = cfof_scores(&ds, 0.25, Metric::Euclidean).unwrap();
+        let scores = cfof_scores(&ds, 0.25, Metric::Euclidean, 1).unwrap();
         for &s in &scores {
             assert!(s > 0.0 && s <= 1.0, "score {s} out of (0, 1]");
         }
@@ -142,8 +133,8 @@ mod tests {
     #[test]
     fn larger_rho_needs_larger_neighborhoods() {
         let ds = cluster_with_far_point();
-        let lo = cfof_scores(&ds, 0.05, Metric::Euclidean).unwrap();
-        let hi = cfof_scores(&ds, 0.5, Metric::Euclidean).unwrap();
+        let lo = cfof_scores(&ds, 0.05, Metric::Euclidean, 1).unwrap();
+        let hi = cfof_scores(&ds, 0.5, Metric::Euclidean, 1).unwrap();
         // More observers required ⟹ the deciding reverse rank cannot shrink.
         for (a, b) in lo.iter().zip(&hi) {
             assert!(b >= a);
@@ -153,18 +144,18 @@ mod tests {
     #[test]
     fn parameter_errors_propagate() {
         let ds = cluster_with_far_point();
-        assert!(cfof_scores(&ds, 0.0, Metric::Euclidean).is_err());
-        assert!(cfof_scores(&ds, 1.5, Metric::Euclidean).is_err());
+        assert!(cfof_scores(&ds, 0.0, Metric::Euclidean, 1).is_err());
+        assert!(cfof_scores(&ds, 1.5, Metric::Euclidean, 1).is_err());
         let one = Dataset::from_rows(vec![vec![1.0]]).unwrap();
-        assert!(cfof_scores(&one, 0.1, Metric::Euclidean).is_err());
+        assert!(cfof_scores(&one, 0.1, Metric::Euclidean, 1).is_err());
     }
 
     #[test]
     fn threaded_scores_are_identical_to_serial() {
         let ds = cluster_with_far_point();
-        let serial = cfof_scores(&ds, 0.1, Metric::Euclidean).unwrap();
+        let serial = cfof_scores(&ds, 0.1, Metric::Euclidean, 1).unwrap();
         for threads in [2, 4, 8] {
-            let got = cfof_scores_threaded(&ds, 0.1, Metric::Euclidean, threads).unwrap();
+            let got = cfof_scores(&ds, 0.1, Metric::Euclidean, threads).unwrap();
             assert_eq!(got, serial, "threads = {threads}");
         }
     }

@@ -22,7 +22,9 @@ use hdoutlier_data::Dataset;
 
 /// DOD scores for every row, in row order: RMS deviation of each row's
 /// sorted distance profile from the pointwise median profile. `O(n²·d +
-/// n²·log n)` brute force.
+/// n²·log n)` brute force. The per-row profile scans run on `threads` pool
+/// workers; profiles come back in row order and the median/deviation passes
+/// are sequential, so the output is bit-identical at any thread count.
 ///
 /// ```
 /// use hdoutlier_baselines::{dod_scores, Metric};
@@ -30,18 +32,11 @@ use hdoutlier_data::Dataset;
 /// let mut rows: Vec<Vec<f64>> = (0..20).map(|i| vec![(i % 5) as f64, (i / 5) as f64]).collect();
 /// rows.push(vec![100.0, 100.0]);
 /// let ds = Dataset::from_rows(rows).unwrap();
-/// let scores = dod_scores(&ds, Metric::Euclidean).unwrap();
+/// let scores = dod_scores(&ds, Metric::Euclidean, 1).unwrap();
 /// let top = (0..scores.len()).max_by(|&a, &b| scores[a].total_cmp(&scores[b])).unwrap();
 /// assert_eq!(top, 20);
 /// ```
-pub fn dod_scores(dataset: &Dataset, metric: Metric) -> Result<Vec<f64>, BaselineError> {
-    dod_scores_threaded(dataset, metric, 1)
-}
-
-/// [`dod_scores`] with the per-row profile scans fanned out over pool
-/// workers. Profiles come back in row order and the median/deviation passes
-/// are sequential, so the output is bit-identical at any thread count.
-pub fn dod_scores_threaded(
+pub fn dod_scores(
     dataset: &Dataset,
     metric: Metric,
     threads: usize,
@@ -53,7 +48,8 @@ pub fn dod_scores_threaded(
             "need at least 3 rows for a median profile, got {n}"
         )));
     }
-    let profile = |i: usize| -> Vec<f64> {
+    let rows: Vec<usize> = (0..n).collect();
+    let profiles = hdoutlier_pool::map(threads, &rows, |_, &i| {
         let q = dataset.row(i);
         let mut d: Vec<f64> = (0..n)
             .filter(|&j| j != i)
@@ -61,13 +57,7 @@ pub fn dod_scores_threaded(
             .collect();
         d.sort_by(|a, b| a.partial_cmp(b).expect("finite distances"));
         d
-    };
-    let profiles: Vec<Vec<f64>> = if threads > 1 {
-        let rows: Vec<usize> = (0..n).collect();
-        hdoutlier_pool::map(threads, &rows, |_, &i| profile(i))
-    } else {
-        (0..n).map(profile).collect()
-    };
+    });
 
     // Pointwise median profile: the consensus "how far is my k-th closest
     // point" curve. Lower median of the sorted column for even n keeps the
@@ -108,7 +98,7 @@ mod tests {
     #[test]
     fn far_point_scores_highest() {
         let ds = cluster_with_far_point();
-        let scores = dod_scores(&ds, Metric::Euclidean).unwrap();
+        let scores = dod_scores(&ds, Metric::Euclidean, 1).unwrap();
         let top = (0..scores.len())
             .max_by(|&a, &b| scores[a].total_cmp(&scores[b]))
             .unwrap();
@@ -128,7 +118,7 @@ mod tests {
         rows.push(vec![100.0, 100.0]);
         rows.push(vec![100.1, 100.0]);
         let ds = Dataset::from_rows(rows).unwrap();
-        let scores = dod_scores(&ds, Metric::Euclidean).unwrap();
+        let scores = dod_scores(&ds, Metric::Euclidean, 1).unwrap();
         let mut ranked: Vec<usize> = (0..scores.len()).collect();
         ranked.sort_by(|&a, &b| scores[b].total_cmp(&scores[a]));
         assert!(ranked[..2].contains(&20) && ranked[..2].contains(&21));
@@ -140,7 +130,7 @@ mod tests {
             .map(|i| vec![(i % 5) as f64, (i / 5) as f64])
             .collect();
         let ds = Dataset::from_rows(rows).unwrap();
-        let scores = dod_scores(&ds, Metric::Euclidean).unwrap();
+        let scores = dod_scores(&ds, Metric::Euclidean, 1).unwrap();
         for &s in &scores {
             assert!((0.0..3.0).contains(&s), "score {s} unexpectedly large");
         }
@@ -149,15 +139,15 @@ mod tests {
     #[test]
     fn parameter_errors_propagate() {
         let two = Dataset::from_rows(vec![vec![0.0], vec![1.0]]).unwrap();
-        assert!(dod_scores(&two, Metric::Euclidean).is_err());
+        assert!(dod_scores(&two, Metric::Euclidean, 1).is_err());
     }
 
     #[test]
     fn threaded_scores_are_identical_to_serial() {
         let ds = cluster_with_far_point();
-        let serial = dod_scores(&ds, Metric::Euclidean).unwrap();
+        let serial = dod_scores(&ds, Metric::Euclidean, 1).unwrap();
         for threads in [2, 4, 8] {
-            let got = dod_scores_threaded(&ds, Metric::Euclidean, threads).unwrap();
+            let got = dod_scores(&ds, Metric::Euclidean, threads).unwrap();
             assert_eq!(got, serial, "threads = {threads}");
         }
     }

@@ -22,7 +22,9 @@ pub struct DistanceOutlier {
 }
 
 /// The top `n` rows by k-th-NN distance, descending (strongest outlier
-/// first). Ties are broken by row index for determinism.
+/// first). The per-row k-th-NN scans run on `threads` pool workers; scores
+/// come back in row order and the final sort is total (score, then row), so
+/// the ranking is identical at any thread count.
 ///
 /// ```
 /// use hdoutlier_baselines::{ramaswamy_top_n, Metric};
@@ -30,7 +32,7 @@ pub struct DistanceOutlier {
 /// let mut rows: Vec<Vec<f64>> = (0..20).map(|i| vec![(i % 5) as f64, (i / 5) as f64]).collect();
 /// rows.push(vec![100.0, 100.0]); // the obvious outlier
 /// let ds = Dataset::from_rows(rows).unwrap();
-/// let top = ramaswamy_top_n(&ds, 1, 1, Metric::Euclidean).unwrap();
+/// let top = ramaswamy_top_n(&ds, 1, 1, Metric::Euclidean, 1).unwrap();
 /// assert_eq!(top[0].row, 20);
 /// ```
 pub fn ramaswamy_top_n(
@@ -38,21 +40,9 @@ pub fn ramaswamy_top_n(
     k: usize,
     n: usize,
     metric: Metric,
-) -> Result<Vec<DistanceOutlier>, BaselineError> {
-    ramaswamy_top_n_threaded(dataset, k, n, metric, 1)
-}
-
-/// [`ramaswamy_top_n`] with the per-row k-th-NN scans fanned out over pool
-/// workers. Identical output at any thread count: scores come back in row
-/// order and the final sort is total (score, then row).
-pub fn ramaswamy_top_n_threaded(
-    dataset: &Dataset,
-    k: usize,
-    n: usize,
-    metric: Metric,
     threads: usize,
 ) -> Result<Vec<DistanceOutlier>, BaselineError> {
-    let scores = crate::nn::kth_nn_distances_threaded(dataset, k, metric, threads)?;
+    let scores = crate::nn::kth_nn_distances(dataset, k, metric, threads)?;
     let mut ranked: Vec<DistanceOutlier> = scores
         .into_iter()
         .enumerate()
@@ -85,7 +75,7 @@ mod tests {
     #[test]
     fn far_point_is_the_top_outlier() {
         let ds = cluster_with_far_point();
-        let top = ramaswamy_top_n(&ds, 1, 3, Metric::Euclidean).unwrap();
+        let top = ramaswamy_top_n(&ds, 1, 3, Metric::Euclidean, 1).unwrap();
         assert_eq!(top[0].row, 20);
         assert!(top[0].score > 100.0);
         assert!(top[1].score < 1.0);
@@ -94,7 +84,7 @@ mod tests {
     #[test]
     fn scores_are_descending_and_truncated() {
         let ds = cluster_with_far_point();
-        let top = ramaswamy_top_n(&ds, 2, 5, Metric::Euclidean).unwrap();
+        let top = ramaswamy_top_n(&ds, 2, 5, Metric::Euclidean, 1).unwrap();
         assert_eq!(top.len(), 5);
         for w in top.windows(2) {
             assert!(w[0].score >= w[1].score);
@@ -104,27 +94,27 @@ mod tests {
     #[test]
     fn n_larger_than_dataset_returns_all() {
         let ds = cluster_with_far_point();
-        let top = ramaswamy_top_n(&ds, 1, 1000, Metric::Euclidean).unwrap();
+        let top = ramaswamy_top_n(&ds, 1, 1000, Metric::Euclidean, 1).unwrap();
         assert_eq!(top.len(), 21);
     }
 
     #[test]
     fn parameter_errors_propagate() {
         let ds = cluster_with_far_point();
-        assert!(ramaswamy_top_n(&ds, 0, 3, Metric::Euclidean).is_err());
-        assert!(ramaswamy_top_n(&ds, 21, 3, Metric::Euclidean).is_err());
+        assert!(ramaswamy_top_n(&ds, 0, 3, Metric::Euclidean, 1).is_err());
+        assert!(ramaswamy_top_n(&ds, 21, 3, Metric::Euclidean, 1).is_err());
     }
 
     #[test]
     fn threaded_ranking_is_identical_to_serial() {
         let ds = cluster_with_far_point();
-        let serial = ramaswamy_top_n(&ds, 2, 10, Metric::Euclidean).unwrap();
+        let serial = ramaswamy_top_n(&ds, 2, 10, Metric::Euclidean, 1).unwrap();
         for threads in [2, 4, 8] {
-            let got = ramaswamy_top_n_threaded(&ds, 2, 10, Metric::Euclidean, threads).unwrap();
+            let got = ramaswamy_top_n(&ds, 2, 10, Metric::Euclidean, threads).unwrap();
             assert_eq!(got, serial, "threads = {threads}");
         }
         // Errors propagate through the threaded path too.
-        assert!(ramaswamy_top_n_threaded(&ds, 0, 3, Metric::Euclidean, 4).is_err());
+        assert!(ramaswamy_top_n(&ds, 0, 3, Metric::Euclidean, 4).is_err());
     }
 
     #[test]
@@ -137,10 +127,10 @@ mod tests {
         rows.push(vec![100.0, 100.0]);
         rows.push(vec![100.1, 100.0]);
         let ds = Dataset::from_rows(rows).unwrap();
-        let with_k1 = ramaswamy_top_n(&ds, 1, 2, Metric::Euclidean).unwrap();
+        let with_k1 = ramaswamy_top_n(&ds, 1, 2, Metric::Euclidean, 1).unwrap();
         // k = 1: the pair's scores are 0.1 — they are NOT both on top.
         assert!(with_k1.iter().all(|o| o.score < 1.0));
-        let with_k2 = ramaswamy_top_n(&ds, 2, 2, Metric::Euclidean).unwrap();
+        let with_k2 = ramaswamy_top_n(&ds, 2, 2, Metric::Euclidean, 1).unwrap();
         let rows2: Vec<usize> = with_k2.iter().map(|o| o.row).collect();
         assert!(rows2.contains(&20) && rows2.contains(&21));
     }

@@ -24,8 +24,8 @@
 //! - [`dod`]: Lee & Jeon's Distance-of-Distances — deviation of a point's
 //!   sorted distance profile from the dataset's median profile.
 //!
-//! Substrate: [`distance`] (Minkowski norms) and [`nn`] (brute-force and
-//! vantage-point-tree k-nearest-neighbor search).
+//! Substrate: [`distance`] (Minkowski norms) and [`nn`] (brute-force
+//! k-nearest-neighbor search).
 //!
 //! All baselines require complete vectors — impute missing values first
 //! (e.g. [`hdoutlier_data::clean::impute_mean`]); they return
@@ -42,13 +42,13 @@ pub mod knorr_ng;
 pub mod lof;
 pub mod nn;
 
-pub use cfof::{cfof_scores, cfof_scores_threaded};
+pub use cfof::cfof_scores;
 pub use distance::Metric;
-pub use dod::{dod_scores, dod_scores_threaded};
+pub use dod::dod_scores;
 pub use intensional::{intensional_outliers, IntensionalConfig};
-pub use knn_outlier::{ramaswamy_top_n, ramaswamy_top_n_threaded};
+pub use knn_outlier::ramaswamy_top_n;
 pub use knorr_ng::{knorr_ng_outliers, suggest_lambda};
-pub use lof::{lof_scores, lof_scores_threaded};
+pub use lof::lof_scores;
 
 use std::fmt;
 

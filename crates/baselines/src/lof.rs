@@ -12,20 +12,11 @@ use crate::nn::knn_brute;
 use crate::BaselineError;
 use hdoutlier_data::Dataset;
 
-/// LOF scores for every row, with neighborhood size `min_pts`.
+/// LOF scores for every row, with neighborhood size `min_pts`. The
+/// `O(n²·d)` neighbor scans run on `threads` pool workers; the lrd and LOF
+/// passes stay serial (they are `O(n·k)`). The neighbor sets come back in
+/// row order, so the scores are bit-identical at any thread count.
 pub fn lof_scores(
-    dataset: &Dataset,
-    min_pts: usize,
-    metric: Metric,
-) -> Result<Vec<f64>, BaselineError> {
-    lof_scores_threaded(dataset, min_pts, metric, 1)
-}
-
-/// [`lof_scores`] with the `O(n²·d)` neighbor scans fanned out over pool
-/// workers. The lrd and LOF passes stay serial (they are `O(n·k)`); the
-/// neighbor sets come back in row order, so the scores are bit-identical at
-/// any thread count.
-pub fn lof_scores_threaded(
     dataset: &Dataset,
     min_pts: usize,
     metric: Metric,
@@ -43,16 +34,10 @@ pub fn lof_scores_threaded(
     }
 
     // k-NN sets and k-distances.
-    let neighbors: Vec<Vec<crate::nn::Neighbor>> = if threads > 1 {
-        let rows: Vec<usize> = (0..n).collect();
-        hdoutlier_pool::map(threads, &rows, |_, &row| {
-            knn_brute(dataset, row, min_pts, metric)
-        })
-    } else {
-        (0..n)
-            .map(|row| knn_brute(dataset, row, min_pts, metric))
-            .collect()
-    };
+    let rows: Vec<usize> = (0..n).collect();
+    let neighbors = hdoutlier_pool::map(threads, &rows, |_, &row| {
+        knn_brute(dataset, row, min_pts, metric)
+    });
     let k_distance: Vec<f64> = neighbors
         .iter()
         .map(|nn| nn.last().expect("min_pts >= 1, n > min_pts").distance)
@@ -95,26 +80,16 @@ pub fn lof_scores_threaded(
         .collect())
 }
 
-/// The `n` rows with the largest LOF scores, descending.
+/// The `n` rows with the largest LOF scores, descending; ties by row. Same
+/// ranking at any thread count.
 pub fn lof_top_n(
-    dataset: &Dataset,
-    min_pts: usize,
-    n: usize,
-    metric: Metric,
-) -> Result<Vec<(usize, f64)>, BaselineError> {
-    lof_top_n_threaded(dataset, min_pts, n, metric, 1)
-}
-
-/// [`lof_top_n`] over [`lof_scores_threaded`]; same ranking at any thread
-/// count.
-pub fn lof_top_n_threaded(
     dataset: &Dataset,
     min_pts: usize,
     n: usize,
     metric: Metric,
     threads: usize,
 ) -> Result<Vec<(usize, f64)>, BaselineError> {
-    let scores = lof_scores_threaded(dataset, min_pts, metric, threads)?;
+    let scores = lof_scores(dataset, min_pts, metric, threads)?;
     let mut ranked: Vec<(usize, f64)> = scores.into_iter().enumerate().collect();
     ranked.sort_by(|a, b| {
         b.1.partial_cmp(&a.1)
@@ -147,7 +122,7 @@ mod tests {
     #[test]
     fn isolated_point_has_the_highest_lof() {
         let ds = two_clusters_and_outlier();
-        let top = lof_top_n(&ds, 3, 1, Metric::Euclidean).unwrap();
+        let top = lof_top_n(&ds, 3, 1, Metric::Euclidean, 1).unwrap();
         assert_eq!(top[0].0, 20, "top LOF should be the isolated point");
         assert!(top[0].1 > 2.0, "LOF {}", top[0].1);
     }
@@ -155,7 +130,7 @@ mod tests {
     #[test]
     fn cluster_members_score_near_one() {
         let ds = two_clusters_and_outlier();
-        let scores = lof_scores(&ds, 3, Metric::Euclidean).unwrap();
+        let scores = lof_scores(&ds, 3, Metric::Euclidean, 1).unwrap();
         // Interior points of the dense cluster.
         for &p in &[0usize, 1, 2, 6, 7] {
             assert!(
@@ -173,7 +148,7 @@ mod tests {
         // cluster — yet LOF correctly ranks the planted point higher
         // because it is judged against its *local* density.
         let ds = two_clusters_and_outlier();
-        let scores = lof_scores(&ds, 3, Metric::Euclidean).unwrap();
+        let scores = lof_scores(&ds, 3, Metric::Euclidean, 1).unwrap();
         let loose_member = 15usize;
         assert!(scores[20] > scores[loose_member]);
     }
@@ -185,7 +160,7 @@ mod tests {
             .chain(std::iter::once(vec![9.0, 9.0]))
             .collect();
         let ds = Dataset::from_rows(rows).unwrap();
-        let scores = lof_scores(&ds, 2, Metric::Euclidean).unwrap();
+        let scores = lof_scores(&ds, 2, Metric::Euclidean, 1).unwrap();
         // Duplicate points: all finite-or-1 semantics; the far point sticks out.
         for (i, &s) in scores.iter().enumerate().take(5) {
             assert!(s == 1.0 || s.is_finite(), "dup {i} scored {s}");
@@ -196,11 +171,11 @@ mod tests {
     #[test]
     fn parameter_validation() {
         let ds = uniform(10, 2, 1);
-        assert!(lof_scores(&ds, 0, Metric::Euclidean).is_err());
-        assert!(lof_scores(&ds, 10, Metric::Euclidean).is_err());
+        assert!(lof_scores(&ds, 0, Metric::Euclidean, 1).is_err());
+        assert!(lof_scores(&ds, 10, Metric::Euclidean, 1).is_err());
         let missing = Dataset::from_rows(vec![vec![f64::NAN], vec![1.0]]).unwrap();
         assert!(matches!(
-            lof_scores(&missing, 1, Metric::Euclidean),
+            lof_scores(&missing, 1, Metric::Euclidean, 1),
             Err(BaselineError::MissingValues)
         ));
     }
@@ -208,7 +183,7 @@ mod tests {
     #[test]
     fn uniform_data_scores_hover_around_one() {
         let ds = uniform(300, 2, 9);
-        let scores = lof_scores(&ds, 10, Metric::Euclidean).unwrap();
+        let scores = lof_scores(&ds, 10, Metric::Euclidean, 1).unwrap();
         let mean = scores.iter().sum::<f64>() / scores.len() as f64;
         assert!((0.9..1.3).contains(&mean), "mean LOF {mean}");
     }
@@ -216,13 +191,13 @@ mod tests {
     #[test]
     fn threaded_scores_are_bit_identical_to_serial() {
         let ds = uniform(200, 3, 5);
-        let serial: Vec<u64> = lof_scores(&ds, 5, Metric::Euclidean)
+        let serial: Vec<u64> = lof_scores(&ds, 5, Metric::Euclidean, 1)
             .unwrap()
             .into_iter()
             .map(f64::to_bits)
             .collect();
         for threads in [2, 4, 8] {
-            let got: Vec<u64> = lof_scores_threaded(&ds, 5, Metric::Euclidean, threads)
+            let got: Vec<u64> = lof_scores(&ds, 5, Metric::Euclidean, threads)
                 .unwrap()
                 .into_iter()
                 .map(f64::to_bits)
@@ -230,15 +205,15 @@ mod tests {
             assert_eq!(got, serial, "threads = {threads}");
         }
         assert_eq!(
-            lof_top_n_threaded(&ds, 5, 7, Metric::Euclidean, 4).unwrap(),
-            lof_top_n(&ds, 5, 7, Metric::Euclidean).unwrap()
+            lof_top_n(&ds, 5, 7, Metric::Euclidean, 4).unwrap(),
+            lof_top_n(&ds, 5, 7, Metric::Euclidean, 1).unwrap()
         );
     }
 
     #[test]
     fn top_n_is_sorted_and_truncated() {
         let ds = two_clusters_and_outlier();
-        let top = lof_top_n(&ds, 3, 4, Metric::Euclidean).unwrap();
+        let top = lof_top_n(&ds, 3, 4, Metric::Euclidean, 1).unwrap();
         assert_eq!(top.len(), 4);
         for w in top.windows(2) {
             assert!(w[0].1 >= w[1].1);

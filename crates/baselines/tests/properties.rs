@@ -1,7 +1,6 @@
 //! Seeded property tests for the distance baselines: the outlier rankings
 //! behave monotonically and a far point tops each of them. (The metric
-//! axioms and VP-tree ≡ brute force are random cases of the unit tests in
-//! `distance.rs` and `nn.rs`.) All run on
+//! axioms are random cases of the unit tests in `distance.rs`.) All run on
 //! [`hdoutlier_rng::for_each_case`]; a failing case prints the seed that
 //! replays it alone.
 
@@ -31,7 +30,7 @@ fn ramaswamy_scores_descend_over_unique_rows() {
         let ds = dataset(rng);
         let k = rng.gen_range(1usize..4).min(ds.n_rows() - 1);
         let n = rng.gen_range(1..20);
-        let top = ramaswamy_top_n(&ds, k, n, Metric::Euclidean).unwrap();
+        let top = ramaswamy_top_n(&ds, k, n, Metric::Euclidean, 1).unwrap();
         assert!(top.len() <= n.min(ds.n_rows()));
         for w in top.windows(2) {
             assert!(w[0].score >= w[1].score, "k={k} n={n}");
@@ -66,7 +65,7 @@ fn lof_scores_are_nonnegative_and_never_nan() {
     for_each_case(0xba5e_0005, 64, |rng| {
         let ds = dataset(rng);
         let min_pts = rng.gen_range(1usize..5).min(ds.n_rows() - 1);
-        let scores = lof_scores(&ds, min_pts, Metric::Euclidean).unwrap();
+        let scores = lof_scores(&ds, min_pts, Metric::Euclidean, 1).unwrap();
         assert_eq!(scores.len(), ds.n_rows());
         for &s in &scores {
             assert!(s >= 0.0 && !s.is_nan(), "min_pts={min_pts}: {s}");
@@ -82,9 +81,9 @@ fn a_far_point_tops_every_ranking() {
         rows.push(vec![100.0, 100.0]);
         let n = rows.len();
         let ds = Dataset::from_rows(rows).unwrap();
-        let top = ramaswamy_top_n(&ds, 1, 1, Metric::Euclidean).unwrap();
+        let top = ramaswamy_top_n(&ds, 1, 1, Metric::Euclidean, 1).unwrap();
         assert_eq!(top[0].row, n - 1);
-        let lof = lof_scores(&ds, 3, Metric::Euclidean).unwrap();
+        let lof = lof_scores(&ds, 3, Metric::Euclidean, 1).unwrap();
         let best = (0..n).max_by(|&a, &b| lof[a].total_cmp(&lof[b])).unwrap();
         assert_eq!(best, n - 1, "{lof:?}");
     });

@@ -86,12 +86,12 @@ pub fn run(config: &Config) -> Outcome {
 
     // The baselines need complete, comparable-scale vectors.
     let for_distance = standardize(&impute_mean(&data.dataset));
-    let baseline_1nn: Vec<usize> = ramaswamy_top_n(&for_distance, 1, budget, Metric::Euclidean)
+    let baseline_1nn: Vec<usize> = ramaswamy_top_n(&for_distance, 1, budget, Metric::Euclidean, 1)
         .expect("complete data")
         .into_iter()
         .map(|o| o.row)
         .collect();
-    let baseline_knn: Vec<usize> = ramaswamy_top_n(&for_distance, 5, budget, Metric::Euclidean)
+    let baseline_knn: Vec<usize> = ramaswamy_top_n(&for_distance, 5, budget, Metric::Euclidean, 1)
         .expect("complete data")
         .into_iter()
         .map(|o| o.row)

@@ -13,9 +13,11 @@
 //! postprocess}_us`) accumulated across every fit the command performed.
 //!
 //! With `--assert-against <BENCH_detect.json>` the `threads` command becomes
-//! the regression gate for the shipped brute-force search: its one-worker
-//! time per scored cube, the fastest of three sweeps, goes through
-//! [`assert_against`] against the baseline's `threads-1` stage.
+//! the regression gate for the shipped brute-force search and for
+//! `explain`'s view ranking: the one-worker time per scored cube
+//! (`threads-1`) and per ranked view (`explain-1`), each the fastest of
+//! three runs, go through [`assert_against`] against the baseline's stages
+//! of the same names.
 
 use hdoutlier_bench::bench_json::{
     assert_against, reject_unknown_flags, take_flag, BenchReport, Percentiles,
@@ -87,12 +89,15 @@ fn main() {
         write_datapoint(&path, cmd, seed, start.elapsed(), &extra_stages);
     }
     if let Some(path) = baseline {
-        let (_, scored, elapsed_s) = extra_stages
-            .iter()
-            .find(|(name, _, _)| name == "threads-1")
-            .expect("the threads experiment measures one worker first");
-        let us_per_cube = elapsed_s * 1e6 / *scored as f64;
-        assert_against(&path, TOLERANCE, &[("threads-1", us_per_cube)]);
+        let us_per_record = |stage: &str| {
+            let (_, records, elapsed_s) = extra_stages
+                .iter()
+                .find(|(name, _, _)| name == stage)
+                .expect("the threads experiment measures every gated stage");
+            elapsed_s * 1e6 / *records as f64
+        };
+        let readings = ["threads-1", "explain-1"].map(|stage| (stage, us_per_record(stage)));
+        assert_against(&path, TOLERANCE, &readings);
     }
 }
 
@@ -237,9 +242,19 @@ fn run_threads(seed: Option<u64>) -> Vec<(String, u64, f64)> {
         "Best-m sets verified identical at every worker count. Speedup is \
          bounded by the hardware threads actually available."
     );
-    rows.iter()
+    let (views, elapsed_s) = threads_exp::explain_views(5_000, 40, config.seed);
+    println!(
+        "explain ranking, one worker: {views} views of one record at k = 1, 2, 3 \
+         in {:.1} ms ({:.3} us/view)",
+        elapsed_s * 1e3,
+        elapsed_s * 1e6 / views as f64
+    );
+    let mut stages: Vec<(String, u64, f64)> = rows
+        .iter()
         .map(|r| (format!("threads-{}", r.threads), r.scored, r.elapsed_s))
-        .collect()
+        .collect();
+    stages.push(("explain-1".to_string(), views, elapsed_s));
+    stages
 }
 
 fn run_intensional(seed: Option<u64>) {

@@ -65,7 +65,7 @@ pub fn run(n_dims: usize, seed: u64) -> Outcome {
     let fitness = SparsityFitness::new(&counter, 2);
 
     // Full-dimensional 1-NN distance ranks.
-    let scores = kth_nn_distances(dataset, 1, Metric::Euclidean).expect("complete data");
+    let scores = kth_nn_distances(dataset, 1, Metric::Euclidean, 1).expect("complete data");
     let order = hdoutlier_stats::rank::argsort(&scores);
     let mut rank_of = vec![0usize; scores.len()];
     // argsort ascends; outlier rank counts from the largest distance.

@@ -9,8 +9,14 @@
 //! extrapolation. Each setting is timed three times and the fastest run
 //! kept, which filters scheduler noise out of the `repro threads
 //! --assert-against` gate.
+//!
+//! The same gate times `explain`'s view ranking at one worker
+//! ([`explain_views`]): every view of one record at k = 1, 2, 3, each
+//! needing one exact binomial tail, so a tail that goes back to summing
+//! `O(n)` PMF terms shows up as a ~200x slip per view.
 
 use hdoutlier_core::brute::{brute_force_search_incremental_parallel, BruteForceConfig};
+use hdoutlier_core::drill::record_profile;
 use hdoutlier_data::discretize::{DiscretizeStrategy, Discretized};
 use hdoutlier_data::generators::uniform;
 use hdoutlier_index::BitmapCounter;
@@ -122,6 +128,25 @@ pub fn run(config: &Config) -> Vec<ThreadsRow> {
         .collect()
 }
 
+/// Times `record_profile` at one worker — the ranking `explain --k 1,2,3
+/// --threads 1` runs — for row 17 of a seeded uniform `n_rows × n_dims`
+/// dataset on a φ = 5 grid. Returns the number of views ranked and the
+/// fastest of [`REPEATS`] runs in seconds; the counter is built once,
+/// outside the timing.
+pub fn explain_views(n_rows: usize, n_dims: usize, seed: u64) -> (u64, f64) {
+    let ds = uniform(n_rows, n_dims, seed);
+    let disc = Discretized::new(&ds, 5, DiscretizeStrategy::EquiDepth).expect("non-empty");
+    let counter = BitmapCounter::new(&disc);
+    let row = 17.min(n_rows - 1);
+    let mut views = 0;
+    let elapsed_s = fastest_of(REPEATS, || {
+        let start = std::time::Instant::now();
+        views = record_profile(&counter, &disc, row, &[1, 2, 3], 1).len() as u64;
+        start.elapsed().as_secs_f64()
+    });
+    (views, elapsed_s)
+}
+
 /// Renders the measurement table.
 pub fn render(rows: &[ThreadsRow]) -> String {
     let table_rows: Vec<Vec<String>> = rows
@@ -162,5 +187,13 @@ mod tests {
         assert_eq!(rows[0].speedup, 1.0);
         let rendered = render(&rows);
         assert!(rendered.contains("speedup"), "{rendered}");
+    }
+
+    #[test]
+    fn explain_views_ranks_every_view_up_to_k_three() {
+        // C(8, 1) + C(8, 2) + C(8, 3) views of one record.
+        let (views, elapsed_s) = explain_views(200, 8, 5);
+        assert_eq!(views, 8 + 28 + 56);
+        assert!(elapsed_s > 0.0);
     }
 }

@@ -5,7 +5,7 @@ use super::{load_dataset, parse_or_usage, usage_err};
 use crate::exit;
 use crate::obs_setup::{self, ObsSession};
 use hdoutlier_baselines::{
-    knorr_ng_outliers, lof::lof_top_n_threaded, ramaswamy_top_n_threaded, suggest_lambda, Metric,
+    knorr_ng_outliers, lof::lof_top_n, ramaswamy_top_n, suggest_lambda, Metric,
 };
 use hdoutlier_data::clean::impute_mean;
 use hdoutlier_json::{FieldChain, Json};
@@ -124,7 +124,7 @@ pub fn run_to(argv: &[String], sink: &mut impl std::io::Write) -> (i32, String) 
                 Ok(k) => k,
                 Err(e) => return usage_err(e, HELP),
             };
-            ramaswamy_top_n_threaded(&dataset, k, top, metric, threads)
+            ramaswamy_top_n(&dataset, k, top, metric, threads)
                 .map(|v| v.into_iter().map(|o| (o.row, o.score)).collect())
                 .map_err(|e| e.to_string())
         }
@@ -133,7 +133,7 @@ pub fn run_to(argv: &[String], sink: &mut impl std::io::Write) -> (i32, String) 
                 Ok(k) => k,
                 Err(e) => return usage_err(e, HELP),
             };
-            lof_top_n_threaded(&dataset, k, top, metric, threads).map_err(|e| e.to_string())
+            lof_top_n(&dataset, k, top, metric, threads).map_err(|e| e.to_string())
         }
         "knorr-ng" | "knorrng" => {
             let k: usize = match parsed.or("k", "integer", 5) {

@@ -4,7 +4,7 @@
 use super::{load_dataset, parse_or_usage, usage_err};
 use crate::exit;
 use crate::obs_setup::{self, ObsSession};
-use hdoutlier_core::drill::record_profile_threaded;
+use hdoutlier_core::drill::record_profile;
 use hdoutlier_core::params::advise;
 use hdoutlier_data::discretize::{DiscretizeStrategy, Discretized};
 use hdoutlier_index::BitmapCounter;
@@ -143,7 +143,7 @@ pub fn run_to(argv: &[String], sink: &mut impl std::io::Write) -> (i32, String) 
             "hdoutlier.cli",
             "record_profile",
         );
-        record_profile_threaded(&counter, &disc, row, &ks, threads)
+        record_profile(&counter, &disc, row, &ks, threads)
     };
 
     let rendered = if parsed.has("json") {

@@ -34,40 +34,21 @@ pub struct RecordView {
 /// Dimensions on which the record is missing are skipped (a missing value
 /// belongs to no range — §1.2 semantics). The cost is
 /// `Σ_k C(d_present, k)` counter queries; keep `ks` small (1–3) for wide
-/// data.
+/// data. The view list is enumerated serially (cheap combinatorics); only
+/// the occupancy counts and their significance run on `threads` pool
+/// workers, and they come back in enumeration order, so the profile is
+/// bit-identical at any thread count.
 ///
 /// # Panics
-/// Panics if `row` is out of bounds or any `k` exceeds the number of
-/// present attributes.
-pub fn record_profile<C: CubeCounter>(
-    counter: &C,
-    disc: &Discretized,
-    row: usize,
-    ks: &[usize],
-) -> Vec<RecordView> {
-    let cubes = enumerate_view_cubes(counter, disc, row, ks);
-    let views = cubes
-        .iter()
-        .map(|entry| score_view(counter, entry))
-        .collect();
-    sort_views(views)
-}
-
-/// [`record_profile`] with the counter queries fanned out over pool
-/// workers. The view list is enumerated serially (cheap combinatorics);
-/// only the `C(d, k)` occupancy counts run on the pool, and they come back
-/// in enumeration order, so the profile is bit-identical at any thread
-/// count.
-pub fn record_profile_threaded<C: CubeCounter + Sync>(
+/// Panics if `row` is out of bounds, any `k` exceeds the number of present
+/// attributes, or `threads` is 0.
+pub fn record_profile<C: CubeCounter + Sync>(
     counter: &C,
     disc: &Discretized,
     row: usize,
     ks: &[usize],
     threads: usize,
 ) -> Vec<RecordView> {
-    if threads <= 1 {
-        return record_profile(counter, disc, row, ks);
-    }
     let cubes = enumerate_view_cubes(counter, disc, row, ks);
     let views = hdoutlier_pool::map(threads, &cubes, |_, entry| score_view(counter, entry));
     sort_views(views)
@@ -189,7 +170,7 @@ mod tests {
     fn planted_outliers_top_view_is_their_signature_pair() {
         let (planted, disc, counter) = fixture();
         for (&row, &(lo, hi)) in planted.outlier_rows.iter().zip(&planted.signatures) {
-            let profile = record_profile(&counter, &disc, row, &[2]);
+            let profile = record_profile(&counter, &disc, row, &[2], 1);
             let top = &profile[0];
             let mut want = [lo as u32, hi as u32];
             want.sort_unstable();
@@ -207,7 +188,7 @@ mod tests {
     #[test]
     fn profile_is_complete_and_sorted() {
         let (_, disc, counter) = fixture();
-        let profile = record_profile(&counter, &disc, 0, &[1, 2]);
+        let profile = record_profile(&counter, &disc, 0, &[1, 2], 1);
         // C(8,1) + C(8,2) views.
         assert_eq!(profile.len(), 8 + 28);
         for w in profile.windows(2) {
@@ -225,7 +206,7 @@ mod tests {
         let bulk_row = (0..1500)
             .find(|&r| !planted.is_outlier(r))
             .expect("bulk exists");
-        let profile = record_profile(&counter, &disc, bulk_row, &[2]);
+        let profile = record_profile(&counter, &disc, bulk_row, &[2], 1);
         // Most views are not extreme; allow a couple of mild ones.
         let extreme = profile
             .iter()
@@ -245,7 +226,7 @@ mod tests {
         let counter = BitmapCounter::new(&disc);
         // Row 5 has 2 present attributes: C(2,1) + C(2,2) = 3 views, none
         // involving dim 1.
-        let profile = record_profile(&counter, &disc, 5, &[1, 2]);
+        let profile = record_profile(&counter, &disc, 5, &[1, 2], 1);
         assert_eq!(profile.len(), 3);
         for v in &profile {
             assert!(!v.cube.dims().contains(&1));
@@ -255,9 +236,9 @@ mod tests {
     #[test]
     fn threaded_profile_is_bit_identical_to_serial() {
         let (_, disc, counter) = fixture();
-        let serial = record_profile(&counter, &disc, 3, &[1, 2]);
+        let serial = record_profile(&counter, &disc, 3, &[1, 2], 1);
         for threads in [1, 2, 8] {
-            let got = record_profile_threaded(&counter, &disc, 3, &[1, 2], threads);
+            let got = record_profile(&counter, &disc, 3, &[1, 2], threads);
             assert_eq!(got.len(), serial.len());
             for (g, s) in got.iter().zip(&serial) {
                 assert_eq!(g.cube, s.cube, "threads = {threads}");
@@ -275,13 +256,13 @@ mod tests {
     #[should_panic(expected = "out of bounds")]
     fn bad_row_panics() {
         let (_, disc, counter) = fixture();
-        record_profile(&counter, &disc, 99_999, &[1]);
+        record_profile(&counter, &disc, 99_999, &[1], 1);
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn oversized_k_panics() {
         let (_, disc, counter) = fixture();
-        record_profile(&counter, &disc, 0, &[9]);
+        record_profile(&counter, &disc, 0, &[9], 1);
     }
 }

@@ -59,7 +59,7 @@ pub mod report;
 pub mod selection;
 
 pub use detector::{DetectorConfig, OutlierDetector, SearchMethod};
-pub use drill::{record_profile, record_profile_threaded, RecordView};
+pub use drill::{record_profile, RecordView};
 pub use fitness::SparsityFitness;
 pub use model::FittedModel;
 pub use multi_k::MultiKReport;

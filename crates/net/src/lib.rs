@@ -659,15 +659,17 @@ fn read_request(stream: &mut TcpStream, config: &ServerConfig, opened: Instant) 
     // finish arriving inside the budget no matter how it trickles.
     let mut head_deadline: Option<Instant> = None;
     let head_end = loop {
-        if let Some(end) = find_head_end(&buf) {
-            break end;
-        }
-        if buf.len() > config.max_head_bytes {
+        let found = find_head_end(&buf);
+        // A head that ends inside the last read can still be over the cap.
+        if found.as_ref().map_or(buf.len(), |end| end.text_end) > config.max_head_bytes {
             return ReadOutcome::Reject(
                 431,
                 "request head exceeds the configured limit",
                 generate_request_id(),
             );
+        }
+        if let Some(end) = found {
+            break end;
         }
         let deadline = head_deadline.map_or(conn_deadline, |d| d.min(conn_deadline));
         match read_with_deadline(stream, &mut chunk, deadline, config.io_timeout) {

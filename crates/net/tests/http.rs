@@ -174,6 +174,27 @@ fn oversized_bodies_get_413_and_oversized_heads_431() {
 }
 
 #[test]
+fn complete_heads_over_the_cap_get_431() {
+    let server = echo_server(ServerConfig {
+        max_head_bytes: 256,
+        ..ServerConfig::default()
+    });
+    // A whole 300-byte head, blank line included, in one write: the server
+    // reads it in a single chunk and finds its end at once, which must not
+    // let it past the cap.
+    let prefix = "GET /x HTTP/1.1\r\nX-Padding: ";
+    let head = format!("{prefix}{}\r\n\r\n", "p".repeat(300 - prefix.len() - 4));
+    assert_eq!(head.len(), 300);
+    let mut stream = connect(&server);
+    stream.write_all(head.as_bytes()).unwrap();
+    let response = read_response(&mut stream);
+    assert_eq!(response.status, 431);
+    let id = response.header("x-request-id").expect("431 carries an id");
+    assert!(!id.is_empty());
+    server.shutdown();
+}
+
+#[test]
 fn malformed_requests_get_400_and_chunked_gets_411() {
     let server = echo_server(ServerConfig::default());
     // (raw request bytes, expected status)

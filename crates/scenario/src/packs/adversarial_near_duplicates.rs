@@ -10,9 +10,7 @@
 use crate::report::{dataset_json, detect_json, envelope, metrics_json, recall, top_rows};
 use crate::synth::factor_row;
 use crate::{pipe, Invariant, Outcome, RunConfig, Scenario, ScenarioError};
-use hdoutlier_baselines::{
-    cfof_scores_threaded, lof_scores_threaded, ramaswamy_top_n_threaded, Metric,
-};
+use hdoutlier_baselines::{cfof_scores, lof_scores, ramaswamy_top_n, Metric};
 use hdoutlier_core::{OutlierDetector, SearchMethod};
 use hdoutlier_data::generators::standard_normal;
 use hdoutlier_data::Dataset;
@@ -81,12 +79,12 @@ fn run(config: &RunConfig) -> Result<Outcome, ScenarioError> {
         .map_err(pipe)?;
     let subspace_recall = recall(&truth, &detection.outlier_rows);
 
-    let knn = ramaswamy_top_n_threaded(&ds, 4, truth.len(), Metric::Euclidean, config.threads)
-        .map_err(pipe)?;
+    let knn =
+        ramaswamy_top_n(&ds, 4, truth.len(), Metric::Euclidean, config.threads).map_err(pipe)?;
     let knn_rows: Vec<usize> = knn.iter().map(|o| o.row).collect();
-    let lof = lof_scores_threaded(&ds, 10, Metric::Euclidean, config.threads).map_err(pipe)?;
+    let lof = lof_scores(&ds, 10, Metric::Euclidean, config.threads).map_err(pipe)?;
     let lof_rows = top_rows(&lof, truth.len());
-    let cfof = cfof_scores_threaded(&ds, 0.05, Metric::Euclidean, config.threads).map_err(pipe)?;
+    let cfof = cfof_scores(&ds, 0.05, Metric::Euclidean, config.threads).map_err(pipe)?;
     let cfof_rows = top_rows(&cfof, truth.len());
 
     let knn_recall = recall(&truth, &knn_rows);

@@ -7,7 +7,7 @@
 
 use crate::report::{dataset_json, detect_json, envelope, metrics_json, recall, top_rows};
 use crate::{pipe, Invariant, Outcome, RunConfig, Scenario, ScenarioError};
-use hdoutlier_baselines::{cfof_scores_threaded, ramaswamy_top_n_threaded, Metric};
+use hdoutlier_baselines::{cfof_scores, ramaswamy_top_n, Metric};
 use hdoutlier_core::{OutlierDetector, SearchMethod};
 use hdoutlier_data::generators::{planted_outliers, PlantedConfig};
 use hdoutlier_json::{FieldChain, Json};
@@ -60,10 +60,10 @@ fn run(config: &RunConfig) -> Result<Outcome, ScenarioError> {
         .detect(ds)
         .map_err(pipe)?;
 
-    let knn = ramaswamy_top_n_threaded(ds, 5, truth.len(), Metric::Euclidean, config.threads)
-        .map_err(pipe)?;
+    let knn =
+        ramaswamy_top_n(ds, 5, truth.len(), Metric::Euclidean, config.threads).map_err(pipe)?;
     let knn_rows: Vec<usize> = knn.iter().map(|o| o.row).collect();
-    let cfof = cfof_scores_threaded(ds, 0.05, Metric::Euclidean, config.threads).map_err(pipe)?;
+    let cfof = cfof_scores(ds, 0.05, Metric::Euclidean, config.threads).map_err(pipe)?;
     let cfof_rows = top_rows(&cfof, truth.len());
 
     let brute_recall = recall(truth, &brute.outlier_rows);

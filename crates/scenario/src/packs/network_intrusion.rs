@@ -9,8 +9,8 @@ use crate::report::{
     dataset_json, detect_json, envelope, metrics_json, recall, rows_json, top_rows,
 };
 use crate::{pipe, Invariant, Outcome, RunConfig, Scenario, ScenarioError};
-use hdoutlier_baselines::{dod_scores_threaded, Metric};
-use hdoutlier_core::drill::record_profile_threaded;
+use hdoutlier_baselines::{dod_scores, Metric};
+use hdoutlier_core::drill::record_profile;
 use hdoutlier_core::{OutlierDetector, SearchMethod};
 use hdoutlier_data::discretize::{DiscretizeStrategy, Discretized};
 use hdoutlier_data::generators::{planted_outliers, PlantedConfig};
@@ -64,7 +64,7 @@ fn run(config: &RunConfig) -> Result<Outcome, ScenarioError> {
         .copied()
         .find(|r| detection.outlier_rows.contains(r))
         .unwrap_or(truth[0]);
-    let profile = record_profile_threaded(&counter, &disc, drilled_row, &[1, 2], config.threads);
+    let profile = record_profile(&counter, &disc, drilled_row, &[1, 2], config.threads);
     let top_views: Vec<Json> = profile
         .iter()
         .take(3)
@@ -93,7 +93,7 @@ fn run(config: &RunConfig) -> Result<Outcome, ScenarioError> {
         detection.explain(0, &disc)
     };
 
-    let dod = dod_scores_threaded(ds, Metric::Euclidean, config.threads).map_err(pipe)?;
+    let dod = dod_scores(ds, Metric::Euclidean, config.threads).map_err(pipe)?;
     let dod_rows = top_rows(&dod, truth.len());
     let dod_recall = recall(truth, &dod_rows);
 

@@ -11,7 +11,7 @@
 use crate::report::{dataset_json, envelope, fingerprint_text};
 use crate::synth::factor_row;
 use crate::{pipe, Invariant, Outcome, RunConfig, Scenario, ScenarioError};
-use hdoutlier_baselines::{cfof_scores_threaded, Metric};
+use hdoutlier_baselines::{cfof_scores, Metric};
 use hdoutlier_core::{OutlierDetector, SearchMethod};
 use hdoutlier_data::Dataset;
 use hdoutlier_json::{FieldChain, Json};
@@ -119,8 +119,7 @@ fn run(config: &RunConfig) -> Result<Outcome, ScenarioError> {
     // a *population*, not outliers — so its per-point ranks stay ordinary.
     let mut combined = season_a.clone();
     combined.append(&season_b).map_err(pipe)?;
-    let cfof =
-        cfof_scores_threaded(&combined, 0.05, Metric::Euclidean, config.threads).map_err(pipe)?;
+    let cfof = cfof_scores(&combined, 0.05, Metric::Euclidean, config.threads).map_err(pipe)?;
     let mean = |range: std::ops::Range<usize>| {
         cfof[range.clone()].iter().sum::<f64>() / range.len() as f64
     };

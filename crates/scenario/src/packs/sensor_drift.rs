@@ -10,7 +10,7 @@
 use crate::report::{dataset_json, envelope, fingerprint_text};
 use crate::synth::factor_row;
 use crate::{pipe, Invariant, Outcome, RunConfig, Scenario, ScenarioError};
-use hdoutlier_baselines::{dod_scores_threaded, Metric};
+use hdoutlier_baselines::{dod_scores, Metric};
 use hdoutlier_core::{OutlierDetector, SearchMethod};
 use hdoutlier_data::Dataset;
 use hdoutlier_json::{FieldChain, Json};
@@ -173,7 +173,7 @@ fn run(config: &RunConfig) -> Result<Outcome, ScenarioError> {
     // population — and no profile-deviation score can see them.
     let mut window = train.clone();
     window.append(&stream).map_err(pipe)?;
-    let dod = dod_scores_threaded(&window, Metric::Euclidean, config.threads).map_err(pipe)?;
+    let dod = dod_scores(&window, Metric::Euclidean, config.threads).map_err(pipe)?;
     let mean =
         |range: std::ops::Range<usize>| dod[range.clone()].iter().sum::<f64>() / range.len() as f64;
     let dod_pre = mean(0..TRAIN_ROWS + DRIFT_AT);

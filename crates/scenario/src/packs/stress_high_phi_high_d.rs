@@ -16,7 +16,7 @@ use crate::report::{
 };
 use crate::synth::factor_row;
 use crate::{http, pipe, Invariant, Outcome, RunConfig, Scenario, ScenarioError};
-use hdoutlier_baselines::{dod_scores_threaded, Metric};
+use hdoutlier_baselines::{dod_scores, Metric};
 use hdoutlier_core::{OutlierDetector, SearchMethod};
 use hdoutlier_data::generators::standard_normal;
 use hdoutlier_data::Dataset;
@@ -130,7 +130,7 @@ fn run(config: &RunConfig) -> Result<Outcome, ScenarioError> {
     // DOD referee: the systemic species drags its whole distance profile
     // away from the consensus — exactly what the subspace detector, which
     // only ever sees k dimensions at a time, is structurally blind to.
-    let dod = dod_scores_threaded(ds, Metric::Euclidean, config.threads).map_err(pipe)?;
+    let dod = dod_scores(ds, Metric::Euclidean, config.threads).map_err(pipe)?;
     let dod_top = top_rows(&dod, DOD_TOP);
     let systemic_in_dod_top = synth
         .systemic

@@ -7,7 +7,6 @@
 //! into significance levels.
 
 use crate::gamma::{gamma_p, gamma_q};
-use crate::normal::standard_quantile;
 
 /// The error function `erf(x) = 2/sqrt(pi) * ∫_0^x exp(-t^2) dt`.
 ///
@@ -59,42 +58,6 @@ pub fn erfc(x: f64) -> f64 {
     } else {
         1.0 + gamma_p(0.5, x * x)
     }
-}
-
-/// Inverse error function: `erf(erf_inv(p)) == p` for `p` in `(-1, 1)`.
-///
-/// Derived from the standard normal quantile via
-/// `erf_inv(p) = Φ⁻¹((p + 1) / 2) / sqrt(2)`, which is refined to full
-/// precision in [`crate::normal`].
-pub fn erf_inv(p: f64) -> f64 {
-    if p.is_nan() || !(-1.0..=1.0).contains(&p) {
-        return f64::NAN;
-    }
-    if p == 1.0 {
-        return f64::INFINITY;
-    }
-    if p == -1.0 {
-        return f64::NEG_INFINITY;
-    }
-    if p == 0.0 {
-        return 0.0;
-    }
-    standard_quantile((p + 1.0) / 2.0) / std::f64::consts::SQRT_2
-}
-
-/// Inverse complementary error function: `erfc(erfc_inv(q)) == q` for `q` in `(0, 2)`.
-pub fn erfc_inv(q: f64) -> f64 {
-    if q.is_nan() || !(0.0..=2.0).contains(&q) {
-        return f64::NAN;
-    }
-    if q == 0.0 {
-        return f64::INFINITY;
-    }
-    if q == 2.0 {
-        return f64::NEG_INFINITY;
-    }
-    // erfc_inv(q) = -Φ⁻¹(q/2) / sqrt(2).
-    -standard_quantile(q / 2.0) / std::f64::consts::SQRT_2
 }
 
 #[cfg(test)]
@@ -158,41 +121,6 @@ mod tests {
         assert!(erf(f64::NAN).is_nan());
         assert_eq!(erfc(f64::INFINITY), 0.0);
         assert!((erfc(f64::NEG_INFINITY) - 2.0).abs() < 1e-15);
-    }
-
-    #[test]
-    fn erf_inv_round_trips() {
-        for &p in &[
-            -0.999_999, -0.9, -0.5, -0.1, -1e-10, 1e-10, 0.1, 0.5, 0.9, 0.999_999,
-        ] {
-            let x = erf_inv(p);
-            assert!(
-                (erf(x) - p).abs() <= 1e-12,
-                "erf(erf_inv({p})) = {} != {p}",
-                erf(x)
-            );
-        }
-    }
-
-    #[test]
-    fn erf_inv_edges() {
-        assert_eq!(erf_inv(0.0), 0.0);
-        assert_eq!(erf_inv(1.0), f64::INFINITY);
-        assert_eq!(erf_inv(-1.0), f64::NEG_INFINITY);
-        assert!(erf_inv(1.5).is_nan());
-        assert!(erf_inv(f64::NAN).is_nan());
-    }
-
-    #[test]
-    fn erfc_inv_round_trips() {
-        for &q in &[1e-12, 1e-6, 0.01, 0.5, 1.0, 1.5, 1.999] {
-            let x = erfc_inv(q);
-            let back = erfc(x);
-            assert!(
-                ((back - q) / q).abs() <= 1e-9,
-                "erfc(erfc_inv({q})) = {back}"
-            );
-        }
     }
 
     #[test]

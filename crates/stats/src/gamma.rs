@@ -48,7 +48,12 @@ pub fn ln_gamma(x: f64) -> f64 {
     0.5 * (2.0 * std::f64::consts::PI).ln() + (x + 0.5) * t.ln() - t + a.ln()
 }
 
-/// `ln(n choose k)` computed through log-gamma, stable for large arguments.
+/// `ln(n choose k)` as `ln Γ(n+1) − ln Γ(k+1) − ln Γ(n−k+1)`.
+///
+/// Finite for any `n`, but the three Lanczos values it subtracts grow like
+/// `n ln n`, and their rounding is the result's absolute error: about 1e-11
+/// for `n ≤ 10⁴` and about 1e-9 near `n = 10⁶` (where `ln Γ(n+1) ≈ 1.3e7`).
+/// Through `exp` that is the same relative error in a binomial PMF.
 pub fn ln_choose(n: u64, k: u64) -> f64 {
     if k > n {
         return f64::NEG_INFINITY;

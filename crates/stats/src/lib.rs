@@ -5,8 +5,8 @@
 //! This crate contains every piece of statistics the paper leans on, built
 //! from scratch so the workspace has no numeric dependencies:
 //!
-//! - [`erf`]: error function / complementary error function and their
-//!   inverses, the primitive underneath the normal distribution.
+//! - [`erf`]: error function and complementary error function, the
+//!   primitive underneath the normal distribution.
 //! - [`normal`]: the normal distribution (pdf/cdf/quantile), used to convert
 //!   sparsity coefficients into probabilistic levels of significance
 //!   (paper §1.3).
@@ -14,10 +14,10 @@
 //!   normal approximation in Eq. 1 stands in for, plus log-gamma machinery.
 //! - [`sparsity`]: the sparsity coefficient S(D) of Eq. 1, the empty-cube
 //!   coefficient, and the k*/phi parameter-selection rule of Eq. 2 (§2.4).
-//! - [`summary`]: streaming descriptive statistics (Welford) and quantiles,
-//!   used by the equi-depth discretizer and by the benchmark harness.
-//! - [`rank`]: ranking and top-k selection utilities used by rank-roulette
-//!   selection and by result reporting.
+//! - [`summary`]: streaming descriptive statistics (Welford) and sample
+//!   quantiles, used by the data cleaners and the Knorr–Ng baseline.
+//! - [`rank`]: ranking and best-m selection, used by rank-roulette
+//!   selection and by the searches.
 
 pub mod binomial;
 pub mod erf;

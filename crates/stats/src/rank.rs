@@ -2,8 +2,8 @@
 //!
 //! Rank-roulette selection (paper Fig. 4) weights a solution by `p − r(i)`
 //! where `r(i)` is its rank with the most negative sparsity coefficient
-//! first; reporting needs "the m most negative" repeatedly. Both primitives
-//! live here so the GA and the reporting layer agree on tie handling.
+//! first; the searches keep "the m most negative" in a [`BoundedBest`].
+//! Both live here so the GA and the searches agree on NaN and tie handling.
 
 use std::cmp::Ordering;
 
@@ -23,40 +23,6 @@ pub fn ranks(values: &[f64]) -> Vec<usize> {
         r[i] = rank;
     }
     r
-}
-
-/// Average ranks (1-based, ties share the mean of their positions), the
-/// convention of statistical rank tests. Exposed for baseline evaluation.
-pub fn average_ranks(values: &[f64]) -> Vec<f64> {
-    let order = argsort(values);
-    let mut r = vec![0.0f64; values.len()];
-    let mut i = 0;
-    while i < order.len() {
-        let mut j = i;
-        while j + 1 < order.len()
-            && cmp_nan_last(values[order[j + 1]], values[order[i]]) == Ordering::Equal
-        {
-            j += 1;
-        }
-        // positions i..=j (0-based) share mean 1-based rank.
-        let avg = (i + j) as f64 / 2.0 + 1.0;
-        for &k in &order[i..=j] {
-            r[k] = avg;
-        }
-        i = j + 1;
-    }
-    r
-}
-
-/// Indices of the `m` smallest values (ascending), i.e. "most negative
-/// first" — the paper's ordering of sparsity coefficients.
-///
-/// `O(n log n)`; fine for reporting. For the streaming best-set kept during
-/// search see [`BoundedBest`].
-pub fn bottom_m(values: &[f64], m: usize) -> Vec<usize> {
-    let mut idx = argsort(values);
-    idx.truncate(m);
-    idx
 }
 
 fn cmp_nan_last(a: f64, b: f64) -> Ordering {
@@ -174,12 +140,6 @@ impl<T> BoundedBest<T> {
         self.heap.is_empty()
     }
 
-    /// The worst retained score, i.e. the threshold a new item must beat
-    /// once the collection is full.
-    pub fn worst_score(&self) -> Option<f64> {
-        self.heap.peek().map(|e| e.score)
-    }
-
     /// Consumes the collection, returning `(score, item)` pairs sorted
     /// ascending by score (best first).
     pub fn into_sorted(self) -> Vec<(f64, T)> {
@@ -223,22 +183,6 @@ mod tests {
     }
 
     #[test]
-    fn average_ranks_share_ties() {
-        let v = [10.0, 20.0, 20.0, 30.0];
-        assert_eq!(average_ranks(&v), vec![1.0, 2.5, 2.5, 4.0]);
-        let v = [7.0, 7.0, 7.0];
-        assert_eq!(average_ranks(&v), vec![2.0, 2.0, 2.0]);
-    }
-
-    #[test]
-    fn bottom_m_takes_most_negative() {
-        let v = [-1.0, -3.5, 0.0, -2.0];
-        assert_eq!(bottom_m(&v, 2), vec![1, 3]);
-        assert_eq!(bottom_m(&v, 10).len(), 4);
-        assert_eq!(bottom_m(&v, 0), Vec::<usize>::new());
-    }
-
-    #[test]
     fn bounded_best_keeps_smallest() {
         let mut b = BoundedBest::new(3);
         for (i, s) in [5.0, 1.0, 4.0, 0.5, 3.0, 2.0].iter().enumerate() {
@@ -256,12 +200,11 @@ mod tests {
         let mut b = BoundedBest::new(2);
         assert!(b.push(1.0, "a"));
         assert!(b.push(2.0, "b"));
-        assert_eq!(b.worst_score(), Some(2.0));
         assert!(!b.push(2.5, "c"));
         assert!(!b.push(2.0, "d")); // ties with worst do not displace
         assert!(b.push(1.5, "e"));
-        assert_eq!(b.worst_score(), Some(1.5));
         assert_eq!(b.len(), 2);
+        assert_eq!(b.into_sorted(), vec![(1.0, "a"), (1.5, "e")]);
     }
 
     #[test]
@@ -289,6 +232,5 @@ mod tests {
         let mut b = BoundedBest::new(2);
         assert!(!b.push(f64::NAN, "nan"));
         assert!(b.is_empty());
-        assert_eq!(b.worst_score(), None);
     }
 }

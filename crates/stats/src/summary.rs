@@ -1,9 +1,9 @@
 //! Streaming descriptive statistics and quantiles.
 //!
-//! The equi-depth discretizer needs sample quantiles; the benchmark harness
-//! needs means/standard deviations of timings and sparsity qualities; both
-//! live here. The running accumulator uses Welford's algorithm so a single
-//! pass is numerically stable regardless of the magnitude of the data.
+//! The data cleaners and generators need column means and standard
+//! deviations; the Knorr–Ng baseline's λ suggestion needs a sample quantile;
+//! both live here. The running accumulator uses Welford's algorithm so a
+//! single pass is numerically stable regardless of the magnitude of the data.
 
 /// Single-pass accumulator for count / mean / variance / min / max.
 ///
@@ -71,11 +71,6 @@ impl Accumulator {
         (self.count > 1).then(|| self.m2 / (self.count - 1) as f64)
     }
 
-    /// Population variance (n denominator); `None` if empty.
-    pub fn population_variance(&self) -> Option<f64> {
-        (self.count > 0).then(|| self.m2 / self.count as f64)
-    }
-
     /// Sample standard deviation.
     pub fn sd(&self) -> Option<f64> {
         self.variance().map(f64::sqrt)
@@ -141,101 +136,10 @@ pub fn quantile(values: &[f64], p: f64) -> Option<f64> {
         return None;
     }
     v.sort_unstable_by(|a, b| a.partial_cmp(b).expect("NaNs were filtered"));
-    Some(quantile_sorted(&v, p))
-}
-
-/// [`quantile`] on data that is already sorted and NaN-free.
-pub fn quantile_sorted(sorted: &[f64], p: f64) -> f64 {
-    debug_assert!(!sorted.is_empty());
-    let n = sorted.len();
-    if n == 1 {
-        return sorted[0];
-    }
-    let h = (n - 1) as f64 * p;
+    let h = (v.len() - 1) as f64 * p;
     let lo = h.floor() as usize;
-    let hi = (lo + 1).min(n - 1);
-    let frac = h - lo as f64;
-    sorted[lo] + frac * (sorted[hi] - sorted[lo])
-}
-
-/// Equi-depth cut points dividing sorted data into `phi` ranges of (as near
-/// as possible) equal record count: returns the `phi − 1` interior
-/// boundaries `q(1/φ), q(2/φ), …, q((φ−1)/φ)`.
-///
-/// Repeated values can make boundaries coincide; callers that need strictly
-/// increasing boundaries must handle ties (the discretizer in
-/// `hdoutlier-data` does, by rank-splitting).
-pub fn equi_depth_cuts(values: &[f64], phi: u32) -> Option<Vec<f64>> {
-    if phi < 1 {
-        return None;
-    }
-    let mut v: Vec<f64> = values.iter().copied().filter(|x| !x.is_nan()).collect();
-    if v.is_empty() {
-        return None;
-    }
-    v.sort_unstable_by(|a, b| a.partial_cmp(b).expect("NaNs were filtered"));
-    Some(
-        (1..phi)
-            .map(|i| quantile_sorted(&v, i as f64 / phi as f64))
-            .collect(),
-    )
-}
-
-/// A simple equal-width histogram over `[lo, hi]` used by generators'
-/// self-checks and the benchmark harness's reporting.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    counts: Vec<u64>,
-    outside: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `bins` equal-width bins spanning `[lo, hi]`.
-    ///
-    /// Returns `None` for a degenerate range or zero bins.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Option<Self> {
-        if lo.is_nan() || hi.is_nan() || lo >= hi || bins == 0 {
-            return None;
-        }
-        Some(Self {
-            lo,
-            hi,
-            counts: vec![0; bins],
-            outside: 0,
-        })
-    }
-
-    /// Adds an observation; values outside `[lo, hi]` (or NaN) are tallied in
-    /// `outside`.
-    pub fn push(&mut self, x: f64) {
-        if x.is_nan() || x < self.lo || x > self.hi {
-            self.outside += 1;
-            return;
-        }
-        let w = (self.hi - self.lo) / self.counts.len() as f64;
-        let mut idx = ((x - self.lo) / w) as usize;
-        if idx >= self.counts.len() {
-            idx = self.counts.len() - 1; // x == hi lands in the last bin
-        }
-        self.counts[idx] += 1;
-    }
-
-    /// Per-bin counts.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Observations that fell outside the range (or were NaN).
-    pub fn outside(&self) -> u64 {
-        self.outside
-    }
-
-    /// Total in-range observations.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
-    }
+    let hi = (lo + 1).min(v.len() - 1);
+    Some(v[lo] + (h - lo as f64) * (v[hi] - v[lo]))
 }
 
 #[cfg(test)]
@@ -247,7 +151,6 @@ mod tests {
         let acc = Accumulator::from_iter([2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]);
         assert_eq!(acc.count(), 8);
         assert!((acc.mean().unwrap() - 5.0).abs() < 1e-12);
-        assert!((acc.population_variance().unwrap() - 4.0).abs() < 1e-12);
         assert!((acc.variance().unwrap() - 32.0 / 7.0).abs() < 1e-12);
         assert_eq!(acc.min(), Some(2.0));
         assert_eq!(acc.max(), Some(9.0));
@@ -262,7 +165,6 @@ mod tests {
         let acc = Accumulator::from_iter([3.5]);
         assert_eq!(acc.mean(), Some(3.5));
         assert_eq!(acc.variance(), None);
-        assert_eq!(acc.population_variance(), Some(0.0));
     }
 
     #[test]
@@ -317,38 +219,5 @@ mod tests {
         assert_eq!(quantile(&[], 0.5), None);
         assert_eq!(quantile(&[1.0], 2.0), None);
         assert_eq!(quantile(&[1.0], -0.5), None);
-    }
-
-    #[test]
-    fn equi_depth_cuts_uniform_grid() {
-        let v: Vec<f64> = (0..=100).map(|i| i as f64).collect();
-        let cuts = equi_depth_cuts(&v, 4).unwrap();
-        assert_eq!(cuts, vec![25.0, 50.0, 75.0]);
-        // phi = 1 gives no interior cuts.
-        assert_eq!(equi_depth_cuts(&v, 1).unwrap(), Vec::<f64>::new());
-        assert_eq!(equi_depth_cuts(&[], 4), None);
-        assert_eq!(equi_depth_cuts(&v, 0), None);
-    }
-
-    #[test]
-    fn equi_depth_cuts_are_nondecreasing() {
-        let v = [3.0, 3.0, 3.0, 1.0, 9.0, 9.0, 2.0, 2.0];
-        let cuts = equi_depth_cuts(&v, 5).unwrap();
-        for w in cuts.windows(2) {
-            assert!(w[0] <= w[1]);
-        }
-    }
-
-    #[test]
-    fn histogram_binning() {
-        let mut h = Histogram::new(0.0, 10.0, 5).unwrap();
-        for x in [0.0, 1.9, 2.0, 9.99, 10.0, -0.1, 10.1, f64::NAN] {
-            h.push(x);
-        }
-        assert_eq!(h.counts(), &[2, 1, 0, 0, 2]); // 10.0 lands in last bin
-        assert_eq!(h.outside(), 3);
-        assert_eq!(h.total(), 5);
-        assert!(Histogram::new(1.0, 1.0, 5).is_none());
-        assert!(Histogram::new(0.0, 1.0, 0).is_none());
     }
 }

@@ -7,7 +7,7 @@ use hdoutlier_rng::{for_each_case, Rng, RngCore};
 use hdoutlier_stats::binomial::Binomial;
 use hdoutlier_stats::erf::erf;
 use hdoutlier_stats::normal::standard_cdf;
-use hdoutlier_stats::rank::{argsort, average_ranks, bottom_m, ranks, BoundedBest};
+use hdoutlier_stats::rank::{argsort, ranks, BoundedBest};
 use hdoutlier_stats::summary::{quantile, Accumulator};
 use hdoutlier_stats::{recommended_k, significance_of, SparsityParams};
 
@@ -112,6 +112,150 @@ fn sparsity_straddles_zero_at_the_expected_count() {
     });
 }
 
+/// A Neumaier-compensated running sum: the oracle's only accumulator.
+#[derive(Default)]
+struct CompensatedSum {
+    sum: f64,
+    carry: f64,
+}
+
+impl CompensatedSum {
+    fn add(&mut self, x: f64) {
+        let t = self.sum + x;
+        self.carry += if self.sum.abs() >= x.abs() {
+            (self.sum - t) + x
+        } else {
+            (x - t) + self.sum
+        };
+        self.sum = t;
+    }
+
+    fn value(&self) -> f64 {
+        self.sum + self.carry
+    }
+}
+
+/// `P[Binomial(n, p) ≤ k]` by a route that shares nothing with the
+/// library's `ln_gamma`: `ln C(n, k)` is the compensated sum of
+/// `ln((n−k+i)/i)` over `i ≤ min(k, n−k)`, and the tail on `k`'s side of the
+/// mean is a compensated sum of the ratio recurrence, walked until its terms
+/// fall below 1e-20 of the total. Above the mean it returns `1 − P[X > k]`.
+fn oracle_cdf(n: u64, p: f64, k: u64) -> f64 {
+    if k >= n {
+        return 1.0;
+    }
+    let j = k.min(n - k);
+    let mut ln_choose = CompensatedSum::default();
+    for i in 1..=j {
+        ln_choose.add(((n - j + i) as f64 / i as f64).ln());
+    }
+    let ln_pmf = ln_choose.value() + k as f64 * p.ln() + (n - k) as f64 * (-p).ln_1p();
+    let q = 1.0 - p;
+    let mut tail = CompensatedSum::default();
+    if k as f64 <= n as f64 * p {
+        let (mut term, mut i) = (ln_pmf.exp(), k);
+        loop {
+            tail.add(term);
+            if i == 0 || term < 1e-20 * tail.value() {
+                return tail.value();
+            }
+            term *= i as f64 * q / ((n - i + 1) as f64 * p);
+            i -= 1;
+        }
+    }
+    let (mut term, mut i) = (
+        ln_pmf.exp() * (n - k) as f64 * p / ((k + 1) as f64 * q),
+        k + 1,
+    );
+    loop {
+        tail.add(term);
+        if i == n || term < 1e-20 * tail.value() {
+            return 1.0 - tail.value();
+        }
+        term *= (n - i) as f64 * p / ((i + 1) as f64 * q);
+        i += 1;
+    }
+}
+
+/// `p` in `[1e-4, 1)`: log-uniform half the time, so sparse cells are as
+/// common as dense ones, uniform otherwise.
+fn tail_probability(rng: &mut StdRng) -> f64 {
+    if rng.gen() {
+        10f64.powf(rng.gen_range(-4.0..0.0))
+    } else {
+        rng.gen_range(1e-4..1.0)
+    }
+}
+
+/// `Binomial::cdf` against [`oracle_cdf`] at a count within six standard
+/// deviations of the mean, wherever the exact tail is at least 1e-300. The
+/// bound is what the boundary term's `ln_choose` allows: its Lanczos values
+/// grow like `n ln n`, so the relative error is ~1e-11 at `n ≤ 10⁴` and
+/// ~1e-9 near `n = 10⁶`.
+#[test]
+fn binomial_cdf_matches_an_independent_tail_oracle() {
+    for (seed, cases, max_n, bound) in [
+        (0x57a7_0011, 256, 10_000u64, 1e-10),
+        (0x57a7_0012, 64, 1_000_000, 5e-9),
+    ] {
+        for_each_case(seed, cases, |rng| {
+            let n = rng.gen_range(1..=max_n);
+            let p = tail_probability(rng);
+            let b = Binomial::new(n, p).unwrap();
+            let lo = (b.mean() - 6.0 * b.sd()).max(0.0) as u64;
+            let hi = ((b.mean() + 6.0 * b.sd()).ceil() as u64).min(n);
+            let k = rng.gen_range(lo..=hi);
+            let want = oracle_cdf(n, p, k);
+            if want >= 1e-300 {
+                let got = b.cdf(k);
+                let rel = ((got - want) / want).abs();
+                assert!(
+                    rel <= bound,
+                    "B({n}, {p}) at k={k}: cdf {got} vs oracle {want}, rel {rel:e}"
+                );
+            }
+        });
+    }
+}
+
+#[test]
+fn binomial_cdf_edges_are_exact() {
+    for_each_case(0x57a7_0013, 256, |rng| {
+        let n = rng.gen_range(0..1_000_000u64);
+        let p = tail_probability(rng);
+        let k = rng.gen_range(n..=n.saturating_mul(2));
+        assert_eq!(Binomial::new(n, p).unwrap().cdf(k), 1.0, "k ≥ n = {n}");
+        let below = rng.gen_range(0..=n);
+        let zero = Binomial::new(n, 0.0).unwrap();
+        assert_eq!(zero.cdf(below), 1.0, "p = 0, n = {n}, k = {below}");
+        let one = Binomial::new(n, 1.0).unwrap();
+        let want = if below >= n { 1.0 } else { 0.0 };
+        assert_eq!(one.cdf(below), want, "p = 1, n = {n}, k = {below}");
+    });
+}
+
+/// The evaluator sums the lower tail up to the mean and subtracts the upper
+/// tail past it; the cdf must not step down where it switches.
+#[test]
+fn binomial_cdf_is_monotone_where_the_evaluator_switches_sides() {
+    for_each_case(0x57a7_0014, 256, |rng| {
+        let n = rng.gen_range(2..=1_000_000u64);
+        let b = Binomial::new(n, tail_probability(rng)).unwrap();
+        let m = b.mean().floor() as u64;
+        let ks: Vec<u64> = (m.saturating_sub(2)..=(m + 3).min(n)).collect();
+        for w in ks.windows(2) {
+            let (lo, hi) = (b.cdf(w[0]), b.cdf(w[1]));
+            assert!(
+                lo <= hi,
+                "B({n}, {}): cdf({}) = {lo} > cdf({}) = {hi}",
+                b.p(),
+                w[0],
+                w[1]
+            );
+        }
+    });
+}
+
 /// Eq. 1 against the exact occupancy law `Binomial(N, f^k)`: the exact
 /// significance is the binomial lower tail, and the paper's normal reading
 /// `Φ(S(c))` is off from it by at most the law's CLT Kolmogorov distance
@@ -208,18 +352,6 @@ fn ranks_invert_argsort() {
 }
 
 #[test]
-fn average_ranks_sum_to_the_triangular_number() {
-    for_each_case(0x57a7_000b, 256, |rng| {
-        // Integers on a narrow range, so ties are common.
-        let n = rng.gen_range(1usize..60);
-        let values: Vec<f64> = (0..n).map(|_| rng.gen_range(-50i32..50) as f64).collect();
-        let sum: f64 = average_ranks(&values).iter().sum();
-        let n = n as f64;
-        assert!((sum - n * (n + 1.0) / 2.0).abs() < 1e-9, "{values:?}");
-    });
-}
-
-#[test]
 fn bounded_best_equals_the_naive_top_m() {
     for_each_case(0x57a7_000c, 256, |rng| {
         let scores = floats(rng, 0..80, -1e3, 1e3);
@@ -233,21 +365,6 @@ fn bounded_best_equals_the_naive_top_m() {
         want.sort_by(f64::total_cmp);
         want.truncate(m);
         assert_eq!(got, want, "m = {m}");
-    });
-}
-
-#[test]
-fn bottom_m_agrees_with_a_sort() {
-    for_each_case(0x57a7_000d, 256, |rng| {
-        let values = floats(rng, 0..60, -1e3, 1e3);
-        let m = rng.gen_range(0usize..10);
-        let idx = bottom_m(&values, m);
-        let mut sorted = values.clone();
-        sorted.sort_by(f64::total_cmp);
-        assert_eq!(idx.len(), m.min(values.len()));
-        for (j, &i) in idx.iter().enumerate() {
-            assert_eq!(values[i], sorted[j], "m = {m}, {values:?}");
-        }
     });
 }
 

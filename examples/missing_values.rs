@@ -73,7 +73,7 @@ fn main() {
     );
 
     // The distance baseline refuses incomplete input...
-    match ramaswamy_top_n(&incomplete, 1, 10, Metric::Euclidean) {
+    match ramaswamy_top_n(&incomplete, 1, 10, Metric::Euclidean, 1) {
         Err(BaselineError::MissingValues) => {
             println!("kNN baseline on incomplete data: refused (needs complete vectors)")
         }
@@ -83,7 +83,8 @@ fn main() {
     // ...and after mean-imputation it hunts ghosts: imputed cells drag
     // records toward the center, and the planted outliers stay invisible.
     let imputed = impute_mean(&incomplete);
-    let top = ramaswamy_top_n(&imputed, 1, report.outlier_rows.len(), Metric::Euclidean).unwrap();
+    let top =
+        ramaswamy_top_n(&imputed, 1, report.outlier_rows.len(), Metric::Euclidean, 1).unwrap();
     let baseline_rows: Vec<usize> = top.iter().map(|o| o.row).collect();
     let baseline_recall = planted.recall(&baseline_rows).unwrap();
     println!("kNN baseline on imputed data: same budget, recall {baseline_recall:.2}");

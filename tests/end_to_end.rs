@@ -80,14 +80,14 @@ fn subspace_beats_distance_baselines_on_planted_subspace_outliers() {
     let subspace_recall = planted.recall(&report.outlier_rows).unwrap();
 
     let budget = report.outlier_rows.len().max(1);
-    let knn: Vec<usize> = ramaswamy_top_n(&planted.dataset, 1, budget, Metric::Euclidean)
+    let knn: Vec<usize> = ramaswamy_top_n(&planted.dataset, 1, budget, Metric::Euclidean, 1)
         .unwrap()
         .into_iter()
         .map(|o| o.row)
         .collect();
     let knn_recall = planted.recall(&knn).unwrap();
 
-    let lof = lof_scores(&planted.dataset, 10, Metric::Euclidean).unwrap();
+    let lof = lof_scores(&planted.dataset, 10, Metric::Euclidean, 1).unwrap();
     let mut lof_ranked: Vec<usize> = (0..lof.len()).collect();
     lof_ranked.sort_by(|&a, &b| lof[b].partial_cmp(&lof[a]).unwrap());
     lof_ranked.truncate(budget);
@@ -146,7 +146,7 @@ fn full_cleaning_pipeline_on_categorical_csv() {
     // Baselines need imputation first.
     let complete = impute_mean(&cleaned);
     assert_eq!(complete.missing_count(), 0);
-    assert!(ramaswamy_top_n(&complete, 1, 5, Metric::Euclidean).is_ok());
+    assert!(ramaswamy_top_n(&complete, 1, 5, Metric::Euclidean, 1).is_ok());
 }
 
 #[test]
