@@ -50,6 +50,11 @@ cargo test -q --offline --workspace
 #   emit byte-identical --json reports at --threads 1/2/8, and so must the
 #   seeded evolutionary detect, which ignores --threads
 #   (crates/cli/tests/determinism.rs).
+# - GA pins: the evolutionary search's exact output on a planted 1,000 × 120
+#   input (best-m, generation, evaluation and memo counts, gene convergence)
+#   at two seeds with both crossovers (crates/core/tests/ga_identity.rs), and
+#   its allocation count under the counting allocator, below ten blocks per
+#   fitness evaluation (crates/core/tests/ga_allocations.rs).
 # - Fault tolerance: checkpoint atomicity under simulated kills
 #   (crates/stream/tests/faults.rs) and the scripted-I/O harness driving the
 #   stream error policies, circuit breaker, kill/resume equivalence, and

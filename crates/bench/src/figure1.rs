@@ -80,7 +80,7 @@ pub fn run(n_dims: usize, seed: u64) -> Outcome {
             let cell_of = |dim: usize| disc.cell(row, dim);
             let signature_cube = Cube::new([(lo as u32, cell_of(lo)), (hi as u32, cell_of(hi))])
                 .expect("distinct dims");
-            let signature_sparsity = fitness.sparsity_of_cube(&signature_cube);
+            let signature_sparsity = fitness.sparsity_of_pairs(signature_cube.pairs());
             // All other adjacent-pair views.
             let mut others = Vec::new();
             for g in 0..(n_dims / 2) {
@@ -90,7 +90,7 @@ pub fn run(n_dims: usize, seed: u64) -> Outcome {
                 }
                 let cube = Cube::new([(a as u32, cell_of(a)), (b as u32, cell_of(b))])
                     .expect("distinct dims");
-                others.push(fitness.sparsity_of_cube(&cube));
+                others.push(fitness.sparsity_of_pairs(cube.pairs()));
             }
             let mean_other_sparsity = others.iter().sum::<f64>() / others.len().max(1) as f64;
             OutlierView {

@@ -154,11 +154,7 @@ pub fn run_to(argv: &[String], sink: &mut impl std::io::Write) -> (i32, String) 
                 Json::object()
                     .field(
                         "dims",
-                        v.cube
-                            .dims()
-                            .iter()
-                            .map(|&d| d as usize)
-                            .collect::<Vec<_>>(),
+                        v.cube.dims().map(|d| d as usize).collect::<Vec<_>>(),
                     )
                     .field("count", v.count)
                     .field("sparsity", v.sparsity)
@@ -184,8 +180,7 @@ pub fn run_to(argv: &[String], sink: &mut impl std::io::Write) -> (i32, String) 
             let dims: Vec<String> = v
                 .cube
                 .dims()
-                .iter()
-                .map(|&d| disc.name(d as usize).to_string())
+                .map(|d| disc.name(d as usize).to_string())
                 .collect();
             out.push_str(&format!(
                 "  [{}]  count {:>4}  S = {:>7.2}  exact P = {:.3e}\n",

@@ -475,7 +475,7 @@ mod tests {
         }
         // Every retained projection is feasible and non-empty.
         for s in &out.best {
-            assert!(s.projection.is_feasible(2));
+            assert_eq!(s.projection.k(), 2);
             assert!(s.count > 0);
         }
     }
@@ -501,7 +501,7 @@ mod tests {
                         let cube = Cube::new([(d0, r0), (d1, r1)]).unwrap();
                         let count = counter.count(&cube);
                         if count > 0 {
-                            oracle.push((fitness.sparsity_of_cube(&cube), count));
+                            oracle.push((fitness.sparsity_of_pairs(cube.pairs()), count));
                         }
                     }
                 }

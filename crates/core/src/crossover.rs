@@ -20,7 +20,7 @@
 
 use crate::fitness::SparsityFitness;
 use crate::projection::{Projection, STAR};
-use hdoutlier_index::{Cube, CubeCounter};
+use hdoutlier_index::CubeCounter;
 use hdoutlier_rng::Rng;
 
 /// Which recombination the evolutionary search uses.
@@ -71,6 +71,11 @@ const MAX_EXHAUSTIVE_BITS: usize = 16;
 /// Returns `(s, s')` where `s` is the fitness-optimized recombination and
 /// `s'` its complement. For feasible k-dimensional parents both children are
 /// k-dimensional.
+///
+/// Every candidate is scored from one buffer of the child's
+/// `(position, range)` pairs, kept sorted by position: Phase 1 rewrites the
+/// Type-II ranges in place for each assignment, and Phase 2 inserts each
+/// Type-III candidate at its sorted place, scores, and takes it out again.
 pub fn optimized<C: CubeCounter, R: Rng>(
     s1: &Projection,
     s2: &Projection,
@@ -78,114 +83,85 @@ pub fn optimized<C: CubeCounter, R: Rng>(
     rng: &mut R,
 ) -> (Projection, Projection) {
     assert_eq!(s1.d(), s2.d(), "dimensionality mismatch");
-    let d = s1.d();
+    let (g1, g2) = (s1.genes(), s2.genes());
     let k = fitness.k();
 
-    // Classify positions.
-    let mut type2: Vec<usize> = Vec::new(); // R: neither star
-    let mut type3: Vec<usize> = Vec::new(); // exactly one star
-    for pos in 0..d {
-        match (s1.gene(pos), s2.gene(pos)) {
-            (Some(_), Some(_)) => type2.push(pos),
-            (None, None) => {}
-            _ => type3.push(pos),
+    // Classify positions: Type II (neither star) seeds the child's pairs
+    // with s1's range; Type III (exactly one star) offers its non-star
+    // parent's range as a Phase-2 candidate. Type I (both star) stays star.
+    let mut pairs: Vec<(u32, u16)> = Vec::with_capacity(k + 1);
+    let mut candidates: Vec<(u32, u16)> = Vec::new();
+    for (pos, (&a, &b)) in g1.iter().zip(g2).enumerate() {
+        match (a == STAR, b == STAR) {
+            (false, false) => pairs.push((pos as u32, a)),
+            (true, true) => {}
+            (false, true) => candidates.push((pos as u32, a)),
+            (true, false) => candidates.push((pos as u32, b)),
         }
     }
 
-    // Which parent (1 or 2) child s derives each position from; positions
-    // not in the map are derived "neutrally" (both parents star).
-    let mut derived_from_s1: Vec<Option<bool>> = vec![None; d];
-
     // --- Phase 1: exhaustive search over Type-II assignments. ---
-    let kp = type2.len();
-    let mut child = Projection::all_star(d);
-    if kp > 0 {
-        let total_masks: u64 = 1u64 << kp.min(MAX_EXHAUSTIVE_BITS);
+    // Bit `i` of a mask set means the i-th Type-II position takes s2's range.
+    let assign = |pairs: &mut [(u32, u16)], mask: u64| {
+        for (bit, pair) in pairs.iter_mut().enumerate() {
+            let from = if (mask >> bit) & 1 == 0 { g1 } else { g2 };
+            pair.1 = from[pair.0 as usize];
+        }
+    };
+    if !pairs.is_empty() {
+        let total_masks: u64 = 1u64 << pairs.len().min(MAX_EXHAUSTIVE_BITS);
         let mut best_mask = 0u64;
         let mut best_score = f64::INFINITY;
         for mask in 0..total_masks {
-            let pairs = type2.iter().enumerate().map(|(bit, &pos)| {
-                let from_s1 = (mask >> bit) & 1 == 0;
-                let gene = if from_s1 {
-                    s1.gene(pos).expect("type II")
-                } else {
-                    s2.gene(pos).expect("type II")
-                };
-                (pos as u32, gene)
-            });
-            let cube = Cube::new(pairs).expect("distinct positions");
-            let score = fitness.sparsity_of_cube(&cube);
+            assign(&mut pairs, mask);
+            let score = fitness.sparsity_of_pairs(&pairs);
             if score < best_score {
                 best_score = score;
                 best_mask = mask;
             }
         }
-        for (bit, &pos) in type2.iter().enumerate() {
-            let from_s1 = (best_mask >> bit) & 1 == 0;
-            let gene = if from_s1 {
-                s1.gene(pos).expect("type II")
-            } else {
-                s2.gene(pos).expect("type II")
-            };
-            child.set_gene(pos, gene);
-            derived_from_s1[pos] = Some(from_s1);
-        }
+        assign(&mut pairs, best_mask);
     }
 
     // --- Phase 2: greedy extension through Type-III positions. ---
-    // Candidates: (position, gene, comes-from-s1). Each Type-III position
-    // contributes exactly one candidate (its non-star parent's value).
-    let mut candidates: Vec<(usize, u16, bool)> = type3
-        .iter()
-        .map(|&pos| match (s1.gene(pos), s2.gene(pos)) {
-            (Some(g), None) => (pos, g, true),
-            (None, Some(g)) => (pos, g, false),
-            _ => unreachable!("type III has exactly one star"),
-        })
-        .collect();
-    while child.k() < k && !candidates.is_empty() {
+    while pairs.len() < k && !candidates.is_empty() {
         let mut best_idx = 0usize;
         let mut best_score = f64::INFINITY;
-        for (i, &(pos, gene, _)) in candidates.iter().enumerate() {
-            let pairs = child
-                .constrained_positions()
-                .into_iter()
-                .map(|p| (p as u32, child.gene(p).expect("constrained")))
-                .chain(std::iter::once((pos as u32, gene)));
-            let cube = Cube::new(pairs).expect("distinct positions");
-            let score = fitness.sparsity_of_cube(&cube);
+        for (i, &(pos, gene)) in candidates.iter().enumerate() {
+            let at = pairs.partition_point(|&(p, _)| p < pos);
+            pairs.insert(at, (pos, gene));
+            let score = fitness.sparsity_of_pairs(&pairs);
+            pairs.remove(at);
             if score < best_score {
                 best_score = score;
                 best_idx = i;
             }
         }
-        let (pos, gene, from_s1) = candidates.swap_remove(best_idx);
-        child.set_gene(pos, gene);
-        derived_from_s1[pos] = Some(from_s1);
-    }
-    // Un-taken Type-III candidates: s derived those positions from the
-    // *star* parent (it kept them as don't-cares).
-    for &(pos, _, from_s1) in &candidates {
-        derived_from_s1[pos] = Some(!from_s1);
+        let (pos, gene) = candidates.swap_remove(best_idx);
+        let at = pairs.partition_point(|&(p, _)| p < pos);
+        pairs.insert(at, (pos, gene));
     }
 
-    // --- Complementary child: derive every position from the other parent. ---
-    let mut complement = Projection::all_star(d);
-    #[allow(clippy::needless_range_loop)] // three parallel structures; indices are clearest
-    for pos in 0..d {
-        if let Some(from_s1) = derived_from_s1[pos] {
-            let gene = if from_s1 {
-                // s took from s1 ⇒ s' takes from s2.
-                s2.gene(pos).map_or(STAR, |g| g)
-            } else {
-                s1.gene(pos).map_or(STAR, |g| g)
-            };
-            complement.set_gene(pos, gene);
-        }
+    let mut child = vec![STAR; g1.len()];
+    for &(pos, gene) in &pairs {
+        child[pos as usize] = gene;
     }
+    // --- Complementary child: derive every position from the other parent. ---
+    // Where s took s1's gene, s' takes s2's, and the reverse. An un-taken
+    // Type-III candidate means s took the star parent there, so s' takes
+    // the range; a Type-I position is star in both parents.
+    let complement = g1
+        .iter()
+        .zip(g2)
+        .zip(&child)
+        .map(|((&a, &b), &c)| if c == a { b } else { a })
+        .collect();
 
     let _ = rng; // reserved: tie-breaking hooks keep the signature uniform
-    (child, complement)
+    (
+        Projection::from_genes(child),
+        Projection::from_genes(complement),
+    )
 }
 
 /// Dispatches on [`CrossoverKind`].
@@ -243,8 +219,8 @@ mod tests {
         assert_eq!(d, proj("1*3**"));
         assert_eq!(c.k(), 4);
         assert_eq!(d.k(), 2);
-        assert!(!c.is_feasible(3));
-        assert!(!d.is_feasible(3));
+        assert_ne!(c.k(), 3);
+        assert_ne!(d.k(), 3);
     }
 
     #[test]
@@ -288,8 +264,8 @@ mod tests {
             let a = Projection::random(6, 3, 4, &mut rng);
             let b = Projection::random(6, 3, 4, &mut rng);
             let (c, d) = optimized(&a, &b, &fitness, &mut rng);
-            assert!(c.is_feasible(3), "child {c} of {a} × {b}");
-            assert!(d.is_feasible(3), "complement {d} of {a} × {b}");
+            assert_eq!(c.k(), 3, "child {c} of {a} × {b}");
+            assert_eq!(d.k(), 3, "complement {d} of {a} × {b}");
         }
     }
 
@@ -368,7 +344,7 @@ mod tests {
         // Sanity: cell (0,1) on dims (0,1) — i%4==0 and (i+1)%4==1 ⇒ both i≡0:
         // that's i ≡ 0 (mod 4)... then (i+1)%4 == 1, so it DOES co-occur.
         // Use (0, 2) instead: i%4==0 ∧ (i+1)%4==2 ⇒ i≡0 ∧ i≡1 — empty.
-        let empty_cube = Cube::new([(0u32, 0u16), (1u32, 2u16)]).unwrap();
+        let empty_cube = hdoutlier_index::Cube::new([(0u32, 0u16), (1u32, 2u16)]).unwrap();
         assert_eq!(counter.count(&empty_cube), 0);
         let fitness = SparsityFitness::new(&counter, 2);
         let s1 = Projection::from_genes(vec![0, 1, STAR]); // (0,0),(1,1): occupied
@@ -386,7 +362,7 @@ mod tests {
         );
         assert_eq!(
             fitness.evaluate(&child),
-            fitness.sparsity_of_cube(&empty_cube)
+            fitness.sparsity_of_pairs(empty_cube.pairs())
         );
     }
 
@@ -400,15 +376,10 @@ mod tests {
         let s2 = Projection::from_genes(vec![STAR, STAR, 2, 3, STAR, STAR]);
         let mut rng = StdRng::seed_from_u64(25);
         let (c, d) = optimized(&s1, &s2, &fitness, &mut rng);
-        assert!(c.is_feasible(2));
-        assert!(d.is_feasible(2));
+        assert_eq!(c.k(), 2);
+        assert_eq!(d.k(), 2);
         // Together the children carry all four parent genes.
-        let mut genes: Vec<(usize, u16)> = Vec::new();
-        for p in [&c, &d] {
-            for pos in p.constrained_positions() {
-                genes.push((pos, p.gene(pos).unwrap()));
-            }
-        }
+        let mut genes: Vec<(u32, u16)> = c.pairs().chain(d.pairs()).collect();
         genes.sort_unstable();
         assert_eq!(genes, vec![(0, 0), (1, 1), (2, 2), (3, 3)]);
     }
@@ -433,15 +404,15 @@ mod tests {
         let fitness = SparsityFitness::new(&counter, 2);
         let mut rng = StdRng::seed_from_u64(27);
         for _ in 0..30 {
-            let positions = {
-                let p = Projection::random(6, 2, 4, &mut rng);
-                p.constrained_positions()
-            };
+            let positions: Vec<u32> = Projection::random(6, 2, 4, &mut rng)
+                .pairs()
+                .map(|(pos, _)| pos)
+                .collect();
             let mut g1 = vec![STAR; 6];
             let mut g2 = vec![STAR; 6];
             for &pos in &positions {
-                g1[pos] = rng.gen_range(0..4) as u16;
-                g2[pos] = rng.gen_range(0..4) as u16;
+                g1[pos as usize] = rng.gen_range(0..4) as u16;
+                g2[pos as usize] = rng.gen_range(0..4) as u16;
             }
             let s1 = Projection::from_genes(g1);
             let s2 = Projection::from_genes(g2);
@@ -462,7 +433,7 @@ mod tests {
         let a = Projection::random(6, 2, 4, &mut rng);
         let b = Projection::random(6, 2, 4, &mut rng);
         let (c, _) = recombine(CrossoverKind::Optimized, &a, &b, &fitness, &mut rng);
-        assert!(c.is_feasible(2));
+        assert_eq!(c.k(), 2);
         let (c, d) = recombine(CrossoverKind::TwoPoint, &a, &b, &fitness, &mut rng);
         assert_eq!(c.d(), 6);
         assert_eq!(d.d(), 6);

@@ -690,7 +690,7 @@ mod tests {
         let report = detector.detect(&p.dataset).unwrap();
         for s in &report.projections {
             let advice = crate::params::advise(1200, -3.0);
-            assert!(s.projection.is_feasible(advice.k as usize));
+            assert_eq!(s.projection.k(), advice.k as usize);
         }
     }
 

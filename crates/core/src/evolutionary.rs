@@ -17,14 +17,14 @@
 //! each stage"). Fitness is minimized: the most negative sparsity
 //! coefficient is best.
 
-use crate::convergence::population_converged;
+use crate::convergence::GeneView;
 use crate::crossover::{recombine, CrossoverKind};
 use crate::fitness::SparsityFitness;
 use crate::mutation::{mutate, MutationConfig};
 use crate::projection::Projection;
 use crate::report::ScoredProjection;
 use crate::selection::SelectionScheme;
-use hdoutlier_index::CubeCounter;
+use hdoutlier_index::{CubeCounter, CubeKey, CubeMap};
 use hdoutlier_obs as obs;
 use hdoutlier_rng::rngs::StdRng;
 use hdoutlier_rng::SeedableRng;
@@ -153,18 +153,17 @@ fn timed_stage<T>(timed: bool, hist: &obs::Histogram, f: impl FnOnce() -> T) -> 
 /// population, so the raw view "converges" on the seed generation. Encoding
 /// slot i as its i-th (dim, range) pair makes convergence mean what it
 /// should: the population agrees on the projection itself.
-fn check_convergence(population: &[Projection], phi: u32, threshold: f64) -> (bool, f64) {
-    let views: Vec<Vec<u32>> = population
-        .iter()
-        .map(|genome| {
-            genome
-                .constrained_positions()
-                .into_iter()
-                .map(|pos| pos as u32 * (phi + 1) + genome.gene(pos).expect("constrained") as u32)
-                .collect()
-        })
-        .collect();
-    population_converged(&views, threshold)
+fn check_convergence(
+    view: &mut GeneView,
+    population: &[Projection],
+    phi: u32,
+    threshold: f64,
+) -> (bool, f64) {
+    view.clear();
+    for genome in population {
+        view.push(genome.pairs().map(|(pos, g)| pos * (phi + 1) + g as u32));
+    }
+    view.converged(threshold)
 }
 
 /// Runs the evolutionary outlier search of Fig. 3.
@@ -204,27 +203,32 @@ pub fn evolutionary_search<C: CubeCounter>(
     // Without internal tracking the best set is the population members
     // alone (the literal Fig. 3 BestSet semantics).
     let mut population_seen: HashMap<Projection, f64> = HashMap::new();
-    // Scores each member in population order, on this thread. Feasible
-    // genomes are recorded by the fitness's tracker; infeasible ones score
-    // +inf and are never candidates.
-    let mut evaluate = |pop: &[Projection]| -> Vec<f64> {
-        pop.iter()
-            .map(|genome| {
-                let f = {
-                    let _eval = obs::profile_span(TARGET, "evaluate");
-                    fitness.evaluate(genome)
-                };
-                if !config.track_internal_candidates && f.is_finite() {
-                    population_seen.entry(genome.clone()).or_insert(f);
-                }
-                f
-            })
-            .collect()
+    // Scores each member in population order, on this thread, into
+    // `scores`. Feasible genomes are recorded by the fitness's tracker;
+    // infeasible ones score +inf and are never candidates.
+    let mut evaluate = |pop: &[Projection], scores: &mut Vec<f64>| {
+        scores.clear();
+        scores.extend(pop.iter().map(|genome| {
+            let f = {
+                let _eval = obs::profile_span(TARGET, "evaluate");
+                fitness.evaluate(genome)
+            };
+            if !config.track_internal_candidates
+                && f.is_finite()
+                && !population_seen.contains_key(genome)
+            {
+                population_seen.insert(genome.clone(), f);
+            }
+            f
+        }));
     };
 
     let lowest = |scores: &[f64]| scores.iter().copied().fold(f64::INFINITY, f64::min);
 
-    let (mut scores, _) = timed_stage(timed, &metrics.evaluate_us, || evaluate(&population));
+    let mut scores = Vec::with_capacity(config.population);
+    timed_stage(timed, &metrics.evaluate_us, || {
+        evaluate(&population, &mut scores)
+    });
     let mut evaluations = scores.len() as u64;
     let mut best = lowest(&scores);
     metrics.evaluations.add(evaluations);
@@ -240,18 +244,21 @@ pub fn evolutionary_search<C: CubeCounter>(
 
     // Termination is checked before each generation, so a converged seed
     // stops at once.
+    let mut next = population.clone();
+    let mut view = GeneView::default();
     let (mut done, mut gene_convergence) =
-        check_convergence(&population, phi, config.convergence_threshold);
+        check_convergence(&mut view, &population, phi, config.convergence_threshold);
     let mut generations = 0usize;
     while !done && generations < config.max_generations {
         let gen_start = if timed { Some(Instant::now()) } else { None };
 
-        let (mut next, selection_us) = timed_stage(timed, &metrics.selection_us, || {
+        // Selection copies the chosen parents into the previous
+        // generation's genomes, reusing their gene buffers.
+        let ((), selection_us) = timed_stage(timed, &metrics.selection_us, || {
             let parents = config.selection.select(&scores, &mut rng);
-            parents
-                .iter()
-                .map(|&i| population[i].clone())
-                .collect::<Vec<Projection>>()
+            for (slot, &i) in next.iter_mut().zip(&parents) {
+                slot.clone_from(&population[i]);
+            }
         });
 
         // Crossover: match pairwise (Fig. 5 "match the solutions in the
@@ -276,10 +283,10 @@ pub fn evolutionary_search<C: CubeCounter>(
             }
         });
 
-        population = next;
-        let (new_scores, evaluate_us) =
-            timed_stage(timed, &metrics.evaluate_us, || evaluate(&population));
-        scores = new_scores;
+        std::mem::swap(&mut population, &mut next);
+        let ((), evaluate_us) = timed_stage(timed, &metrics.evaluate_us, || {
+            evaluate(&population, &mut scores)
+        });
         evaluations += scores.len() as u64;
         metrics.evaluations.add(scores.len() as u64);
         let gen_best = lowest(&scores);
@@ -292,7 +299,7 @@ pub fn evolutionary_search<C: CubeCounter>(
                 .record(start.elapsed().as_micros() as f64);
         }
         (done, gene_convergence) =
-            check_convergence(&population, phi, config.convergence_threshold);
+            check_convergence(&mut view, &population, phi, config.convergence_threshold);
 
         if obs::enabled(obs::Level::Debug) {
             // Population statistics are only computed when someone is
@@ -344,29 +351,39 @@ pub fn evolutionary_search<C: CubeCounter>(
     // Assemble the deduplicated best-m from every full-k cube the fitness
     // scored during the run (population members and, by default, the
     // candidates the optimized crossover examined internally).
-    let tracked: HashMap<hdoutlier_index::Cube, f64> = if config.track_internal_candidates {
+    let tracked: CubeMap<f64> = if config.track_internal_candidates {
         fitness.take_tracked()
     } else {
         population_seen
             .into_iter()
-            .filter_map(|(p, f)| p.to_cube().map(|c| (c, f)))
+            .map(|(p, f)| (p.pairs().collect(), f))
             .collect()
     };
-    let mut scored: Vec<ScoredProjection> = tracked
+    let mut candidates: Vec<(f64, usize, CubeKey)> = tracked
         .into_iter()
-        .map(|(cube, sparsity)| {
-            let count = fitness.counter().count(&cube);
-            ScoredProjection {
-                projection: Projection::from_cube(&cube, d),
-                sparsity,
-                count,
-            }
-        })
-        .filter(|s| !config.require_nonempty || s.count > 0)
+        .map(|(pairs, sparsity)| (sparsity, fitness.counter().count_pairs(&pairs), pairs))
+        .filter(|&(_, count, _)| !config.require_nonempty || count > 0)
         .collect();
-    // Total order: sparsity first, genes as the tiebreak — `seen` is a
-    // HashMap, and without the tiebreak equal-sparsity projections would be
-    // reported in nondeterministic order.
+    // Only the m sparsest, and every tie at the m-th sparsity, can be
+    // reported: keep those before building any d-position projection.
+    if candidates.len() > config.m {
+        let (_, mth, _) = candidates.select_nth_unstable_by(config.m - 1, |a, b| {
+            a.0.partial_cmp(&b.0).expect("finite sparsity only")
+        });
+        let cutoff = mth.0;
+        candidates.retain(|c| c.0 <= cutoff);
+    }
+    let mut scored: Vec<ScoredProjection> = candidates
+        .into_iter()
+        .map(|(sparsity, count, pairs)| ScoredProjection {
+            projection: Projection::from_pairs(&pairs, d),
+            sparsity,
+            count,
+        })
+        .collect();
+    // Total order: sparsity first, genes as the tiebreak — the tracked
+    // cubes come out of a HashMap, and without the tiebreak equal-sparsity
+    // projections would be reported in nondeterministic order.
     scored.sort_by(|a, b| {
         a.sparsity
             .partial_cmp(&b.sparsity)
@@ -438,7 +455,7 @@ pub fn multi_restart_search<C: CubeCounter>(
             if config.threshold.is_none_or(|t| s.sparsity <= t) {
                 if config.ban_found {
                     if let Some(cube) = s.projection.to_cube() {
-                        fitness.ban(cube);
+                        fitness.ban(&cube);
                     }
                 }
                 union.entry(s.projection.clone()).or_insert(s);
@@ -530,7 +547,7 @@ mod tests {
                 s.projection
             );
             assert!(s.count > 0);
-            assert!(s.projection.is_feasible(2));
+            assert_eq!(s.projection.k(), 2);
         }
         for w in out.best.windows(2) {
             assert!(w[0].sparsity <= w[1].sparsity);
@@ -715,10 +732,10 @@ mod tests {
         let cube = p.to_cube().unwrap();
         let honest = fitness.evaluate(&p);
         assert!(honest.is_finite());
-        fitness.ban(cube.clone());
+        fitness.ban(&cube);
         assert_eq!(fitness.evaluate(&p), f64::INFINITY);
         // Cube-level scoring is unaffected (crossover's view).
-        assert_eq!(fitness.sparsity_of_cube(&cube), honest);
+        assert_eq!(fitness.sparsity_of_pairs(cube.pairs()), honest);
         fitness.clear_bans();
         assert_eq!(fitness.evaluate(&p), honest);
     }

@@ -7,10 +7,9 @@
 //! space (§2.2).
 
 use crate::projection::Projection;
-use hdoutlier_index::{Cube, CubeCounter};
+use hdoutlier_index::{Cube, CubeCounter, CubeMap, CubeSet};
 use hdoutlier_stats::SparsityParams;
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
 
 /// Evaluates sparsity coefficients for projections of a fixed dataset.
 pub struct SparsityFitness<'a, C: CubeCounter> {
@@ -28,14 +27,17 @@ pub struct SparsityFitness<'a, C: CubeCounter> {
     /// into the population still count as "kept track of" (paper Fig. 3).
     /// Insertion order is irrelevant: the evolutionary search sorts the
     /// drained map deterministically.
-    tracked: RefCell<Option<HashMap<Cube, f64>>>,
+    tracked: RefCell<Option<CubeMap<f64>>>,
     /// Tabu set for multi-restart search: genomes whose cube is banned score
     /// `+∞` so the population is pushed toward *new* sparse regions. Bans
     /// apply only at the genome level ([`SparsityFitness::evaluate`]); the
-    /// crossover's internal [`SparsityFitness::sparsity_of_cube`] calls
+    /// crossover's internal [`SparsityFitness::sparsity_of_pairs`] calls
     /// still see true scores, so banned cubes remain usable as stepping
     /// stones.
-    banned: RefCell<HashSet<Cube>>,
+    banned: RefCell<CubeSet>,
+    /// The pairs of the genome [`SparsityFitness::evaluate`] is scoring,
+    /// kept between calls so evaluation does not allocate.
+    genome_pairs: RefCell<Vec<(u32, u16)>>,
 }
 
 impl<'a, C: CubeCounter> SparsityFitness<'a, C> {
@@ -66,15 +68,16 @@ impl<'a, C: CubeCounter> SparsityFitness<'a, C> {
             k,
             params_by_k,
             tracked: RefCell::new(None),
-            banned: RefCell::new(HashSet::new()),
+            banned: RefCell::new(CubeSet::default()),
+            genome_pairs: RefCell::new(Vec::with_capacity(k + 1)),
         }
     }
 
     /// Bans a cube: genomes resolving to it score `+∞` from now on. Used by
     /// [`crate::evolutionary::multi_restart_search`] to force successive
     /// restarts into unexplored regions.
-    pub fn ban(&self, cube: Cube) {
-        self.banned.borrow_mut().insert(cube);
+    pub fn ban(&self, cube: &Cube) {
+        self.banned.borrow_mut().insert(cube.pairs().into());
     }
 
     /// Number of currently banned cubes.
@@ -90,13 +93,13 @@ impl<'a, C: CubeCounter> SparsityFitness<'a, C> {
     /// Starts recording every full-k cube scored by this fitness (idempotent;
     /// clears any previous recording).
     pub fn enable_tracking(&self) {
-        *self.tracked.borrow_mut() = Some(HashMap::new());
+        *self.tracked.borrow_mut() = Some(CubeMap::default());
     }
 
     /// Stops recording and returns everything recorded since
-    /// [`SparsityFitness::enable_tracking`]. Returns an empty map if
-    /// tracking was never enabled.
-    pub fn take_tracked(&self) -> HashMap<Cube, f64> {
+    /// [`SparsityFitness::enable_tracking`], keyed by each cube's sorted
+    /// pairs. Returns an empty map if tracking was never enabled.
+    pub fn take_tracked(&self) -> CubeMap<f64> {
         self.tracked.borrow_mut().take().unwrap_or_default()
     }
 
@@ -116,30 +119,36 @@ impl<'a, C: CubeCounter> SparsityFitness<'a, C> {
     }
 
     /// Full fitness: sparsity coefficient for feasible strings, `+∞`
-    /// otherwise.
+    /// otherwise. One pass over the genes collects the constrained pairs
+    /// (stopping once there are more than `k`); bans are consulted only
+    /// while some are set.
     pub fn evaluate(&self, projection: &Projection) -> f64 {
-        if !projection.is_feasible(self.k) {
+        let mut pairs = self.genome_pairs.borrow_mut();
+        pairs.clear();
+        pairs.extend(projection.pairs().take(self.k + 1));
+        if pairs.len() != self.k {
             return f64::INFINITY;
         }
-        let cube = projection
-            .to_cube()
-            .expect("feasible projection with k >= 1 has a cube");
-        if self.banned.borrow().contains(&cube) {
+        let banned = self.banned.borrow();
+        if !banned.is_empty() && banned.contains(&pairs[..]) {
             return f64::INFINITY;
         }
-        self.sparsity_of_cube(&cube)
+        self.sparsity_of_pairs(&pairs)
     }
 
-    /// Sparsity of an arbitrary cube at *its own* dimensionality, for
-    /// partial strings during optimized crossover. Cubes deeper than the
-    /// run's `k` are infeasible and score `+∞`.
-    pub fn sparsity_of_cube(&self, cube: &Cube) -> f64 {
-        match self.params_by_k.get(cube.k()).copied().flatten() {
+    /// Sparsity of the cube given by `pairs` (distinct dimensions,
+    /// ascending) at *its own* dimensionality, for partial strings during
+    /// optimized crossover. Cubes deeper than the run's `k`, and the empty
+    /// one, are infeasible and score `+∞`.
+    pub fn sparsity_of_pairs(&self, pairs: &[(u32, u16)]) -> f64 {
+        match self.params_by_k.get(pairs.len()).copied().flatten() {
             Some(params) => {
-                let s = params.sparsity(self.counter.count(cube) as u64);
-                if cube.k() == self.k {
+                let s = params.sparsity(self.counter.count_pairs(pairs) as u64);
+                if pairs.len() == self.k {
                     if let Some(tracked) = self.tracked.borrow_mut().as_mut() {
-                        tracked.insert(cube.clone(), s);
+                        if !tracked.contains_key(pairs) {
+                            tracked.insert(pairs.into(), s);
+                        }
                     }
                 }
                 s
@@ -208,13 +217,13 @@ mod tests {
         let (counter, n) = fixture();
         let fitness = SparsityFitness::new(&counter, 3);
         let cube = hdoutlier_index::Cube::new([(0, 1)]).unwrap();
-        let got = fitness.sparsity_of_cube(&cube);
+        let got = fitness.sparsity_of_pairs(cube.pairs());
         let count = counter.count(&cube);
         let want = hdoutlier_stats::sparsity_coefficient(count as u64, n as u64, 4, 1);
         assert_eq!(got, want);
         // Deeper than k is infeasible.
         let deep = hdoutlier_index::Cube::new([(0, 0), (1, 0), (2, 0), (3, 0)]).unwrap();
-        assert_eq!(fitness.sparsity_of_cube(&deep), f64::INFINITY);
+        assert_eq!(fitness.sparsity_of_pairs(deep.pairs()), f64::INFINITY);
     }
 
     #[test]

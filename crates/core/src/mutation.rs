@@ -32,27 +32,44 @@ impl MutationConfig {
 }
 
 /// Applies Fig. 6 to one projection in place.
+///
+/// Positions are picked by their rank among the stars or the constrained
+/// positions, found by scanning the genes; the random draws are the rank
+/// of the star to fill, the rank of the position to clear, then the range.
 pub fn mutate<R: Rng>(projection: &mut Projection, config: &MutationConfig, rng: &mut R) {
     debug_assert!(config.phi > 0);
+    let d = projection.d();
     // Type I: swap a star with a non-star (no-op if either set is empty).
     if rng.gen::<f64>() < config.p1 {
-        let stars = projection.star_positions();
-        let constrained = projection.constrained_positions();
-        if !stars.is_empty() && !constrained.is_empty() {
-            let to_fill = stars[rng.gen_range(0..stars.len())];
-            let to_clear = constrained[rng.gen_range(0..constrained.len())];
+        let k = projection.k();
+        if k < d && k > 0 {
+            let to_fill = nth_position(projection, true, rng.gen_range(0..d - k));
+            let to_clear = nth_position(projection, false, rng.gen_range(0..k));
             projection.set_gene(to_fill, rng.gen_range(0..config.phi) as u16);
             projection.set_gene(to_clear, STAR);
         }
     }
     // Type II: re-randomize one constrained position.
     if rng.gen::<f64>() < config.p2 {
-        let constrained = projection.constrained_positions();
-        if !constrained.is_empty() {
-            let pos = constrained[rng.gen_range(0..constrained.len())];
+        let k = projection.k();
+        if k > 0 {
+            let pos = nth_position(projection, false, rng.gen_range(0..k));
             projection.set_gene(pos, rng.gen_range(0..config.phi) as u16);
         }
     }
+}
+
+/// The position of the `n`-th (0-based) star, or of the `n`-th constrained
+/// gene when `star` is false.
+fn nth_position(projection: &Projection, star: bool, n: usize) -> usize {
+    projection
+        .genes()
+        .iter()
+        .enumerate()
+        .filter(|&(_, &g)| (g == STAR) == star)
+        .nth(n)
+        .expect("n is below the number of such positions")
+        .0
 }
 
 #[cfg(test)]
@@ -60,6 +77,10 @@ mod tests {
     use super::*;
     use hdoutlier_rng::rngs::StdRng;
     use hdoutlier_rng::SeedableRng;
+
+    fn positions(p: &Projection) -> Vec<u32> {
+        p.pairs().map(|(pos, _)| pos).collect()
+    }
 
     #[test]
     fn preserves_dimensionality() {
@@ -69,9 +90,7 @@ mod tests {
             let mut p = Projection::random(8, 3, 5, &mut rng);
             mutate(&mut p, &config, &mut rng);
             assert_eq!(p.k(), 3, "mutation changed dimensionality: {p}");
-            for pos in p.constrained_positions() {
-                assert!(p.gene(pos).unwrap() < 5);
-            }
+            assert!(p.pairs().all(|(_, g)| g < 5), "{p}");
         }
     }
 
@@ -103,7 +122,7 @@ mod tests {
         for _ in 0..20 {
             mutate(&mut p, &config, &mut rng);
             assert_eq!(p.k(), 2);
-            if p.constrained_positions() != p0.constrained_positions() {
+            if positions(&p) != positions(&p0) {
                 moved = true;
             }
         }
@@ -123,11 +142,7 @@ mod tests {
         let mut changed = false;
         for _ in 0..30 {
             mutate(&mut p, &config, &mut rng);
-            assert_eq!(
-                p.constrained_positions(),
-                p0.constrained_positions(),
-                "Type II moved a position"
-            );
+            assert_eq!(positions(&p), positions(&p0), "Type II moved a position");
             if p != p0 {
                 changed = true;
             }

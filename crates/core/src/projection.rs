@@ -17,9 +17,22 @@ use std::fmt;
 pub const STAR: u16 = u16::MAX;
 
 /// A projection string: one gene per dimension.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, PartialEq, Eq, Hash)]
 pub struct Projection {
     genes: Vec<u16>,
+}
+
+impl Clone for Projection {
+    fn clone(&self) -> Self {
+        Self {
+            genes: self.genes.clone(),
+        }
+    }
+
+    /// Copies `source`'s genes into this projection's buffer.
+    fn clone_from(&mut self, source: &Self) {
+        self.genes.clone_from(&source.genes);
+    }
 }
 
 impl Projection {
@@ -86,40 +99,29 @@ impl Projection {
         &self.genes
     }
 
-    /// Positions that are stars.
-    pub fn star_positions(&self) -> Vec<usize> {
-        (0..self.d()).filter(|&i| self.genes[i] == STAR).collect()
-    }
-
-    /// Positions that are constrained.
-    pub fn constrained_positions(&self) -> Vec<usize> {
-        (0..self.d()).filter(|&i| self.genes[i] != STAR).collect()
-    }
-
-    /// Whether the projection is feasible for a run seeking `k`-dimensional
-    /// projections.
-    pub fn is_feasible(&self, k: usize) -> bool {
-        self.k() == k
+    /// The constrained `(position, range)` pairs, ascending by position:
+    /// the projection's cube, read off the genes without building one.
+    pub fn pairs(&self) -> impl Iterator<Item = (u32, u16)> + '_ {
+        self.genes
+            .iter()
+            .enumerate()
+            .filter(|&(_, &g)| g != STAR)
+            .map(|(i, &g)| (i as u32, g))
     }
 
     /// Converts to the canonical [`Cube`]; `None` if nothing is constrained.
     pub fn to_cube(&self) -> Option<Cube> {
-        Cube::new(
-            self.genes
-                .iter()
-                .enumerate()
-                .filter(|&(_, &g)| g != STAR)
-                .map(|(i, &g)| (i as u32, g)),
-        )
+        Cube::new(self.pairs())
     }
 
-    /// Builds the projection covering `cube` in a `d`-dimensional problem.
+    /// Builds the projection constraining exactly `pairs` (a cube's
+    /// `(dimension, range)` pairs) in a `d`-dimensional problem.
     ///
     /// # Panics
-    /// Panics if the cube references a dimension `>= d`.
-    pub fn from_cube(cube: &Cube, d: usize) -> Self {
+    /// Panics if a pair references a dimension `>= d`.
+    pub fn from_pairs(pairs: &[(u32, u16)], d: usize) -> Self {
         let mut genes = vec![STAR; d];
-        for (dim, range) in cube.pairs() {
+        for &(dim, range) in pairs {
             assert!((dim as usize) < d, "cube dimension {dim} out of bounds");
             genes[dim as usize] = range;
         }
@@ -137,14 +139,6 @@ impl Projection {
             .iter()
             .zip(cells)
             .all(|(&g, &c)| g == STAR || g == c)
-    }
-
-    /// Gene view for De Jong convergence: star → 0, range r → r + 1.
-    pub fn gene_view(&self) -> Vec<u32> {
-        self.genes
-            .iter()
-            .map(|&g| if g == STAR { 0 } else { g as u32 + 1 })
-            .collect()
     }
 }
 
@@ -195,9 +189,8 @@ mod tests {
         let check = |p: &Projection, d: usize, k: usize, phi: u32| {
             assert_eq!(p.d(), d, "{p}");
             assert_eq!(p.k(), k, "{p}");
-            assert!(p.is_feasible(k), "{p}");
-            for pos in p.constrained_positions() {
-                assert!(p.gene(pos).unwrap() < phi as u16, "{p}");
+            for (_, g) in p.pairs() {
+                assert!(g < phi as u16, "{p}");
             }
         };
         let mut rng = StdRng::seed_from_u64(1);
@@ -217,8 +210,8 @@ mod tests {
         let mut counts = [0usize; 6];
         for _ in 0..6000 {
             let p = Projection::random(6, 2, 3, &mut rng);
-            for pos in p.constrained_positions() {
-                counts[pos] += 1;
+            for (pos, _) in p.pairs() {
+                counts[pos as usize] += 1;
             }
         }
         // Each position expected in 1/3 of projections → ~2000.
@@ -247,24 +240,23 @@ mod tests {
     fn cube_round_trip() {
         let p = Projection::from_genes(vec![STAR, 2, STAR, 8, STAR]);
         let cube = p.to_cube().unwrap();
-        assert_eq!(cube.dims(), &[1, 3]);
-        assert_eq!(cube.ranges(), &[2, 8]);
-        let back = Projection::from_cube(&cube, 5);
+        assert_eq!(cube.pairs(), &[(1, 2), (3, 8)]);
+        let back = Projection::from_pairs(cube.pairs(), 5);
         assert_eq!(back, p);
         assert!(Projection::all_star(4).to_cube().is_none());
         hdoutlier_rng::for_each_case(0x9e0b_0002, 64, |rng| {
             let p = Projection::random(8, 3, 4, rng);
             let cube = p.to_cube().unwrap();
             assert_eq!(cube.k(), 3, "{p}");
-            assert_eq!(Projection::from_cube(&cube, 8), p);
+            assert_eq!(Projection::from_pairs(cube.pairs(), 8), p);
         });
     }
 
     #[test]
     #[should_panic(expected = "out of bounds")]
-    fn from_cube_dimension_overflow_panics() {
+    fn from_pairs_dimension_overflow_panics() {
         let cube = Cube::new([(9, 0)]).unwrap();
-        Projection::from_cube(&cube, 5);
+        Projection::from_pairs(cube.pairs(), 5);
     }
 
     #[test]
@@ -281,20 +273,13 @@ mod tests {
     }
 
     #[test]
-    fn gene_view_distinguishes_star_from_range_zero() {
-        let p = Projection::from_genes(vec![STAR, 0, 1]);
-        assert_eq!(p.gene_view(), vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn star_and_constrained_partition_positions() {
+    fn pairs_list_the_constrained_positions() {
         let p = Projection::from_genes(vec![STAR, 2, STAR, 8]);
-        assert_eq!(p.star_positions(), vec![0, 2]);
-        assert_eq!(p.constrained_positions(), vec![1, 3]);
+        assert_eq!(p.pairs().collect::<Vec<_>>(), vec![(1, 2), (3, 8)]);
         let mut q = p.clone();
         q.set_gene(0, 4);
         q.set_gene(1, STAR);
-        assert_eq!(q.star_positions(), vec![1, 2]);
+        assert_eq!(q.pairs().collect::<Vec<_>>(), vec![(0, 4), (3, 8)]);
         assert_eq!(q.k(), 2);
     }
 

@@ -151,16 +151,14 @@ impl OutlierReport {
     pub fn explain(&self, projection_idx: usize, disc: &Discretized) -> String {
         let s = &self.projections[projection_idx];
         let mut parts = Vec::new();
-        if let Some(cube) = s.projection.to_cube() {
-            for (dim, range) in cube.pairs() {
-                let g = disc.grid_range(dim as usize, range);
-                parts.push(format!(
-                    "{} in [{:.4}, {:.4}]",
-                    disc.name(dim as usize),
-                    g.lo,
-                    g.hi
-                ));
-            }
+        for (dim, range) in s.projection.pairs() {
+            let g = disc.grid_range(dim as usize, range);
+            parts.push(format!(
+                "{} in [{:.4}, {:.4}]",
+                disc.name(dim as usize),
+                g.lo,
+                g.hi
+            ));
         }
         format!(
             "{} (S = {:.2}, significance {:.2e}, {} record{})",

@@ -6,7 +6,7 @@
 //! wherever it is applied. All run on [`hdoutlier_rng::for_each_case`]; a
 //! failing case prints the seed that replays it alone.
 
-use hdoutlier_core::convergence::{gene_convergence, population_converged};
+use hdoutlier_core::convergence::GeneView;
 use hdoutlier_core::crossover::{optimized, two_point, two_point_at};
 use hdoutlier_core::fitness::SparsityFitness;
 use hdoutlier_core::mutation::{mutate, MutationConfig};
@@ -42,9 +42,7 @@ fn mutation_keeps_exactly_k_non_stars() {
         for _ in 0..5 {
             mutate(&mut q, &config, rng);
             assert_eq!(q.k(), k, "{q} after mutation with {config:?}");
-            for pos in q.constrained_positions() {
-                assert!(q.gene(pos).unwrap() < PHI as u16, "{q}");
-            }
+            assert!(q.pairs().all(|(_, g)| g < PHI as u16), "{q}");
         }
     });
 }
@@ -90,10 +88,7 @@ fn optimized_crossover_keeps_k_and_uses_only_parent_material() {
         let b = Projection::random(D, k, PHI, rng);
         let (c, d) = optimized(&a, &b, &fitness, rng);
         for child in [&c, &d] {
-            assert!(
-                child.is_feasible(k),
-                "child {child} of {a} × {b} infeasible"
-            );
+            assert_eq!(child.k(), k, "child {child} of {a} × {b} infeasible");
             for pos in 0..D {
                 let g = child.gene(pos);
                 assert!(
@@ -191,9 +186,8 @@ fn match_cells_is_the_filter_then_fold_rule() {
             assert_eq!(score.map(f64::to_bits), want_score.map(f64::to_bits));
             for &i in &matched {
                 let p = &all[i].projection;
-                let known = |pos: &usize| !row[*pos].is_nan();
                 assert!(
-                    p.constrained_positions().iter().all(known),
+                    p.pairs().all(|(pos, _)| !row[pos as usize].is_nan()),
                     "{p} on {row:?}"
                 );
             }
@@ -224,6 +218,14 @@ fn random_population(
     (0..n)
         .map(|_| (0..genes).map(|_| rng.gen_range(0..alleles)).collect())
         .collect()
+}
+
+fn gene_view(population: &[Vec<u32>]) -> GeneView {
+    let mut view = GeneView::default();
+    for genome in population {
+        view.push(genome.iter().copied());
+    }
+    view
 }
 
 #[test]
@@ -267,11 +269,9 @@ fn convergence_at_a_strict_threshold_implies_it_at_a_loose_one() {
         let pop = random_population(rng, 1..30, 5, 4);
         let (t1, t2) = (rng.gen_range(0.1..1.0), rng.gen_range(0.1..1.0));
         let (lo, hi) = if t1 <= t2 { (t1, t2) } else { (t2, t1) };
-        if population_converged(&pop, hi).0 {
-            assert!(
-                population_converged(&pop, lo).0,
-                "{pop:?}: {hi} but not {lo}"
-            );
+        let mut view = gene_view(&pop);
+        if view.converged(hi).0 {
+            assert!(view.converged(lo).0, "{pop:?}: {hi} but not {lo}");
         }
     });
 }
@@ -280,14 +280,20 @@ fn convergence_at_a_strict_threshold_implies_it_at_a_loose_one() {
 fn gene_convergence_lies_between_one_member_and_all() {
     for_each_case(0xe70e_0004, 256, |rng| {
         let pop = random_population(rng, 1..40, 4, 6);
-        let conv = gene_convergence(&pop);
+        let conv = gene_view(&pop).gene_convergence();
         assert_eq!(conv.len(), 4);
         let min_share = 1.0 / pop.len() as f64;
-        for &c in &conv {
+        for (slot, &c) in conv.iter().enumerate() {
             assert!(
                 c >= min_share - 1e-12 && c <= 1.0 + 1e-12,
                 "{conv:?} of {pop:?}"
             );
+            // The most common value's share, counted value by value.
+            let most = (0..6)
+                .map(|v| pop.iter().filter(|genome| genome[slot] == v).count())
+                .max()
+                .unwrap();
+            assert_eq!(c, most as f64 / pop.len() as f64, "slot {slot} of {pop:?}");
         }
     });
 }

@@ -1,11 +1,9 @@
 //! A packed bitset over `u64` words.
 //!
-//! All bitmaps in one [`crate::grid::GridIndex`] share a length, so the
-//! multi-way operations are plain word loops. [`Bitmap::intersection_count`]
-//! folds word by word and never allocates; [`Bitmap::intersection`] and
-//! [`Bitmap::intersection_members`] materialize their result. Callers that
-//! need an allocation-free AND into their own scratch space (the brute-force
-//! walker) work on [`Bitmap::words`] directly.
+//! All bitmaps in one [`crate::grid::GridIndex`] share a length, so
+//! multi-way operations are plain word loops over [`Bitmap::words`]: the
+//! index folds a cube's postings word by word, and the brute-force walker
+//! ANDs them into its own scratch space.
 
 /// A fixed-length bitset.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -86,65 +84,6 @@ impl Bitmap {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// Popcount of the intersection of `maps` (all must share a length).
-    ///
-    /// Allocation-free: folds word-by-word.
-    ///
-    /// ```
-    /// use hdoutlier_index::Bitmap;
-    /// let mut evens = Bitmap::new(100);
-    /// let mut thirds = Bitmap::new(100);
-    /// for i in (0..100).step_by(2) { evens.set(i); }
-    /// for i in (0..100).step_by(3) { thirds.set(i); }
-    /// // Multiples of 6 below 100: 0, 6, …, 96 → 17 of them.
-    /// assert_eq!(Bitmap::intersection_count(&[&evens, &thirds]), 17);
-    /// ```
-    pub fn intersection_count(maps: &[&Bitmap]) -> usize {
-        match maps {
-            [] => 0,
-            [only] => only.count(),
-            [first, rest @ ..] => {
-                debug_assert!(rest.iter().all(|m| m.len == first.len));
-                let mut total = 0usize;
-                for (wi, &w0) in first.words.iter().enumerate() {
-                    let mut w = w0;
-                    for m in rest {
-                        w &= m.words[wi];
-                        if w == 0 {
-                            break;
-                        }
-                    }
-                    total += w.count_ones() as usize;
-                }
-                total
-            }
-        }
-    }
-
-    /// Materializes the intersection of `maps` into a new bitmap.
-    ///
-    /// # Panics
-    /// Panics if `maps` is empty (there is no length to give "everything").
-    pub fn intersection(maps: &[&Bitmap]) -> Bitmap {
-        let first = maps.first().expect("intersection of zero bitmaps");
-        let mut out = (*first).clone();
-        for m in &maps[1..] {
-            debug_assert_eq!(m.len, out.len);
-            for (o, w) in out.words.iter_mut().zip(&m.words) {
-                *o &= w;
-            }
-        }
-        out
-    }
-
-    /// Indices of set bits in the intersection of `maps`, ascending.
-    pub fn intersection_members(maps: &[&Bitmap]) -> Vec<usize> {
-        if maps.is_empty() {
-            return Vec::new();
-        }
-        Bitmap::intersection(maps).iter_ones().collect()
-    }
-
     /// Iterator over indices of set bits, ascending.
     pub fn iter_ones(&self) -> IterOnes<'_> {
         IterOnes {
@@ -220,77 +159,6 @@ mod tests {
     #[should_panic(expected = "out of bounds")]
     fn get_out_of_bounds_panics() {
         Bitmap::new(0).get(0);
-    }
-
-    #[test]
-    fn intersection_count_matches_materialized() {
-        let mut a = Bitmap::new(200);
-        let mut b = Bitmap::new(200);
-        let mut c = Bitmap::new(200);
-        for i in (0..200).step_by(2) {
-            a.set(i);
-        }
-        for i in (0..200).step_by(3) {
-            b.set(i);
-        }
-        for i in (0..200).step_by(5) {
-            c.set(i);
-        }
-        let maps = [&a, &b, &c];
-        let count = Bitmap::intersection_count(&maps);
-        let inter = Bitmap::intersection(&maps);
-        assert_eq!(count, inter.count());
-        // Multiples of 30 in 0..200: 0, 30, 60, …, 180 → 7.
-        assert_eq!(count, 7);
-        assert_eq!(
-            Bitmap::intersection_members(&maps),
-            vec![0, 30, 60, 90, 120, 150, 180]
-        );
-        // One to three random sets over 0..128 against a reference set.
-        hdoutlier_rng::for_each_case(0x1dec_0003, 256, |rng| {
-            use hdoutlier_rng::Rng;
-            use std::collections::BTreeSet;
-            let sets: Vec<BTreeSet<usize>> = (0..rng.gen_range(1..4))
-                .map(|_| {
-                    let n = rng.gen_range(0..40);
-                    (0..n).map(|_| rng.gen_range(0..128)).collect()
-                })
-                .collect();
-            let maps: Vec<Bitmap> = sets
-                .iter()
-                .map(|set| {
-                    let mut b = Bitmap::new(128);
-                    set.iter().for_each(|&i| b.set(i));
-                    b
-                })
-                .collect();
-            let refs: Vec<&Bitmap> = maps.iter().collect();
-            let want: Vec<usize> = sets[0]
-                .iter()
-                .copied()
-                .filter(|i| sets.iter().all(|s| s.contains(i)))
-                .collect();
-            assert_eq!(Bitmap::intersection_count(&refs), want.len(), "{sets:?}");
-            assert_eq!(Bitmap::intersection(&refs).count(), want.len(), "{sets:?}");
-            assert_eq!(Bitmap::intersection_members(&refs), want, "{sets:?}");
-        });
-    }
-
-    #[test]
-    fn intersection_edge_cases() {
-        let mut a = Bitmap::new(10);
-        a.set(3);
-        assert_eq!(Bitmap::intersection_count(&[]), 0);
-        assert_eq!(Bitmap::intersection_count(&[&a]), 1);
-        assert!(Bitmap::intersection_members(&[] as &[&Bitmap]).is_empty());
-        let empty = Bitmap::new(10);
-        assert_eq!(Bitmap::intersection_count(&[&a, &empty]), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "zero bitmaps")]
-    fn materialized_intersection_of_nothing_panics() {
-        Bitmap::intersection(&[]);
     }
 
     #[test]

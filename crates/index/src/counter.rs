@@ -10,17 +10,30 @@
 //! - [`CachedCounter`]: memoizes any inner counter; evolutionary search
 //!   revisits the same strings constantly (especially near convergence) and
 //!   the optimized crossover re-scores many sibling cubes.
+//!
+//! Every count goes through [`CubeCounter::count_pairs`], which takes a
+//! cube as a borrowed slice of `(dimension, range)` pairs sorted by
+//! dimension: a search can score a candidate from a reused buffer without
+//! building a [`Cube`], and [`CubeCounter::count`] is the same call on a
+//! cube's own pairs.
 
 use crate::cube::Cube;
 use crate::grid::GridIndex;
+use crate::key::CubeMap;
 use hdoutlier_data::discretize::{Discretized, MISSING_CELL};
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
 
 /// Anything that can report cube occupancy for a fixed dataset.
 pub trait CubeCounter {
+    /// Number of records covering the cube given by `pairs`: distinct
+    /// dimensions, ascending, each with one grid range. The empty slice
+    /// constrains nothing and covers every record.
+    fn count_pairs(&self, pairs: &[(u32, u16)]) -> usize;
+
     /// Number of records covering `cube`.
-    fn count(&self, cube: &Cube) -> usize;
+    fn count(&self, cube: &Cube) -> usize {
+        self.count_pairs(cube.pairs())
+    }
 
     /// Row indices of the records covering `cube`, ascending.
     fn rows(&self, cube: &Cube) -> Vec<usize>;
@@ -56,8 +69,8 @@ impl BitmapCounter {
 }
 
 impl CubeCounter for BitmapCounter {
-    fn count(&self, cube: &Cube) -> usize {
-        self.index.count(cube)
+    fn count_pairs(&self, pairs: &[(u32, u16)]) -> usize {
+        self.index.count_pairs(pairs)
     }
 
     fn rows(&self, cube: &Cube) -> Vec<usize> {
@@ -89,8 +102,8 @@ impl NaiveCounter {
         Self { disc: disc.clone() }
     }
 
-    fn covers(&self, row: usize, cube: &Cube) -> bool {
-        cube.pairs().all(|(d, r)| {
+    fn covers(&self, row: usize, pairs: &[(u32, u16)]) -> bool {
+        pairs.iter().all(|&(d, r)| {
             let cell = self.disc.cell(row, d as usize);
             cell != MISSING_CELL && cell == r
         })
@@ -98,15 +111,15 @@ impl NaiveCounter {
 }
 
 impl CubeCounter for NaiveCounter {
-    fn count(&self, cube: &Cube) -> usize {
+    fn count_pairs(&self, pairs: &[(u32, u16)]) -> usize {
         (0..self.disc.n_rows())
-            .filter(|&row| self.covers(row, cube))
+            .filter(|&row| self.covers(row, pairs))
             .count()
     }
 
     fn rows(&self, cube: &Cube) -> Vec<usize> {
         (0..self.disc.n_rows())
-            .filter(|&row| self.covers(row, cube))
+            .filter(|&row| self.covers(row, cube.pairs()))
             .collect()
     }
 
@@ -125,14 +138,17 @@ impl CubeCounter for NaiveCounter {
 
 /// Memoizing wrapper over any counter.
 ///
-/// Only `count` is cached (it is the fitness hot path); `rows` delegates —
-/// it is called once per reported projection, not per generation.
+/// Only counts are cached (they are the fitness hot path); `rows`
+/// delegates — it is called once per reported projection, not per
+/// generation. The memo maps a cube's sorted pairs to its count and is
+/// looked up by the borrowed slice, so a key is allocated only the first
+/// time its cube is counted.
 ///
 /// The memo table is single-threaded (`RefCell`), so the wrapper is not
 /// `Sync`: the evolutionary search that uses it scores on one thread.
 pub struct CachedCounter<C: CubeCounter> {
     inner: C,
-    cache: RefCell<HashMap<Cube, usize>>,
+    cache: RefCell<CubeMap<usize>>,
     hits: Cell<u64>,
     misses: Cell<u64>,
 }
@@ -142,7 +158,7 @@ impl<C: CubeCounter> CachedCounter<C> {
     pub fn new(inner: C) -> Self {
         Self {
             inner,
-            cache: RefCell::new(HashMap::new()),
+            cache: RefCell::new(CubeMap::default()),
             hits: Cell::new(0),
             misses: Cell::new(0),
         }
@@ -165,14 +181,14 @@ impl<C: CubeCounter> CachedCounter<C> {
 }
 
 impl<C: CubeCounter> CubeCounter for CachedCounter<C> {
-    fn count(&self, cube: &Cube) -> usize {
+    fn count_pairs(&self, pairs: &[(u32, u16)]) -> usize {
         let mut cache = self.cache.borrow_mut();
-        if let Some(&n) = cache.get(cube) {
+        if let Some(&n) = cache.get(pairs) {
             self.hits.set(self.hits.get() + 1);
             return n;
         }
-        let n = self.inner.count(cube);
-        cache.insert(cube.clone(), n);
+        let n = self.inner.count_pairs(pairs);
+        cache.insert(pairs.into(), n);
         self.misses.set(self.misses.get() + 1);
         n
     }

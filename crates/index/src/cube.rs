@@ -8,12 +8,12 @@
 
 use std::fmt;
 
-/// A k-dimensional grid cube: parallel `dims`/`ranges` arrays, with `dims`
-/// strictly ascending (canonical form, so equal cubes compare equal).
+/// A k-dimensional grid cube: `(dimension, range)` pairs, strictly
+/// ascending by dimension (canonical form, so equal cubes compare equal).
+/// The pair slice is what every [`crate::CubeCounter`] counts.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Cube {
-    dims: Vec<u32>,
-    ranges: Vec<u16>,
+    pairs: Box<[(u32, u16)]>,
 }
 
 impl Cube {
@@ -31,45 +31,23 @@ impl Cube {
             return None;
         }
         Some(Self {
-            dims: pairs.iter().map(|&(d, _)| d).collect(),
-            ranges: pairs.iter().map(|&(_, r)| r).collect(),
+            pairs: pairs.into_boxed_slice(),
         })
     }
 
     /// Dimensionality `k` of the cube.
     pub fn k(&self) -> usize {
-        self.dims.len()
+        self.pairs.len()
     }
 
     /// The dimensions, ascending.
-    pub fn dims(&self) -> &[u32] {
-        &self.dims
+    pub fn dims(&self) -> impl Iterator<Item = u32> + '_ {
+        self.pairs.iter().map(|&(d, _)| d)
     }
 
-    /// The grid range chosen on each dimension, aligned with [`Cube::dims`].
-    pub fn ranges(&self) -> &[u16] {
-        &self.ranges
-    }
-
-    /// Iterates `(dimension, range)` pairs.
-    pub fn pairs(&self) -> impl Iterator<Item = (u32, u16)> + '_ {
-        self.dims.iter().copied().zip(self.ranges.iter().copied())
-    }
-
-    /// Whether the cube constrains dimension `dim`, and to which range.
-    pub fn range_of(&self, dim: u32) -> Option<u16> {
-        self.dims.binary_search(&dim).ok().map(|i| self.ranges[i])
-    }
-
-    /// A new cube extended with one more `(dimension, range)` pair.
-    /// Returns `None` if the dimension is already constrained.
-    pub fn extended(&self, dim: u32, range: u16) -> Option<Self> {
-        if self.range_of(dim).is_some() {
-            return None;
-        }
-        let mut pairs: Vec<(u32, u16)> = self.pairs().collect();
-        pairs.push((dim, range));
-        Self::new(pairs)
+    /// The `(dimension, range)` pairs, ascending by dimension.
+    pub fn pairs(&self) -> &[(u32, u16)] {
+        &self.pairs
     }
 
     /// The paper's string notation for a `d`-dimensional problem: one symbol
@@ -77,11 +55,10 @@ impl Cube {
     /// (e.g. `*3*9` for a 4-dimensional problem).
     pub fn to_projection_string(&self, d: usize) -> String {
         let mut out = String::new();
-        let mut next = 0usize;
+        let mut next = self.pairs.iter().peekable();
         for dim in 0..d as u32 {
-            if next < self.dims.len() && self.dims[next] == dim {
-                out.push_str(&(self.ranges[next] + 1).to_string());
-                next += 1;
+            if let Some((_, range)) = next.next_if(|&&(d, _)| d == dim) {
+                out.push_str(&(range + 1).to_string());
             } else {
                 out.push('*');
             }
@@ -93,7 +70,7 @@ impl Cube {
 impl fmt::Display for Cube {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{{")?;
-        for (i, (d, r)) in self.pairs().enumerate() {
+        for (i, (d, r)) in self.pairs.iter().enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
             }
@@ -112,8 +89,7 @@ mod tests {
         let a = Cube::new([(5, 2), (1, 7)]).unwrap();
         let b = Cube::new([(1, 7), (5, 2)]).unwrap();
         assert_eq!(a, b);
-        assert_eq!(a.dims(), &[1, 5]);
-        assert_eq!(a.ranges(), &[7, 2]);
+        assert_eq!(a.pairs(), &[(1, 7), (5, 2)]);
         assert_eq!(a.k(), 2);
     }
 
@@ -121,23 +97,6 @@ mod tests {
     fn rejects_empty_and_duplicates() {
         assert!(Cube::new([]).is_none());
         assert!(Cube::new([(3, 1), (3, 2)]).is_none());
-    }
-
-    #[test]
-    fn range_lookup() {
-        let c = Cube::new([(2, 4), (9, 0)]).unwrap();
-        assert_eq!(c.range_of(2), Some(4));
-        assert_eq!(c.range_of(9), Some(0));
-        assert_eq!(c.range_of(5), None);
-    }
-
-    #[test]
-    fn extension() {
-        let c = Cube::new([(1, 1)]).unwrap();
-        let e = c.extended(0, 3).unwrap();
-        assert_eq!(e.dims(), &[0, 1]);
-        assert_eq!(e.ranges(), &[3, 1]);
-        assert!(c.extended(1, 5).is_none()); // already constrained
     }
 
     #[test]

@@ -101,16 +101,54 @@ impl GridIndex {
         &self.codes[dim as usize * self.n_rows..][..self.n_rows]
     }
 
-    /// Number of records in `cube` (bitmap intersection + popcount).
-    pub fn count(&self, cube: &Cube) -> usize {
-        let maps: Vec<&Bitmap> = cube.pairs().map(|(d, r)| self.posting(d, r)).collect();
-        Bitmap::intersection_count(&maps)
+    /// Number of records in the cube given by `pairs`: the popcount of the
+    /// intersection of their postings, folded one word at a time without
+    /// allocating. `pairs` must name distinct dimensions (a [`Cube`]'s
+    /// pairs do); the empty slice constrains nothing and counts every row.
+    ///
+    /// # Panics
+    /// Panics if a dimension or range is out of bounds.
+    pub fn count_pairs(&self, pairs: &[(u32, u16)]) -> usize {
+        if pairs.is_empty() {
+            return self.n_rows;
+        }
+        self.intersection_words(pairs)
+            .map(|w| w.count_ones() as usize)
+            .sum()
     }
 
     /// Row indices of the records in `cube`, ascending.
     pub fn rows(&self, cube: &Cube) -> Vec<usize> {
-        let maps: Vec<&Bitmap> = cube.pairs().map(|(d, r)| self.posting(d, r)).collect();
-        Bitmap::intersection_members(&maps)
+        let mut rows = Vec::new();
+        for (wi, mut w) in self.intersection_words(cube.pairs()).enumerate() {
+            while w != 0 {
+                rows.push(wi * 64 + w.trailing_zeros() as usize);
+                w &= w - 1;
+            }
+        }
+        rows
+    }
+
+    /// The words of the intersection of the postings of the (non-empty)
+    /// `pairs`. A word stops folding once it reaches zero.
+    fn intersection_words<'a>(&'a self, pairs: &'a [(u32, u16)]) -> impl Iterator<Item = u64> + 'a {
+        let (&(d0, r0), rest) = pairs.split_first().expect("at least one pair");
+        let first = self.posting(d0, r0).words();
+        // Bounds-check every pair once; the word loop then only indexes.
+        for &(d, r) in rest {
+            self.posting(d, r);
+        }
+        let phi = self.phi as usize;
+        first.iter().enumerate().map(move |(wi, &w0)| {
+            let mut w = w0;
+            for &(d, r) in rest {
+                w &= self.postings[d as usize * phi + r as usize].words()[wi];
+                if w == 0 {
+                    break;
+                }
+            }
+            w
+        })
     }
 
     /// Memory footprint of the postings and the code table in bytes
@@ -158,11 +196,11 @@ mod tests {
         // Dim0 range 0 = rows {0,1}; dim1 range 3 = rows with value >= 6 on
         // dim1 = rows {0,1}. Intersection = {0,1}.
         let cube = Cube::new([(0, 0), (1, 3)]).unwrap();
-        assert_eq!(index.count(&cube), 2);
+        assert_eq!(index.count_pairs(cube.pairs()), 2);
         assert_eq!(index.rows(&cube), vec![0, 1]);
         // Contradictory cube: dim0 range 0 ∧ dim1 range 0 = {0,1} ∧ {6,7} = ∅.
         let cube = Cube::new([(0, 0), (1, 0)]).unwrap();
-        assert_eq!(index.count(&cube), 0);
+        assert_eq!(index.count_pairs(cube.pairs()), 0);
         assert!(index.rows(&cube).is_empty());
     }
 
@@ -170,7 +208,7 @@ mod tests {
     fn single_dimension_cube() {
         let (_, index) = small_grid();
         let cube = Cube::new([(1, 2)]).unwrap();
-        assert_eq!(index.count(&cube), 2);
+        assert_eq!(index.count_pairs(cube.pairs()), 2);
     }
 
     #[test]

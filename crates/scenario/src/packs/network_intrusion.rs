@@ -72,13 +72,7 @@ fn run(config: &RunConfig) -> Result<Outcome, ScenarioError> {
             Json::object()
                 .field(
                     "dims",
-                    Json::Array(
-                        v.cube
-                            .dims()
-                            .iter()
-                            .map(|&d| Json::from(d as usize))
-                            .collect(),
-                    ),
+                    Json::Array(v.cube.dims().map(|d| Json::from(d as usize)).collect()),
                 )
                 .field("count", v.count)
                 .field("sparsity", v.sparsity)

@@ -273,7 +273,7 @@ mod tests {
         // Exact P[X >= 3] ≈ 1.5e-4; the normal approximation says Φ̄(7.6) ≈ 1e-14.
         let b = Binomial::new(1000, 0.0001).unwrap();
         let exact_tail = 1.0 - b.cdf(2);
-        let approx_tail = b.normal_approximation().unwrap().sf(2.5);
+        let approx_tail = 1.0 - b.normal_approximation().unwrap().cdf(2.5);
         assert!(exact_tail > 1e-4);
         assert!(
             approx_tail < exact_tail / 1e6,

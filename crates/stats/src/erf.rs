@@ -1,47 +1,26 @@
-//! Error function and its relatives.
+//! The complementary error function, the primitive under the normal CDF.
 //!
 //! Built on the regularized incomplete gamma functions in [`crate::gamma`]
-//! via `erf(x) = P(1/2, x^2)` and `erfc(x) = Q(1/2, x^2)` for `x >= 0`.
-//! That route gives ~1e-13 relative accuracy everywhere, including the deep
-//! right tail where the detector converts very negative sparsity coefficients
-//! into significance levels.
+//! via `erfc(x) = Q(1/2, x^2)` and `erfc(-x) = 1 + P(1/2, x^2)` for
+//! `x >= 0`. That route gives ~1e-13 relative accuracy everywhere,
+//! including the deep right tail where the detector converts very negative
+//! sparsity coefficients into significance levels.
 
 use crate::gamma::{gamma_p, gamma_q};
 
-/// The error function `erf(x) = 2/sqrt(pi) * ∫_0^x exp(-t^2) dt`.
+/// The complementary error function
+/// `erfc(x) = 1 - erf(x) = 2/sqrt(pi) * ∫_x^∞ exp(-t^2) dt`.
 ///
-/// Odd, increasing, with `erf(0) = 0`, `erf(+inf) = 1`.
+/// Decreasing, with `erfc(-x) = 2 - erfc(x)`. Computed directly (not as
+/// `1 - erf`) so the right tail keeps full relative precision: `erfc(10)`
+/// is about `2.1e-45` and would round to zero through the subtraction.
 ///
 /// ```
-/// use hdoutlier_stats::erf::erf;
-/// assert!((erf(0.0)).abs() < 1e-15);
-/// assert!((erf(1.0) - 0.8427007929497149).abs() < 1e-12);
-/// assert!((erf(-1.0) + 0.8427007929497149).abs() < 1e-12);
+/// use hdoutlier_stats::erf::erfc;
+/// assert_eq!(erfc(0.0), 1.0);
+/// assert!((erfc(1.0) - 0.1572992070502851).abs() < 1e-13);
+/// assert!((erfc(-1.0) - 1.8427007929497149).abs() < 1e-13);
 /// ```
-pub fn erf(x: f64) -> f64 {
-    if x.is_nan() {
-        return f64::NAN;
-    }
-    if x == 0.0 {
-        return 0.0;
-    }
-    // erf saturates to ±1 well before x² can overflow.
-    if x.abs() > 40.0 {
-        return x.signum();
-    }
-    let p = gamma_p(0.5, x * x);
-    if x > 0.0 {
-        p
-    } else {
-        -p
-    }
-}
-
-/// The complementary error function `erfc(x) = 1 - erf(x)`.
-///
-/// Computed directly (not as `1 - erf`) so the right tail keeps full relative
-/// precision: `erfc(10)` is about `2.1e-45` and would round to zero through
-/// the naive subtraction.
 pub fn erfc(x: f64) -> f64 {
     if x.is_nan() {
         return f64::NAN;
@@ -91,11 +70,15 @@ mod tests {
     ];
 
     #[test]
-    fn erf_matches_reference() {
-        for &(x, want) in ERF_TABLE {
-            let got = erf(x);
-            assert!((got - want).abs() <= 1e-13, "erf({x}) = {got}, want {want}");
-            assert!((erf(-x) + want).abs() <= 1e-13, "oddness at {x}");
+    fn erfc_matches_one_minus_the_erf_reference() {
+        for &(x, erf) in ERF_TABLE {
+            let got = erfc(x);
+            assert!((got - (1.0 - erf)).abs() <= 1e-13, "erfc({x}) = {got}");
+            let mirrored = erfc(-x);
+            assert!(
+                (mirrored - (1.0 + erf)).abs() <= 1e-13,
+                "erfc(-{x}) = {mirrored}"
+            );
         }
     }
 
@@ -115,31 +98,29 @@ mod tests {
     }
 
     #[test]
-    fn erf_extremes() {
-        assert_eq!(erf(f64::INFINITY), 1.0);
-        assert_eq!(erf(f64::NEG_INFINITY), -1.0);
-        assert!(erf(f64::NAN).is_nan());
+    fn erfc_extremes() {
         assert_eq!(erfc(f64::INFINITY), 0.0);
         assert!((erfc(f64::NEG_INFINITY) - 2.0).abs() < 1e-15);
+        assert!(erfc(f64::NAN).is_nan());
     }
 
     #[test]
-    fn erf_is_monotone_on_grid() {
-        let mut prev = erf(-6.0);
+    fn erfc_is_decreasing_on_grid() {
+        let mut prev = erfc(-6.0);
         let mut x = -6.0;
         while x <= 6.0 {
-            let v = erf(x);
-            assert!(v >= prev, "erf not monotone at {x}");
+            let v = erfc(x);
+            assert!(v <= prev, "erfc not decreasing at {x}");
             prev = v;
             x += 0.01;
         }
     }
 
     #[test]
-    fn erf_plus_erfc_is_one() {
+    fn erfc_reflects_about_one() {
         let check = |x: f64| {
-            let s = erf(x) + erfc(x);
-            assert!((s - 1.0).abs() < 1e-12, "erf+erfc at {x} = {s}");
+            let s = erfc(x) + erfc(-x);
+            assert!((s - 2.0).abs() < 1e-12, "erfc({x}) + erfc({}) = {s}", -x);
         };
         let mut x = -5.0;
         while x <= 5.0 {

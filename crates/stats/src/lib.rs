@@ -5,9 +5,9 @@
 //! This crate contains every piece of statistics the paper leans on, built
 //! from scratch so the workspace has no numeric dependencies:
 //!
-//! - [`erf`]: error function and complementary error function, the
-//!   primitive underneath the normal distribution.
-//! - [`normal`]: the normal distribution (pdf/cdf/quantile), used to convert
+//! - [`erf`]: the complementary error function, the primitive underneath
+//!   the normal distribution.
+//! - [`normal`]: the normal distribution (cdf, quantile), used to convert
 //!   sparsity coefficients into probabilistic levels of significance
 //!   (paper §1.3).
 //! - [`binomial`]: the exact Binomial(N, f^k) occupancy distribution that the

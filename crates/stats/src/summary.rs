@@ -7,12 +7,11 @@
 
 /// Single-pass accumulator for count / mean / variance / min / max.
 ///
-/// NaN observations are counted separately and excluded from the moments, so
-/// datasets with missing values (encoded as NaN) can be summarized directly.
+/// NaN observations are skipped, so datasets with missing values (encoded
+/// as NaN) can be summarized directly.
 #[derive(Debug, Clone, Default)]
 pub struct Accumulator {
     count: u64,
-    nan_count: u64,
     mean: f64,
     m2: f64,
     min: f64,
@@ -24,7 +23,6 @@ impl Accumulator {
     pub fn new() -> Self {
         Self {
             count: 0,
-            nan_count: 0,
             mean: 0.0,
             m2: 0.0,
             min: f64::INFINITY,
@@ -32,10 +30,9 @@ impl Accumulator {
         }
     }
 
-    /// Adds one observation. NaN is tallied but excluded from the moments.
+    /// Adds one observation. NaN is skipped.
     pub fn push(&mut self, x: f64) {
         if x.is_nan() {
-            self.nan_count += 1;
             return;
         }
         self.count += 1;
@@ -53,11 +50,6 @@ impl Accumulator {
     /// Number of non-NaN observations.
     pub fn count(&self) -> u64 {
         self.count
-    }
-
-    /// Number of NaN observations pushed.
-    pub fn nan_count(&self) -> u64 {
-        self.nan_count
     }
 
     /// Sample mean, or `None` if no finite observation was pushed.
@@ -84,29 +76,6 @@ impl Accumulator {
     /// Maximum, or `None` if empty.
     pub fn max(&self) -> Option<f64> {
         (self.count > 0).then_some(self.max)
-    }
-
-    /// Merges another accumulator into this one (parallel Welford, Chan et al.).
-    pub fn merge(&mut self, other: &Accumulator) {
-        if other.count == 0 {
-            self.nan_count += other.nan_count;
-            return;
-        }
-        if self.count == 0 {
-            let nan = self.nan_count;
-            *self = other.clone();
-            self.nan_count += nan;
-            return;
-        }
-        let total = self.count + other.count;
-        let delta = other.mean - self.mean;
-        self.mean += delta * other.count as f64 / total as f64;
-        self.m2 +=
-            other.m2 + delta * delta * (self.count as f64 * other.count as f64) / total as f64;
-        self.count = total;
-        self.nan_count += other.nan_count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 }
 
@@ -171,33 +140,7 @@ mod tests {
     fn accumulator_skips_nan() {
         let acc = Accumulator::from_iter([1.0, f64::NAN, 3.0, f64::NAN]);
         assert_eq!(acc.count(), 2);
-        assert_eq!(acc.nan_count(), 2);
         assert_eq!(acc.mean(), Some(2.0));
-    }
-
-    #[test]
-    fn accumulator_merge_equals_sequential() {
-        let data: Vec<f64> = (0..100).map(|i| (i as f64) * 0.37 - 5.0).collect();
-        let mut a = Accumulator::from_iter(data[..40].iter().copied());
-        let b = Accumulator::from_iter(data[40..].iter().copied());
-        a.merge(&b);
-        let whole = Accumulator::from_iter(data.iter().copied());
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean().unwrap() - whole.mean().unwrap()).abs() < 1e-10);
-        assert!((a.variance().unwrap() - whole.variance().unwrap()).abs() < 1e-10);
-        assert_eq!(a.min(), whole.min());
-        assert_eq!(a.max(), whole.max());
-    }
-
-    #[test]
-    fn accumulator_merge_with_empty() {
-        let mut a = Accumulator::new();
-        let b = Accumulator::from_iter([1.0, 2.0]);
-        a.merge(&b);
-        assert_eq!(a.mean(), Some(1.5));
-        let mut c = Accumulator::from_iter([5.0]);
-        c.merge(&Accumulator::new());
-        assert_eq!(c.mean(), Some(5.0));
     }
 
     #[test]
