@@ -21,6 +21,13 @@ if grep -rnF --include='*.rs' '\u{:04x}' crates src tests examples |
     exit 1
 fi
 
+# A bounded CSV reader, kept by construction: hdoutlier-data reads files a
+# chunk at a time (csv::read_from), so nothing in it may read a file whole.
+if grep -rnE --include='*.rs' 'read_to_string|fs::read\(' crates/data/src; then
+    echo "crates/data/src reads a whole file; read it through csv::read_from" >&2
+    exit 1
+fi
+
 cargo fmt --check
 cargo clippy --offline --workspace --all-targets -- -D warnings
 cargo build --release --offline --workspace
@@ -37,7 +44,12 @@ cargo test -q --offline --workspace
 # - Properties: each crate's seeded property suite (tests/properties.rs)
 #   and folded unit tests on the one in-tree runner,
 #   hdoutlier_rng::for_each_case, which prints the seed that replays a
-#   failing case.
+#   failing case. The CSV tokenizer's differential property checks the
+#   whole-text reader and the chunked one, fed 1 to 16 bytes per read,
+#   against a reference parser (crates/data/tests/properties.rs).
+# - Bounded CSV read: under the counting allocator, the bytes live at the
+#   peak of `csv::read_path` on a 7.7 MB file stay below its length
+#   (crates/data/tests/csv_peak.rs).
 # - Observability: unit tests for the in-tree tracing/metrics crate
 #   (hdoutlier-obs), then an end-to-end smoke run of `detect --log-json
 #   --metrics-out` validated with the in-tree JSON parser

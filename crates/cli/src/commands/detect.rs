@@ -171,11 +171,12 @@ pub fn run_to(argv: &[String], sink: &mut impl std::io::Write) -> (i32, String) 
     let detector = builder.build();
 
     // The one grid of the job: searched, then kept for the explanations
-    // and the saved model.
+    // and the saved model. Nothing reads the raw values after it is built.
     let disc = match detector.discretize(&dataset) {
         Ok(d) => d,
         Err(e) => return (exit::RUNTIME, format!("detection failed: {e}")),
     };
+    drop(dataset);
     let report = match detector.detect_discretized(&disc) {
         Ok(r) => r,
         Err(e) => return (exit::RUNTIME, format!("detection failed: {e}")),

@@ -14,10 +14,15 @@ fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let stdout = std::io::stdout();
     let mut out = stdout.lock();
-    let (code, output) = hdoutlier_cli::run_to(&argv, &mut out);
+    let (code, mut output) = hdoutlier_cli::run_to(&argv, &mut out);
     let result = if code == hdoutlier_cli::exit::OK {
         out.write_all(output.as_bytes()).and_then(|()| out.flush())
     } else {
+        // Error texts are built without a final newline; end the line so
+        // the shell prompt does not land on it.
+        if !output.is_empty() && !output.ends_with('\n') {
+            output.push('\n');
+        }
         let mut err = std::io::stderr();
         err.write_all(output.as_bytes()).and_then(|()| err.flush())
     };

@@ -141,7 +141,20 @@ fn runtime_errors_go_to_stderr_with_code_1() {
         .expect("spawn");
     assert_eq!(out.status.code(), Some(1));
     assert!(out.stdout.is_empty());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("failed to read"));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.starts_with("failed to read"), "{stderr:?}");
+    assert!(stderr.ends_with("(os error 2)\n"), "{stderr:?}");
+    // `detection failed: ...` is built without a newline too.
+    let path = write_planted_csv("runtime-error-newline");
+    let out = binary()
+        .args(["detect", "--k", "0", path.to_str().unwrap()])
+        .output()
+        .expect("spawn");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.starts_with("detection failed: "), "{stderr:?}");
+    assert_eq!(stderr.matches('\n').count(), 1, "{stderr:?}");
+    assert!(stderr.ends_with('\n'), "{stderr:?}");
 }
 
 /// Parameters outside a search's domain are refused before the search

@@ -17,16 +17,21 @@
 //! yielded; [`parse_records`] copies fields into `String`s for the
 //! cleaning passes; the stream pipeline parses one line into its row.
 //!
-//! Reading a file therefore allocates
-//! - the text buffer ([`read_path`] reads the file whole),
+//! [`read_path`] and [`read_from`] never hold the whole text: they read it
+//! in 64 KiB chunks, each cut after its last line break outside quotes
+//! and fed through the same record loop as [`read_str`]. Reading a file
+//! therefore allocates
+//! - one chunk buffer, 64 KiB unless a single record is longer,
 //! - the value buffer, grown by doubling to `rows × columns` numbers,
 //! - one `String` per header name and per distinct label, and
 //! - the unescape buffer, when a quoted field needs it,
 //!
 //! and nothing per data field: reading a 5,000 × 40 CSV takes under 150
-//! allocations (`tests/csv_allocations.rs`).
+//! allocations (`tests/csv_allocations.rs`), and the bytes live at the
+//! peak of reading a file stay below its length (`tests/csv_peak.rs`).
 
 use crate::dataset::{DataError, Dataset};
+use std::io::{self, Read};
 use std::path::Path;
 
 /// Options controlling CSV interpretation.
@@ -75,93 +80,300 @@ impl Default for CsvOptions {
 /// CSV anywhere in the text, no data records, the first record whose width
 /// differs from the first data record's, then the label column.
 pub fn read_str(text: &str, options: &CsvOptions) -> Result<Dataset, DataError> {
-    let mut tokens = Tokenizer::new(text, options.delimiter);
-    let mut header = None;
-    if options.has_header {
-        let mut names = Vec::new();
-        if tokens
-            .next_record(|_, f| names.push(f.trim().to_string()))?
-            .is_none()
-        {
-            return Err(DataError::Empty);
+    let mut records = Records::new(options);
+    records.feed(text)?;
+    records.finish()
+}
+
+/// Reads a CSV file into a [`Dataset`], through [`read_from`]. A failure to
+/// open or read the file names its path.
+pub fn read_path<P: AsRef<Path>>(path: P, options: &CsvOptions) -> Result<Dataset, DataError> {
+    let path = path.as_ref();
+    let io_error = |e: io::Error| DataError::Parse(format!("{}: {e}", path.display()));
+    let file = std::fs::File::open(path).map_err(io_error)?;
+    read_chunks(file, options, io_error)
+}
+
+/// Reads CSV from `reader` into a [`Dataset`], holding the values and one
+/// buffer of text rather than the whole text.
+///
+/// The text is read in 64 KiB chunks. Each chunk is cut after its last line
+/// break outside quotes, checked for UTF-8 and fed through the record loop
+/// of [`read_str`]; the tail after the cut starts the next chunk. The
+/// buffer grows only for a record longer than it, or, on malformed
+/// quoting, up to the rest of the text before the error is found.
+///
+/// The dataset, and every error, is what [`read_str`] gives for the whole
+/// text, except that a read error or invalid UTF-8 anywhere in the stream
+/// is reported before any CSV error, as reading the text whole would.
+pub fn read_from(reader: impl Read, options: &CsvOptions) -> Result<Dataset, DataError> {
+    read_chunks(reader, options, |e| DataError::Parse(e.to_string()))
+}
+
+/// Bytes a read of [`read_from`] asks for, and the size its buffer starts at.
+const CHUNK: usize = 64 * 1024;
+
+/// [`read_from`], with `io_error` turning a read error or invalid UTF-8 into
+/// the error to return.
+fn read_chunks(
+    mut reader: impl Read,
+    options: &CsvOptions,
+    io_error: impl Fn(io::Error) -> DataError,
+) -> Result<Dataset, DataError> {
+    let mut records = Records::new(options);
+    let mut buf = vec![0; CHUNK];
+    // `buf[..len]` holds text read but not yet fed; it starts a record.
+    let mut len = 0;
+    loop {
+        if len == buf.len() {
+            buf.resize(2 * len, 0); // one record longer than the buffer
         }
-        header = Some(names);
+        let n = read_some(&mut reader, &mut buf[len..]).map_err(&io_error)?;
+        len += n;
+        let cut = match n {
+            0 => len,
+            _ => match record_cut(&buf[..len]) {
+                Some(cut) => cut,
+                None => continue,
+            },
+        };
+        let fed = match std::str::from_utf8(&buf[..cut]) {
+            Ok(text) => records.feed(text).map_err(Some),
+            Err(_) => Err(None),
+        };
+        buf.copy_within(cut..len, 0);
+        len -= cut;
+        if let Err(csv) = fed {
+            return Err(first_error(reader, buf, len, csv, io_error));
+        }
+        if n == 0 {
+            return records.finish();
+        }
     }
-    let label = label_index(options, header.as_deref());
-    let label_idx = label.as_ref().ok().copied().flatten();
-    let mut values = Vec::new();
-    let mut labels = Vec::new();
-    // Label strings in order of first appearance; a label's code is its
-    // position here.
-    let mut label_codes: Vec<String> = Vec::new();
-    let mut convert = |j: usize, field: &str| {
-        let t = field.trim();
-        if Some(j) == label_idx {
-            let code = match label_codes.iter().position(|c| c == t) {
-                Some(c) => c,
-                None => {
-                    label_codes.push(t.to_string());
-                    label_codes.len() - 1
-                }
-            };
-            labels.push(code as u32);
-        } else if options.missing_markers.iter().any(|m| m == t) {
-            values.push(f64::NAN);
-        } else {
-            values.push(t.parse::<f64>().unwrap_or(f64::NAN));
-        }
+}
+
+/// The end of the last line break outside quotes in `bytes`, which start
+/// at a record boundary; `None` when there is none.
+///
+/// A line break is inside a quoted field when an odd number of quotes
+/// precede it: a field's opening and closing quotes, and each `""` escape,
+/// come in pairs, and any other quote is an error the [`Tokenizer`] reports
+/// when it reaches it.
+fn record_cut(bytes: &[u8]) -> Option<usize> {
+    // Only the parity counts, which a wrapping byte sum keeps; it compiles
+    // to byte-wide vector adds, where counting into a `usize` does not.
+    let odd = |b: &[u8]| {
+        b.iter()
+            .fold(0u8, |n, &c| n.wrapping_add(u8::from(c == b'"')))
+            & 1
     };
-    // The first data record fixes the width.
-    let (mut n_rows, mut width, mut ragged) = (0, 0, None);
-    while let Some(n) = tokens.next_record(&mut convert)? {
-        n_rows += 1;
-        if n_rows == 1 {
-            width = n;
-        } else if n != width && ragged.is_none() {
-            ragged = Some(DataError::Parse(format!(
-                "record {n_rows} has {n} fields, expected {width}"
-            )));
+    let (mut end, mut open) = (bytes.len(), odd(bytes));
+    while let Some(i) = bytes[..end].iter().rposition(|&c| c == b'\n' || c == b'\r') {
+        open ^= odd(&bytes[i..end]);
+        if open == 0 {
+            return Some(i + 1);
+        }
+        end = i;
+    }
+    None
+}
+
+/// The error to report for a chunk that failed: its CSV error `csv`, or
+/// `None` when the chunk was not UTF-8.
+///
+/// Reading the text whole reports a read error first, then invalid UTF-8
+/// anywhere in the stream, and only then a CSV error; so this reads the
+/// rest of the stream, `buf[..len]` first, checking that it is UTF-8.
+fn first_error(
+    mut reader: impl Read,
+    mut buf: Vec<u8>,
+    mut len: usize,
+    csv: Option<DataError>,
+    io_error: impl Fn(io::Error) -> DataError,
+) -> DataError {
+    let mut valid = csv.is_some();
+    loop {
+        if valid {
+            match std::str::from_utf8(&buf[..len]) {
+                Ok(_) => len = 0,
+                // A character cut by the read: keep it for the next one.
+                Err(e) if e.error_len().is_none() => {
+                    buf.copy_within(e.valid_up_to()..len, 0);
+                    len -= e.valid_up_to();
+                }
+                Err(_) => valid = false,
+            }
+        }
+        if !valid {
+            len = 0;
+        }
+        match read_some(&mut reader, &mut buf[len..]) {
+            Ok(0) => break,
+            Ok(n) => len += n,
+            Err(e) => return io_error(e),
         }
     }
-    if n_rows == 0 {
-        return Err(DataError::Empty);
+    match csv {
+        Some(csv) if valid && len == 0 => csv,
+        _ => io_error(io::Error::new(
+            io::ErrorKind::InvalidData,
+            "stream did not contain valid UTF-8",
+        )),
     }
-    if let Some(e) = ragged {
-        return Err(e);
+}
+
+/// One `read`, retried when a signal interrupts it.
+fn read_some(reader: &mut impl Read, buf: &mut [u8]) -> io::Result<usize> {
+    loop {
+        match reader.read(buf) {
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            read => return read,
+        }
     }
-    // A name found past the last field (a header wider than its records)
-    // is out of bounds like an index would be.
-    if let Some(index) = label? {
-        if index >= width {
-            return Err(DataError::ColumnIndexOutOfBounds {
-                index,
-                n_dims: width,
-            });
+}
+
+/// The record loop under [`read_str`] and [`read_from`]: text in, a chunk
+/// at a time, each chunk ending at a record boundary; a [`Dataset`] out.
+struct Records<'o> {
+    options: &'o CsvOptions,
+    /// Records tokenized so far, header included, so that a chunk's
+    /// [`Tokenizer`] numbers its records from where the last one stopped.
+    tokenized: usize,
+    header: Option<Vec<String>>,
+    /// The label column, resolved by name once the header is read.
+    label: Result<Option<usize>, DataError>,
+    values: Vec<f64>,
+    labels: Vec<u32>,
+    /// Label strings in order of first appearance; a label's code is its
+    /// position here.
+    label_codes: Vec<String>,
+    n_rows: usize,
+    /// The first data record's width, which every record must have.
+    width: usize,
+    /// The first record whose width differs, reported once all the text
+    /// has been tokenized.
+    ragged: Option<DataError>,
+}
+
+impl<'o> Records<'o> {
+    fn new(options: &'o CsvOptions) -> Self {
+        Self {
+            options,
+            tokenized: 0,
+            header: None,
+            label: label_index(options, None),
+            values: Vec::new(),
+            labels: Vec::new(),
+            label_codes: Vec::new(),
+            n_rows: 0,
+            width: 0,
+            ragged: None,
         }
     }
 
-    let n_dims = width - usize::from(label_idx.is_some());
-    if n_dims == 0 {
-        return Err(DataError::Empty);
+    /// Tokenizes `text`, which ends at a record boundary or at the end of
+    /// the CSV, converting each field into the value buffer.
+    fn feed(&mut self, text: &str) -> Result<(), DataError> {
+        let options = self.options;
+        let mut tokens = Tokenizer::new(text, options.delimiter);
+        tokens.records = self.tokenized;
+        if options.has_header && self.header.is_none() {
+            let mut names = Vec::new();
+            if tokens
+                .next_record(|_, f| names.push(f.trim().to_string()))?
+                .is_none()
+            {
+                return Ok(()); // only blank lines so far
+            }
+            self.label = label_index(options, Some(&names));
+            self.header = Some(names);
+        }
+        let label_idx = self.label.as_ref().ok().copied().flatten();
+        let Self {
+            values,
+            labels,
+            label_codes,
+            n_rows,
+            width,
+            ragged,
+            ..
+        } = self;
+        let mut convert = |j: usize, field: &str| {
+            let t = field.trim();
+            if Some(j) == label_idx {
+                let code = match label_codes.iter().position(|c| c == t) {
+                    Some(c) => c,
+                    None => {
+                        label_codes.push(t.to_string());
+                        label_codes.len() - 1
+                    }
+                };
+                labels.push(code as u32);
+            } else if options.missing_markers.iter().any(|m| m == t) {
+                values.push(f64::NAN);
+            } else {
+                values.push(t.parse::<f64>().unwrap_or(f64::NAN));
+            }
+        };
+        while let Some(n) = tokens.next_record(&mut convert)? {
+            *n_rows += 1;
+            if *n_rows == 1 {
+                *width = n;
+            } else if n != *width && ragged.is_none() {
+                *ragged = Some(DataError::Parse(format!(
+                    "record {n_rows} has {n} fields, expected {width}"
+                )));
+            }
+        }
+        self.tokenized = tokens.records;
+        Ok(())
     }
-    let mut ds = Dataset::new(values, n_rows, n_dims)?;
-    if let Some(header) = header {
-        let names: Vec<String> = header
-            .into_iter()
-            .enumerate()
-            .filter(|(j, _)| Some(*j) != label_idx)
-            .map(|(_, h)| h)
-            .collect();
-        ds.set_names(names)?;
+
+    /// The dataset, once all the text has been fed.
+    fn finish(self) -> Result<Dataset, DataError> {
+        if self.n_rows == 0 {
+            return Err(DataError::Empty);
+        }
+        if let Some(e) = self.ragged {
+            return Err(e);
+        }
+        let width = self.width;
+        // A name found past the last field (a header wider than its
+        // records) is out of bounds like an index would be.
+        let label_idx = self.label?;
+        if let Some(index) = label_idx {
+            if index >= width {
+                return Err(DataError::ColumnIndexOutOfBounds {
+                    index,
+                    n_dims: width,
+                });
+            }
+        }
+
+        let n_dims = width - usize::from(label_idx.is_some());
+        if n_dims == 0 {
+            return Err(DataError::Empty);
+        }
+        let mut ds = Dataset::new(self.values, self.n_rows, n_dims)?;
+        if let Some(header) = self.header {
+            let names: Vec<String> = header
+                .into_iter()
+                .enumerate()
+                .filter(|(j, _)| Some(*j) != label_idx)
+                .map(|(_, h)| h)
+                .collect();
+            ds.set_names(names)?;
+        }
+        if label_idx.is_some() {
+            ds.set_labels(self.labels)?;
+        }
+        Ok(ds)
     }
-    if label_idx.is_some() {
-        ds.set_labels(labels)?;
-    }
-    Ok(ds)
 }
 
 /// Resolves [`CsvOptions::label_column`] to a position, by name in the
-/// header or as given; [`read_str`] checks it against the records' width.
+/// header or as given; `Records::finish` checks it against the records'
+/// width.
 fn label_index(
     options: &CsvOptions,
     header: Option<&[String]>,
@@ -177,13 +389,6 @@ fn label_index(
                 .ok_or_else(|| DataError::NoSuchColumn(name.clone()))?,
         ),
     })
-}
-
-/// Reads a CSV file into a [`Dataset`].
-pub fn read_path<P: AsRef<Path>>(path: P, options: &CsvOptions) -> Result<Dataset, DataError> {
-    let text = std::fs::read_to_string(path.as_ref())
-        .map_err(|e| DataError::Parse(format!("{}: {e}", path.as_ref().display())))?;
-    read_str(&text, options)
 }
 
 /// Writes a dataset as CSV (header + rows; missing values as `NaN`, which
@@ -584,6 +789,99 @@ mod tests {
         let ds = read_str("a°§b\n1§2\n", &options).unwrap();
         assert_eq!(ds.names(), &["a°".to_string(), "b".to_string()]);
         assert_eq!(ds.value(0, 1), 2.0);
+    }
+
+    /// A reader handing out `pieces`, one per read.
+    struct Pieces<'a>(Vec<&'a [u8]>);
+
+    impl Read for Pieces<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let Some(piece) = self.0.first_mut() else {
+                return Ok(0);
+            };
+            let n = piece.len().min(buf.len());
+            buf[..n].copy_from_slice(&piece[..n]);
+            *piece = &piece[n..];
+            if piece.is_empty() {
+                self.0.remove(0);
+            }
+            Ok(n)
+        }
+    }
+
+    /// `read_from` over `pieces` reads what `read_str` reads from their
+    /// concatenation, errors included.
+    fn read_pieces(pieces: &[&str], options: &CsvOptions) -> Result<Dataset, DataError> {
+        let chunked = read_from(
+            Pieces(pieces.iter().map(|p| p.as_bytes()).collect()),
+            options,
+        );
+        assert_eq!(chunked, read_str(&pieces.concat(), options), "{pieces:?}");
+        chunked
+    }
+
+    #[test]
+    fn crlf_split_across_reads() {
+        let options = CsvOptions::default();
+        let ds = read_pieces(&["a,b\r", "\n1,2\r", "\n3,4"], &options).unwrap();
+        assert_eq!((ds.n_rows(), ds.value(1, 1)), (2, 4.0));
+        // Record numbers in errors run on across the reads.
+        let err = read_pieces(&["a,b\r", "\n1,2\r", "\nx\"y\n"], &options).unwrap_err();
+        assert!(err.to_string().contains("at record 3"), "{err}");
+    }
+
+    #[test]
+    fn quoted_newline_straddling_reads() {
+        let ds = read_pieces(&["\"x\n", "y\",b\n1", ",2\n"], &CsvOptions::default()).unwrap();
+        assert_eq!(ds.names(), &["x\ny".to_string(), "b".to_string()]);
+        let options = CsvOptions {
+            label_column: Some(ColumnRef::Name("class".into())),
+            ..CsvOptions::default()
+        };
+        let ds = read_pieces(&["a,class\n1,\"p\r", "\nq\"\n2,r\n"], &options).unwrap();
+        assert_eq!(ds.labels(), Some(&[0, 1][..]));
+        assert_eq!(ds.value(1, 0), 2.0);
+    }
+
+    #[test]
+    fn record_longer_than_a_chunk() {
+        let names: Vec<String> = (0..12_000).map(|j| format!("c{j}")).collect();
+        let text = format!("{}\n{}\n", names.join(","), vec!["1"; 12_000].join(","));
+        assert!(text.find('\n').unwrap() > CHUNK);
+        let ds = read_from(text.as_bytes(), &CsvOptions::default()).unwrap();
+        assert_eq!(ds, read_str(&text, &CsvOptions::default()).unwrap());
+        assert_eq!((ds.n_rows(), ds.n_dims()), (1, 12_000));
+    }
+
+    #[test]
+    fn invalid_utf8_after_a_csv_error_is_reported_first() {
+        // A stray quote in record 2, then invalid UTF-8 chunks later.
+        let mut bytes = b"a,b\n1,2\"\n".to_vec();
+        for _ in 0..50_000 {
+            bytes.extend_from_slice(b"1,2\n");
+        }
+        bytes.extend_from_slice(b"\xff\n");
+        let dir = std::env::temp_dir().join("hdoutlier-csv-utf8-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("t.csv");
+        std::fs::write(&path, &bytes).unwrap();
+        // The text std reports when it reads the file whole.
+        let invalid = "stream did not contain valid UTF-8";
+        assert_eq!(
+            read_path(&path, &CsvOptions::default()),
+            Err(DataError::Parse(format!("{}: {invalid}", path.display())))
+        );
+        std::fs::remove_dir_all(&dir).ok();
+
+        // A character split by a read is still UTF-8, so the CSV error
+        // stands; cut off at the end, it is not.
+        let stray = read_str("a,b\nx\"y\n", &CsvOptions::default()).unwrap_err();
+        let read = |pieces: Vec<&[u8]>| read_from(Pieces(pieces), &CsvOptions::default());
+        assert_eq!(read(vec![b"a,b\nx\"y\n", b"\xc3", b"\xa9\n"]), Err(stray));
+        assert_eq!(
+            read(vec![b"a,b\nx\"y\n", b"\xc3"]),
+            Err(DataError::Parse(invalid.into()))
+        );
     }
 
     #[test]

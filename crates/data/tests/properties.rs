@@ -1,12 +1,14 @@
 //! Seeded property tests for the data substrate: equi-depth and equi-width
 //! discretization, dataset selection, the generators, and the CSV reader
 //! and writer, including robustness on arbitrary and adversarially quoted
-//! text and a differential check of the tokenizer against a
-//! character-at-a-time reference parser. All run on
-//! [`hdoutlier_rng::for_each_case`]; a failing case prints the seed that
+//! text and a differential check of the tokenizer, whole and fed a few
+//! bytes per read, against a character-at-a-time reference parser. All run
+//! on [`hdoutlier_rng::for_each_case`]; a failing case prints the seed that
 //! replays it alone.
 
-use hdoutlier_data::csv::{parse_records, read_str, write_string, ColumnRef, CsvOptions};
+use hdoutlier_data::csv::{
+    parse_records, read_from, read_str, write_string, ColumnRef, CsvOptions,
+};
 use hdoutlier_data::discretize::{DiscretizeStrategy, Discretized, MISSING_CELL};
 use hdoutlier_data::generators::{correlated, uniform, CorrelatedConfig};
 use hdoutlier_data::{DataError, Dataset};
@@ -467,6 +469,29 @@ fn assert_bit_identical(a: &Dataset, b: &Dataset, text: &str) {
     assert_eq!(bits(a), bits(b), "{text:?}");
 }
 
+/// A reader handing out `bytes` a random 1 to `max` bytes per read.
+struct Trickle<'a> {
+    bytes: &'a [u8],
+    max: usize,
+    rng: &'a mut StdRng,
+}
+
+impl std::io::Read for Trickle<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = self
+            .rng
+            .gen_range(1..=self.max)
+            .min(self.bytes.len())
+            .min(buf.len());
+        buf[..n].copy_from_slice(&self.bytes[..n]);
+        self.bytes = &self.bytes[n..];
+        Ok(n)
+    }
+}
+
+/// The whole-text reader, the chunked reader fed a trickle of reads, and
+/// the reference all agree: values to the bit, errors to the text and
+/// record number.
 #[test]
 fn tokenizer_matches_the_reference_parser() {
     let tokens = [
@@ -496,7 +521,22 @@ fn tokenizer_matches_the_reference_parser() {
                 },
                 ..CsvOptions::default()
             };
-            match (read_str(&text, &options), oracle_read_str(&text, &options)) {
+            let whole = read_str(&text, &options);
+            let max = rng.gen_range(1..=16);
+            let trickle = Trickle {
+                bytes: text.as_bytes(),
+                max,
+                rng: &mut *rng,
+            };
+            match (read_from(trickle, &options), &whole) {
+                (Ok(got), Ok(want)) => assert_bit_identical(&got, want, &text),
+                (got, want) => assert_eq!(
+                    got.err().as_ref(),
+                    want.as_ref().err(),
+                    "{text:?} read at most {max} bytes per read with {options:?}"
+                ),
+            }
+            match (whole, oracle_read_str(&text, &options)) {
                 (Ok(got), Ok(want)) => assert_bit_identical(&got, &want, &text),
                 (got, want) => {
                     let (got, want) = (got.err(), want.err());
