@@ -64,8 +64,10 @@ cargo test -q --offline --workspace
 #   (crates/cli/tests/determinism.rs).
 # - GA pins: the evolutionary search's exact output on a planted 1,000 × 120
 #   input (best-m, generation, evaluation and memo counts, gene convergence)
-#   at two seeds with both crossovers (crates/core/tests/ga_identity.rs), and
-#   its allocation count under the counting allocator, below ten blocks per
+#   at two seeds with both crossovers, at k = 3 (runs that stop at the
+#   count-1 floor) and at k = 2 (runs that never reach it and go to the
+#   500-generation cap) (crates/core/tests/ga_identity.rs), and a full k = 2
+#   run's allocation count under the counting allocator, below ten blocks per
 #   fitness evaluation (crates/core/tests/ga_allocations.rs).
 # - Fault tolerance: checkpoint atomicity under simulated kills
 #   (crates/stream/tests/faults.rs) and the scripted-I/O harness driving the

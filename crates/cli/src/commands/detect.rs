@@ -24,7 +24,8 @@ OPTIONS:
     --crossover <kind>   optimized | two-point (default optimized)
     --grid <strategy>    equi-depth | equi-width (default equi-depth)
     --seed <n>           RNG seed for the evolutionary search (default 0)
-    --generations <n>    GA generation cap (default 500)
+    --generations <n>    GA generation cap (default 500); the search stops
+                         sooner once the best m are provably optimal
     --population <n>     GA population size (default 100)
     --threads <n>        worker threads for the brute-force search (default:
                          available cores; the report is identical at any

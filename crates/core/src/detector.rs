@@ -372,7 +372,7 @@ impl OutlierDetector {
         let stats = SearchStats {
             work: outcome.evaluations,
             generations: outcome.generations,
-            completed: outcome.converged,
+            completed: outcome.termination.completed(),
             elapsed: start.elapsed(),
         };
         let us = stats.elapsed.as_micros() as u64;
@@ -387,7 +387,8 @@ impl OutlierDetector {
                 ("method", obs::Value::Str("evolutionary")),
                 ("evaluations", obs::Value::U64(stats.work)),
                 ("generations", obs::Value::U64(stats.generations as u64)),
-                ("converged", obs::Value::Bool(stats.completed)),
+                ("completed", obs::Value::Bool(stats.completed)),
+                ("termination", obs::Value::Str(outcome.termination.as_str())),
                 ("elapsed_us", obs::Value::U64(us)),
             ],
         );

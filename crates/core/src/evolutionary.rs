@@ -11,11 +11,18 @@
 //!
 //! One generation loop over projection strings: rank-roulette selection
 //! (Fig. 4, [`crate::selection`]), optimized or two-point crossover
-//! (Fig. 5), Type I/II mutation (Fig. 6), De Jong convergence
-//! ([`crate::convergence`]), and a deduplicated best-m set maintained across
-//! the whole run ("the m best projection solutions were kept track of at
-//! each stage"). Fitness is minimized: the most negative sparsity
-//! coefficient is best.
+//! (Fig. 5), Type I/II mutation (Fig. 6), and a deduplicated best-m set
+//! maintained across the whole run ("the m best projection solutions were
+//! kept track of at each stage"). Fitness is minimized: the most negative
+//! sparsity coefficient is best.
+//!
+//! The paper leaves the termination criterion open. The loop stops at the
+//! first of three, checked before each generation: De Jong convergence
+//! ([`crate::convergence`]); the floor, once `m` tracked cubes score the
+//! lowest coefficient a reportable cube can (Eq. 1 is strictly increasing in
+//! the count, so that is the count-1 coefficient, or the empty cube's
+//! without `require_nonempty`), when the best-m mean is optimal and later
+//! generations could only swap tied cubes; and the generation cap.
 
 use crate::convergence::GeneView;
 use crate::crossover::{recombine, CrossoverKind};
@@ -24,7 +31,7 @@ use crate::mutation::{mutate, MutationConfig};
 use crate::projection::Projection;
 use crate::report::ScoredProjection;
 use crate::selection::SelectionScheme;
-use hdoutlier_index::{CubeCounter, CubeKey, CubeMap};
+use hdoutlier_index::{CubeCounter, CubeKey};
 use hdoutlier_obs as obs;
 use hdoutlier_rng::rngs::StdRng;
 use hdoutlier_rng::SeedableRng;
@@ -51,7 +58,8 @@ pub struct EvolutionaryConfig {
     pub selection: SelectionScheme,
     /// De Jong convergence threshold (0.95 in the paper).
     pub convergence_threshold: f64,
-    /// Safety cap on generations.
+    /// Cap on generations; the search stops sooner once the best m are
+    /// provably optimal ([`Termination::Floor`]).
     pub max_generations: usize,
     /// Only report projections covering at least one record.
     pub require_nonempty: bool,
@@ -87,6 +95,34 @@ impl Default for EvolutionaryConfig {
     }
 }
 
+/// Why an evolutionary run stopped.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Termination {
+    /// De Jong's test: the population agrees on its projection.
+    Converged,
+    /// `m` tracked cubes score the lowest coefficient a reportable cube can,
+    /// so no later generation could improve the best-m mean.
+    Floor,
+    /// The generation cap.
+    MaxGenerations,
+}
+
+impl Termination {
+    /// The name the `run` event reports.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Termination::Converged => "converged",
+            Termination::Floor => "floor",
+            Termination::MaxGenerations => "max_generations",
+        }
+    }
+
+    /// Whether the run ended by a rule of its own rather than at the cap.
+    pub fn completed(self) -> bool {
+        self != Termination::MaxGenerations
+    }
+}
+
 /// Result of one evolutionary run.
 #[derive(Debug, Clone)]
 pub struct EvolutionaryOutcome {
@@ -96,8 +132,8 @@ pub struct EvolutionaryOutcome {
     pub generations: usize,
     /// Total fitness evaluations, the seed population's included.
     pub evaluations: u64,
-    /// Whether the run ended by De Jong convergence (vs. the generation cap).
-    pub converged: bool,
+    /// Which rule ended the run.
+    pub termination: Termination,
     /// The final population's smallest per-slot agreement: the share of
     /// members holding the most common value of its least settled slot.
     pub gene_convergence: f64,
@@ -180,9 +216,12 @@ pub fn evolutionary_search<C: CubeCounter>(
 ) -> EvolutionaryOutcome {
     assert!(config.m > 0, "m must be positive");
     assert!(config.population > 0, "population must be positive");
-    if config.track_internal_candidates {
-        fitness.enable_tracking();
-    }
+    // The lowest coefficient a reportable cube can score: the smallest
+    // admissible count's, as Eq. 1 is strictly increasing in the count.
+    let floor = fitness.sparsity_of_count(u64::from(config.require_nonempty));
+    // Without internal tracking the fitness records the population members
+    // alone (the literal Fig. 3 BestSet semantics).
+    fitness.enable_tracking(floor, config.track_internal_candidates);
     let d = fitness.counter().n_dims();
     let phi = fitness.counter().phi();
     let mutation = MutationConfig {
@@ -200,56 +239,52 @@ pub fn evolutionary_search<C: CubeCounter>(
         .map(|_| Projection::random(d, fitness.k(), phi, &mut rng))
         .collect();
 
-    // Without internal tracking the best set is the population members
-    // alone (the literal Fig. 3 BestSet semantics).
-    let mut population_seen: HashMap<Projection, f64> = HashMap::new();
     // Scores each member in population order, on this thread, into
     // `scores`. Feasible genomes are recorded by the fitness's tracker;
     // infeasible ones score +inf and are never candidates.
-    let mut evaluate = |pop: &[Projection], scores: &mut Vec<f64>| {
+    let evaluate = |pop: &[Projection], scores: &mut Vec<f64>| {
         scores.clear();
         scores.extend(pop.iter().map(|genome| {
-            let f = {
-                let _eval = obs::profile_span(TARGET, "evaluate");
-                fitness.evaluate(genome)
-            };
-            if !config.track_internal_candidates
-                && f.is_finite()
-                && !population_seen.contains_key(genome)
-            {
-                population_seen.insert(genome.clone(), f);
-            }
-            f
+            let _eval = obs::profile_span(TARGET, "evaluate");
+            fitness.evaluate(genome)
         }));
     };
-
-    let lowest = |scores: &[f64]| scores.iter().copied().fold(f64::INFINITY, f64::min);
 
     let mut scores = Vec::with_capacity(config.population);
     timed_stage(timed, &metrics.evaluate_us, || {
         evaluate(&population, &mut scores)
     });
     let mut evaluations = scores.len() as u64;
-    let mut best = lowest(&scores);
     metrics.evaluations.add(evaluations);
+    let progress = fitness.tracked_progress();
     obs::event(
         obs::Level::Debug,
         TARGET,
         "seed",
         &[
             ("population", obs::Value::U64(config.population as u64)),
-            ("best", obs::Value::F64(best)),
+            ("best", obs::Value::F64(progress.best)),
+            ("floor_cubes", obs::Value::U64(progress.at_floor as u64)),
         ],
     );
 
-    // Termination is checked before each generation, so a converged seed
-    // stops at once.
+    // Termination is checked before each generation, so a seed population
+    // that has converged, or already holds m floor cubes, stops at once.
     let mut next = population.clone();
     let mut view = GeneView::default();
-    let (mut done, mut gene_convergence) =
+    let (mut converged, mut gene_convergence) =
         check_convergence(&mut view, &population, phi, config.convergence_threshold);
     let mut generations = 0usize;
-    while !done && generations < config.max_generations {
+    let termination = loop {
+        if converged {
+            break Termination::Converged;
+        }
+        if fitness.tracked_progress().at_floor >= config.m {
+            break Termination::Floor;
+        }
+        if generations >= config.max_generations {
+            break Termination::MaxGenerations;
+        }
         let gen_start = if timed { Some(Instant::now()) } else { None };
 
         // Selection copies the chosen parents into the previous
@@ -289,8 +324,6 @@ pub fn evolutionary_search<C: CubeCounter>(
         });
         evaluations += scores.len() as u64;
         metrics.evaluations.add(scores.len() as u64);
-        let gen_best = lowest(&scores);
-        best = best.min(gen_best);
         metrics.generations.inc();
         generations += 1;
         if let Some(start) = gen_start {
@@ -298,25 +331,29 @@ pub fn evolutionary_search<C: CubeCounter>(
                 .generation_us
                 .record(start.elapsed().as_micros() as f64);
         }
-        (done, gene_convergence) =
+        (converged, gene_convergence) =
             check_convergence(&mut view, &population, phi, config.convergence_threshold);
 
         if obs::enabled(obs::Level::Debug) {
             // Population statistics are only computed when someone is
-            // listening at Debug.
+            // listening at Debug. `gen_best` and `mean` are over this
+            // generation's members, empty cubes included.
             let finite: Vec<f64> = scores.iter().copied().filter(|f| f.is_finite()).collect();
             let mean = if finite.is_empty() {
                 f64::NAN
             } else {
                 finite.iter().sum::<f64>() / finite.len() as f64
             };
+            let gen_best = finite.iter().copied().fold(f64::INFINITY, f64::min);
+            let progress = fitness.tracked_progress();
             obs::event(
                 obs::Level::Debug,
                 TARGET,
                 "generation",
                 &[
                     ("generation", obs::Value::U64(generations as u64)),
-                    ("best", obs::Value::F64(best)),
+                    ("best", obs::Value::F64(progress.best)),
+                    ("floor_cubes", obs::Value::U64(progress.at_floor as u64)),
                     ("gen_best", obs::Value::F64(gen_best)),
                     ("mean", obs::Value::F64(mean)),
                     (
@@ -331,8 +368,9 @@ pub fn evolutionary_search<C: CubeCounter>(
                 ],
             );
         }
-    }
+    };
 
+    let progress = fitness.tracked_progress();
     obs::event(
         obs::Level::Info,
         TARGET,
@@ -340,26 +378,17 @@ pub fn evolutionary_search<C: CubeCounter>(
         &[
             ("generations", obs::Value::U64(generations as u64)),
             ("evaluations", obs::Value::U64(evaluations)),
-            ("best_fitness", obs::Value::F64(best)),
-            (
-                "termination",
-                obs::Value::Str(if done { "converged" } else { "max_generations" }),
-            ),
+            ("best_fitness", obs::Value::F64(progress.best)),
+            ("floor_cubes", obs::Value::U64(progress.at_floor as u64)),
+            ("termination", obs::Value::Str(termination.as_str())),
         ],
     );
 
     // Assemble the deduplicated best-m from every full-k cube the fitness
-    // scored during the run (population members and, by default, the
+    // recorded during the run (population members and, by default, the
     // candidates the optimized crossover examined internally).
-    let tracked: CubeMap<f64> = if config.track_internal_candidates {
-        fitness.take_tracked()
-    } else {
-        population_seen
-            .into_iter()
-            .map(|(p, f)| (p.pairs().collect(), f))
-            .collect()
-    };
-    let mut candidates: Vec<(f64, usize, CubeKey)> = tracked
+    let mut candidates: Vec<(f64, usize, CubeKey)> = fitness
+        .take_tracked()
         .into_iter()
         .map(|(pairs, sparsity)| (sparsity, fitness.counter().count_pairs(&pairs), pairs))
         .filter(|&(_, count, _)| !config.require_nonempty || count > 0)
@@ -396,7 +425,7 @@ pub fn evolutionary_search<C: CubeCounter>(
         best: scored,
         generations,
         evaluations,
-        converged: done,
+        termination,
         gene_convergence,
     }
 }
@@ -752,7 +781,7 @@ mod tests {
             },
         );
         assert_eq!(out.generations, 0);
-        assert!(out.converged);
+        assert_eq!(out.termination, Termination::Converged);
         assert_eq!(out.evaluations, 1);
         assert_eq!(out.gene_convergence, 1.0);
     }
@@ -772,10 +801,93 @@ mod tests {
             },
         );
         assert_eq!(out.generations, 3);
-        assert!(!out.converged);
+        assert_eq!(out.termination, Termination::MaxGenerations);
         // The seed population plus three generations of ten.
         assert_eq!(out.evaluations, 40);
         assert!(out.gene_convergence > 0.0 && out.gene_convergence <= 1.0);
+    }
+
+    /// Runs `config` to its floor stop, then checks that the stop came at
+    /// the first generation holding m cubes at `floor`: the same run capped
+    /// one generation sooner reports fewer than m of them.
+    fn assert_stops_at_the_first_floor_generation<C: CubeCounter>(
+        fitness: &SparsityFitness<'_, C>,
+        config: &EvolutionaryConfig,
+        floor: f64,
+    ) -> EvolutionaryOutcome {
+        let at_floor =
+            |out: &EvolutionaryOutcome| out.best.iter().filter(|s| s.sparsity == floor).count();
+        let out = evolutionary_search(fitness, config);
+        assert_eq!(out.termination, Termination::Floor);
+        assert!(out.generations > 0 && out.generations < config.max_generations);
+        assert_eq!(at_floor(&out), config.m);
+        let sooner = evolutionary_search(
+            fitness,
+            &EvolutionaryConfig {
+                max_generations: out.generations - 1,
+                ..config.clone()
+            },
+        );
+        assert_eq!(sooner.termination, Termination::MaxGenerations);
+        assert!(at_floor(&sooner) < config.m, "{}", out.generations);
+        out
+    }
+
+    fn floor_config(seed: u64) -> EvolutionaryConfig {
+        EvolutionaryConfig {
+            m: 10,
+            seed,
+            ..EvolutionaryConfig::default()
+        }
+    }
+
+    #[test]
+    fn stops_once_m_count_one_cubes_are_tracked() {
+        let (counter, _) = planted_counter(20, 54);
+        let fitness = SparsityFitness::new(&counter, 3);
+        let config = floor_config(5);
+        let floor = fitness.sparsity_of_count(1);
+        let out = assert_stops_at_the_first_floor_generation(&fitness, &config, floor);
+        // The best-m mean is m times the count-1 coefficient, bit for bit.
+        let sum: f64 = out.best.iter().map(|s| s.sparsity).sum();
+        assert_eq!(sum.to_bits(), (config.m as f64 * floor).to_bits());
+        assert!(out.best.iter().all(|s| s.count == 1));
+        assert!(out.termination.completed());
+    }
+
+    #[test]
+    fn without_require_nonempty_the_floor_is_the_empty_cube() {
+        let (counter, _) = planted_counter(20, 55);
+        let fitness = SparsityFitness::new(&counter, 3);
+        let config = EvolutionaryConfig {
+            require_nonempty: false,
+            ..floor_config(6)
+        };
+        let floor = fitness.sparsity_of_count(0);
+        let out = assert_stops_at_the_first_floor_generation(&fitness, &config, floor);
+        assert!(out.best.iter().all(|s| s.count == 0));
+    }
+
+    #[test]
+    fn population_only_tracking_stops_on_members_alone() {
+        let (counter, _) = planted_counter(20, 56);
+        let fitness = SparsityFitness::new(&counter, 3);
+        let config = EvolutionaryConfig {
+            track_internal_candidates: false,
+            ..floor_config(7)
+        };
+        let floor = fitness.sparsity_of_count(1);
+        let members_only = assert_stops_at_the_first_floor_generation(&fitness, &config, floor);
+        // Harvesting the crossover's candidates reaches the floor sooner.
+        let harvesting = evolutionary_search(
+            &fitness,
+            &EvolutionaryConfig {
+                track_internal_candidates: true,
+                ..config.clone()
+            },
+        );
+        assert_eq!(harvesting.termination, Termination::Floor);
+        assert!(harvesting.generations < members_only.generations);
     }
 
     #[test]

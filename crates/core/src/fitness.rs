@@ -11,6 +11,37 @@ use hdoutlier_index::{Cube, CubeCounter, CubeMap, CubeSet};
 use hdoutlier_stats::SparsityParams;
 use std::cell::RefCell;
 
+/// What a search reads off the cubes a [`SparsityFitness`] has recorded
+/// since [`SparsityFitness::enable_tracking`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct TrackedProgress {
+    /// Distinct recorded cubes whose coefficient equals the floor, bit for
+    /// bit.
+    pub(crate) at_floor: usize,
+    /// The lowest recorded coefficient at or above the floor: the best one
+    /// the search can report (`+∞` until one is recorded).
+    pub(crate) best: f64,
+}
+
+impl Default for TrackedProgress {
+    fn default() -> Self {
+        Self {
+            at_floor: 0,
+            best: f64::INFINITY,
+        }
+    }
+}
+
+/// The recording [`SparsityFitness::enable_tracking`] starts. Its progress
+/// changes only when a cube is first inserted, so keeping it costs no
+/// lookup.
+struct Tracking {
+    cubes: CubeMap<f64>,
+    internal_candidates: bool,
+    floor: f64,
+    progress: TrackedProgress,
+}
+
 /// Evaluates sparsity coefficients for projections of a fixed dataset.
 pub struct SparsityFitness<'a, C: CubeCounter> {
     counter: &'a C,
@@ -20,14 +51,15 @@ pub struct SparsityFitness<'a, C: CubeCounter> {
     /// so partial strings (used by the optimized crossover's greedy phase)
     /// are scored with the correct `N·f^j` baseline.
     params_by_k: Vec<Option<SparsityParams>>,
-    /// When enabled, every full-k cube whose sparsity this fitness computes
-    /// is recorded — including the candidates the optimized crossover
-    /// examines internally. The evolutionary search drains this to build its
-    /// best-m set, so solutions the algorithm *computed* but never promoted
-    /// into the population still count as "kept track of" (paper Fig. 3).
-    /// Insertion order is irrelevant: the evolutionary search sorts the
-    /// drained map deterministically.
-    tracked: RefCell<Option<CubeMap<f64>>>,
+    /// When enabled, the full-k cubes this fitness scores are recorded:
+    /// every one it computes, including the candidates the optimized
+    /// crossover examines internally, or only the genomes
+    /// [`SparsityFitness::evaluate`] scores. The evolutionary search drains
+    /// this to build its best-m set, so solutions the algorithm *computed*
+    /// but never promoted into the population can still count as "kept track
+    /// of" (paper Fig. 3). Insertion order is irrelevant: the evolutionary
+    /// search sorts the drained map deterministically.
+    tracked: RefCell<Option<Tracking>>,
     /// Tabu set for multi-restart search: genomes whose cube is banned score
     /// `+∞` so the population is pushed toward *new* sparse regions. Bans
     /// apply only at the genome level ([`SparsityFitness::evaluate`]); the
@@ -90,17 +122,39 @@ impl<'a, C: CubeCounter> SparsityFitness<'a, C> {
         self.banned.borrow_mut().clear();
     }
 
-    /// Starts recording every full-k cube scored by this fitness (idempotent;
-    /// clears any previous recording).
-    pub fn enable_tracking(&self) {
-        *self.tracked.borrow_mut() = Some(CubeMap::default());
+    /// Starts recording full-k cubes, clearing any previous recording:
+    /// every cube this fitness scores when `internal_candidates` is set,
+    /// otherwise only the genomes [`SparsityFitness::evaluate`] scores (the
+    /// literal Fig. 3 best set). Cubes scoring exactly `floor` are counted
+    /// as they are first recorded.
+    pub fn enable_tracking(&self, floor: f64, internal_candidates: bool) {
+        *self.tracked.borrow_mut() = Some(Tracking {
+            cubes: CubeMap::default(),
+            internal_candidates,
+            floor,
+            progress: TrackedProgress::default(),
+        });
+    }
+
+    /// The floor count and best coefficient of what has been recorded since
+    /// [`SparsityFitness::enable_tracking`]; nothing recorded reads as
+    /// `(0, +∞)`.
+    pub(crate) fn tracked_progress(&self) -> TrackedProgress {
+        self.tracked
+            .borrow()
+            .as_ref()
+            .map_or(TrackedProgress::default(), |t| t.progress)
     }
 
     /// Stops recording and returns everything recorded since
     /// [`SparsityFitness::enable_tracking`], keyed by each cube's sorted
     /// pairs. Returns an empty map if tracking was never enabled.
     pub fn take_tracked(&self) -> CubeMap<f64> {
-        self.tracked.borrow_mut().take().unwrap_or_default()
+        self.tracked
+            .borrow_mut()
+            .take()
+            .map(|t| t.cubes)
+            .unwrap_or_default()
     }
 
     /// The run's target dimensionality.
@@ -113,9 +167,11 @@ impl<'a, C: CubeCounter> SparsityFitness<'a, C> {
         self.counter
     }
 
-    /// Sparsity parameters at the target dimensionality.
-    pub fn params(&self) -> SparsityParams {
-        self.params_by_k[self.k].expect("validated in new")
+    /// Eq. 1 for a full-k cube holding `count` records; `+∞` where the
+    /// coefficient is undefined at this `k` (see [`SparsityParams::new`]),
+    /// as it is for every cube there.
+    pub(crate) fn sparsity_of_count(&self, count: u64) -> f64 {
+        self.params_by_k[self.k].map_or(f64::INFINITY, |p| p.sparsity(count))
     }
 
     /// Full fitness: sparsity coefficient for feasible strings, `+∞`
@@ -133,7 +189,7 @@ impl<'a, C: CubeCounter> SparsityFitness<'a, C> {
         if !banned.is_empty() && banned.contains(&pairs[..]) {
             return f64::INFINITY;
         }
-        self.sparsity_of_pairs(&pairs)
+        self.score(&pairs, true)
     }
 
     /// Sparsity of the cube given by `pairs` (distinct dimensions,
@@ -141,20 +197,31 @@ impl<'a, C: CubeCounter> SparsityFitness<'a, C> {
     /// optimized crossover. Cubes deeper than the run's `k`, and the empty
     /// one, are infeasible and score `+∞`.
     pub fn sparsity_of_pairs(&self, pairs: &[(u32, u16)]) -> f64 {
-        match self.params_by_k.get(pairs.len()).copied().flatten() {
-            Some(params) => {
-                let s = params.sparsity(self.counter.count_pairs(pairs) as u64);
-                if pairs.len() == self.k {
-                    if let Some(tracked) = self.tracked.borrow_mut().as_mut() {
-                        if !tracked.contains_key(pairs) {
-                            tracked.insert(pairs.into(), s);
-                        }
+        self.score(pairs, false)
+    }
+
+    /// Scores `pairs` at their own dimensionality and records a full-k cube
+    /// the first time it is scored: every one while internal candidates are
+    /// tracked, otherwise only a `genome`'s.
+    fn score(&self, pairs: &[(u32, u16)], genome: bool) -> f64 {
+        let Some(params) = self.params_by_k.get(pairs.len()).copied().flatten() else {
+            return f64::INFINITY;
+        };
+        let s = params.sparsity(self.counter.count_pairs(pairs) as u64);
+        if pairs.len() == self.k {
+            if let Some(t) = self.tracked.borrow_mut().as_mut() {
+                if (genome || t.internal_candidates) && !t.cubes.contains_key(pairs) {
+                    t.cubes.insert(pairs.into(), s);
+                    if s.to_bits() == t.floor.to_bits() {
+                        t.progress.at_floor += 1;
+                    }
+                    if s >= t.floor {
+                        t.progress.best = t.progress.best.min(s);
                     }
                 }
-                s
             }
-            None => f64::INFINITY,
         }
+        s
     }
 
     /// Occupancy of a projection's cube; `None` for the all-star projection
@@ -251,6 +318,29 @@ mod tests {
         // All-star covers everything.
         assert_eq!(fitness.rows(&Projection::all_star(5)).len(), 1000);
         assert_eq!(fitness.count(&Projection::all_star(5)), None);
+    }
+
+    #[test]
+    fn tracking_counts_each_floor_cube_once_and_resets() {
+        let (counter, _) = fixture();
+        let fitness = SparsityFitness::new(&counter, 2);
+        let p = Projection::from_genes(vec![0, STAR, 3, STAR, STAR]);
+        let s = fitness.evaluate(&p);
+        // Nothing is recorded before tracking starts.
+        assert_eq!(fitness.tracked_progress(), TrackedProgress::default());
+        fitness.enable_tracking(s, false);
+        fitness.evaluate(&p);
+        fitness.evaluate(&p);
+        // A genome-only recording skips the crossover's internal scoring.
+        let other = Projection::from_genes(vec![1, STAR, 2, STAR, STAR]);
+        fitness.sparsity_of_pairs(other.to_cube().unwrap().pairs());
+        let progress = fitness.tracked_progress();
+        assert_eq!((progress.at_floor, progress.best), (1, s));
+        fitness.enable_tracking(s, true);
+        assert_eq!(fitness.tracked_progress(), TrackedProgress::default());
+        fitness.sparsity_of_pairs(p.to_cube().unwrap().pairs());
+        assert_eq!(fitness.tracked_progress().at_floor, 1);
+        assert_eq!(fitness.take_tracked().len(), 1);
     }
 
     #[test]

@@ -60,8 +60,9 @@ pub struct SearchStats {
     pub work: u64,
     /// GA generations (0 for brute force).
     pub generations: usize,
-    /// Whether the search ran to its natural end (full coverage or De Jong
-    /// convergence) rather than hitting a cap.
+    /// Whether the search ran to its natural end rather than hitting a cap:
+    /// full coverage for brute force; De Jong convergence, or `m` cubes at
+    /// the floor coefficient (no better best m exists), for the GA.
     pub completed: bool,
     /// Wall-clock search time.
     pub elapsed: std::time::Duration,
