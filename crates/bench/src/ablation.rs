@@ -14,7 +14,7 @@
 use crate::table;
 use hdoutlier_core::brute::{brute_force_search_incremental_parallel, BruteForceConfig};
 use hdoutlier_core::crossover::CrossoverKind;
-use hdoutlier_core::evolutionary::{evolutionary_search, EvolutionaryConfig};
+use hdoutlier_core::evolutionary::{evolutionary_search, EvolutionaryConfig, Termination};
 use hdoutlier_core::fitness::SparsityFitness;
 use hdoutlier_core::SelectionScheme;
 use hdoutlier_data::discretize::{DiscretizeStrategy, Discretized};
@@ -155,27 +155,49 @@ pub fn tracking_ablation(seed: u64) -> (f64, f64) {
     (mean_quality(true), mean_quality(false))
 }
 
+/// The fitness-cache ablation's GA run: the memo's hits and misses, and
+/// how many generations the run lasted and why it ended.
+#[derive(Debug, Clone, Copy)]
+pub struct CacheAblation {
+    /// Cube counts served from the memo.
+    pub hits: u64,
+    /// Cube counts computed and stored.
+    pub misses: u64,
+    /// Generations the run executed.
+    pub generations: usize,
+    /// The rule that ended the run.
+    pub termination: Termination,
+}
+
 /// Cache ablation: memo-table hit rate over one GA run.
-pub fn cache_ablation(seed: u64) -> (u64, u64) {
+///
+/// The run is at k = 2, where cubes hold about N/φ² = 94 records and the
+/// count-1 floor is out of reach, so it goes to its 60-generation cap and
+/// the rate shows what the memo saves on a search that revisits strings.
+/// At k = 3 the run stops at the floor within a few generations.
+pub fn cache_ablation(seed: u64) -> CacheAblation {
     let planted = workload(seed);
     let disc =
         Discretized::new(&planted.dataset, 4, DiscretizeStrategy::EquiDepth).expect("non-empty");
     let cached = CachedCounter::new(BitmapCounter::new(&disc));
-    {
-        let fitness = SparsityFitness::new(&cached, 3);
-        evolutionary_search(
-            &fitness,
-            &EvolutionaryConfig {
-                m: 20,
-                p1: 0.1,
-                p2: 0.1,
-                max_generations: 60,
-                seed,
-                ..EvolutionaryConfig::default()
-            },
-        );
+    let outcome = evolutionary_search(
+        &SparsityFitness::new(&cached, 2),
+        &EvolutionaryConfig {
+            m: 20,
+            p1: 0.1,
+            p2: 0.1,
+            max_generations: 60,
+            seed,
+            ..EvolutionaryConfig::default()
+        },
+    );
+    let (hits, misses) = cached.stats();
+    CacheAblation {
+        hits,
+        misses,
+        generations: outcome.generations,
+        termination: outcome.termination,
     }
-    cached.stats()
 }
 
 /// Renders all three ablations.
@@ -194,10 +216,14 @@ pub fn render(seed: u64) -> String {
         .collect();
     out.push_str(&table::render(&["scheme", "quality"], &rows));
 
-    let (hits, misses) = cache_ablation(seed);
+    let cache = cache_ablation(seed);
     out.push_str(&format!(
-        "\nFitness-cache ablation: {hits} hits / {misses} misses ({:.0}% of cube counts served from memo)\n",
-        100.0 * hits as f64 / (hits + misses).max(1) as f64
+        "\nFitness-cache ablation: {} hits / {} misses ({:.0}% of cube counts served from memo) over {} generations ({})\n",
+        cache.hits,
+        cache.misses,
+        100.0 * cache.hits as f64 / (cache.hits + cache.misses).max(1) as f64,
+        cache.generations,
+        cache.termination.as_str()
     ));
 
     let (with_tracking, without) = tracking_ablation(seed);
@@ -276,10 +302,23 @@ mod tests {
 
     #[test]
     fn cache_hit_rate_is_substantial() {
-        let (hits, misses) = cache_ablation(7);
-        assert!(hits + misses > 0);
-        let rate = hits as f64 / (hits + misses) as f64;
+        let cache = cache_ablation(7);
+        assert!(cache.hits + cache.misses > 0);
+        let rate = cache.hits as f64 / (cache.hits + cache.misses) as f64;
         assert!(rate > 0.3, "hit rate {rate}");
+    }
+
+    #[test]
+    fn cache_ablation_runs_to_the_generation_cap() {
+        for seed in [7, 2001] {
+            let cache = cache_ablation(seed);
+            assert_eq!(
+                cache.termination,
+                Termination::MaxGenerations,
+                "seed {seed}"
+            );
+            assert_eq!(cache.generations, 60, "seed {seed}");
+        }
     }
 
     #[test]

@@ -22,7 +22,10 @@
 //! and fed through the same record loop as [`read_str`]. Reading a file
 //! therefore allocates
 //! - one chunk buffer, 64 KiB unless a single record is longer,
-//! - the value buffer, grown by doubling to `rows × columns` numbers,
+//! - the value buffer, `rows × columns` numbers: [`read_path`] knows the
+//!   file's length and sizes it from the values per byte of the text fed
+//!   so far; [`read_from`] grows it by doubling, and the dataset keeps no
+//!   spare capacity either way,
 //! - one `String` per header name and per distinct label, and
 //! - the unescape buffer, when a quoted field needs it,
 //!
@@ -85,13 +88,18 @@ pub fn read_str(text: &str, options: &CsvOptions) -> Result<Dataset, DataError> 
     records.finish()
 }
 
-/// Reads a CSV file into a [`Dataset`], through [`read_from`]. A failure to
+/// Reads a CSV file into a [`Dataset`], as [`read_from`] does. A failure to
 /// open or read the file names its path.
+///
+/// The file's length sizes the value buffer: once text has been fed, the
+/// buffer is grown to hold the rest at the values per byte seen so far, so
+/// it is allocated close to its final size rather than doubled past it.
 pub fn read_path<P: AsRef<Path>>(path: P, options: &CsvOptions) -> Result<Dataset, DataError> {
     let path = path.as_ref();
     let io_error = |e: io::Error| DataError::Parse(format!("{}: {e}", path.display()));
     let file = std::fs::File::open(path).map_err(io_error)?;
-    read_chunks(file, options, io_error)
+    let length = file.metadata().map_err(io_error)?.len();
+    read_chunks(file, Some(length), options, io_error)
 }
 
 /// Reads CSV from `reader` into a [`Dataset`], holding the values and one
@@ -107,16 +115,18 @@ pub fn read_path<P: AsRef<Path>>(path: P, options: &CsvOptions) -> Result<Datase
 /// text, except that a read error or invalid UTF-8 anywhere in the stream
 /// is reported before any CSV error, as reading the text whole would.
 pub fn read_from(reader: impl Read, options: &CsvOptions) -> Result<Dataset, DataError> {
-    read_chunks(reader, options, |e| DataError::Parse(e.to_string()))
+    read_chunks(reader, None, options, |e| DataError::Parse(e.to_string()))
 }
 
 /// Bytes a read of [`read_from`] asks for, and the size its buffer starts at.
 const CHUNK: usize = 64 * 1024;
 
 /// [`read_from`], with `io_error` turning a read error or invalid UTF-8 into
-/// the error to return.
+/// the error to return, and `length`, when known, the text's length in
+/// bytes, which sizes the value buffer.
 fn read_chunks(
     mut reader: impl Read,
+    length: Option<u64>,
     options: &CsvOptions,
     io_error: impl Fn(io::Error) -> DataError,
 ) -> Result<Dataset, DataError> {
@@ -124,6 +134,8 @@ fn read_chunks(
     let mut buf = vec![0; CHUNK];
     // `buf[..len]` holds text read but not yet fed; it starts a record.
     let mut len = 0;
+    // Bytes fed to `records` so far.
+    let mut fed_bytes = 0u64;
     loop {
         if len == buf.len() {
             buf.resize(2 * len, 0); // one record longer than the buffer
@@ -145,6 +157,10 @@ fn read_chunks(
         len -= cut;
         if let Err(csv) = fed {
             return Err(first_error(reader, buf, len, csv, io_error));
+        }
+        fed_bytes += cut as u64;
+        if let Some(length) = length {
+            records.reserve_rest(fed_bytes, length.saturating_sub(fed_bytes));
         }
         if n == 0 {
             return records.finish();
@@ -329,8 +345,30 @@ impl<'o> Records<'o> {
         Ok(())
     }
 
-    /// The dataset, once all the text has been fed.
-    fn finish(self) -> Result<Dataset, DataError> {
+    /// Makes room for the values of `rest` more bytes of text, at the
+    /// values per byte of the `fed` bytes fed so far, when the buffer's
+    /// spare capacity falls short of them.
+    ///
+    /// The room reserved is 1/64 more than the estimate, so that a later
+    /// chunk a little denser than the ones before (the header counts as
+    /// text without values) rarely grows the buffer again. The estimate is
+    /// a hint: when the allocation fails, the buffer grows as it fills.
+    fn reserve_rest(&mut self, fed: u64, rest: u64) {
+        if fed == 0 {
+            return;
+        }
+        let per_byte = self.values.len() as f64 / fed as f64;
+        let more = (per_byte * rest as f64).ceil() as usize;
+        if self.values.capacity() - self.values.len() < more {
+            let _ = self
+                .values
+                .try_reserve_exact(more.saturating_add(more / 64));
+        }
+    }
+
+    /// The dataset, once all the text has been fed. Its value buffer is
+    /// handed over with no spare capacity.
+    fn finish(mut self) -> Result<Dataset, DataError> {
         if self.n_rows == 0 {
             return Err(DataError::Empty);
         }
@@ -354,6 +392,7 @@ impl<'o> Records<'o> {
         if n_dims == 0 {
             return Err(DataError::Empty);
         }
+        self.values.shrink_to_fit();
         let mut ds = Dataset::new(self.values, self.n_rows, n_dims)?;
         if let Some(header) = self.header {
             let names: Vec<String> = header

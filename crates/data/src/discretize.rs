@@ -6,6 +6,11 @@
 //! provided as well, solely so the ablation benches can demonstrate the
 //! degradation the paper's choice avoids.
 //!
+//! An equi-depth range is a run of consecutive ranks, so a column needs
+//! only its φ − 1 boundary ranks, not its full order: they are placed by
+//! recursive selection in O(N log φ) per column, where sorting the column
+//! would cost O(N log N).
+//!
 //! Missing values never land in a range: a record covers a k-dimensional
 //! cube only if all k attributes are present and inside the cube's ranges
 //! (this is what lets the method mine datasets with missing attributes,
@@ -19,16 +24,18 @@ pub const MISSING_CELL: u16 = u16::MAX;
 /// How attribute values are mapped to the φ grid ranges.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DiscretizeStrategy {
-    /// Rank-based equi-depth: the `n` present values of a dimension are
-    /// sorted and split into φ consecutive runs of (near-)equal length, so
-    /// every range holds as close to `n/φ` records as integer arithmetic
-    /// allows — even in the presence of massive ties. This matches the
-    /// `N·f^k` expectation in Eq. 1 as exactly as possible and is the
-    /// library default.
+    /// Rank-based equi-depth: the `n` present values of a dimension,
+    /// ranked by value, are split into φ consecutive runs of (near-)equal
+    /// length, so every range holds as close to `n/φ` records as integer
+    /// arithmetic allows — even in the presence of massive ties. This
+    /// matches the `N·f^k` expectation in Eq. 1 as exactly as possible and
+    /// is the library default. Range `j` holds ranks `⌈j·n/φ⌉..⌈(j+1)·n/φ⌉`;
+    /// only those φ − 1 boundaries are selected, not the whole order, at
+    /// O(n log φ) per dimension.
     ///
     /// Ties that straddle a boundary are split deterministically by row
-    /// order (stable sort), trading a little interpretability for exact
-    /// depth balance.
+    /// order (the rank of a tie is its row's), trading a little
+    /// interpretability for exact depth balance.
     EquiDepth,
     /// Equi-width: the observed `[min, max]` of each dimension is split into
     /// φ equal-length intervals. Kept for the ablation; ranges in dense
@@ -86,12 +93,20 @@ impl Discretized {
         let n_dims = dataset.n_dims();
         let mut cells = vec![MISSING_CELL; n_rows * n_dims];
         let mut ranges = Vec::with_capacity(n_dims);
+        // One column of values, one of cells and one of sort keys, reused
+        // across all the columns.
+        let mut column = Vec::with_capacity(n_rows);
+        let mut assignment = vec![MISSING_CELL; n_rows];
+        let mut keys = Vec::new();
         for dim in 0..n_dims {
-            let column = dataset.column(dim);
-            let assignment = match strategy {
-                DiscretizeStrategy::EquiDepth => equi_depth_assign(&column, phi),
-                DiscretizeStrategy::EquiWidth => equi_width_assign(&column, phi),
-            };
+            column.clear();
+            column.extend((0..n_rows).map(|row| dataset.value(row, dim)));
+            match strategy {
+                DiscretizeStrategy::EquiDepth => {
+                    equi_depth_assign(&column, phi, &mut keys, &mut assignment)
+                }
+                DiscretizeStrategy::EquiWidth => equi_width_assign(&column, phi, &mut assignment),
+            }
             let mut dim_ranges = vec![
                 GridRange {
                     lo: f64::INFINITY,
@@ -100,11 +115,10 @@ impl Discretized {
                 };
                 phi as usize
             ];
-            for (row, cell) in assignment.into_iter().enumerate() {
+            for (row, (&cell, &v)) in assignment.iter().zip(&column).enumerate() {
                 cells[row * n_dims + dim] = cell;
                 if cell != MISSING_CELL {
                     let r = &mut dim_ranges[cell as usize];
-                    let v = column[row];
                     r.lo = r.lo.min(v);
                     r.hi = r.hi.max(v);
                     r.count += 1;
@@ -182,31 +196,74 @@ impl Discretized {
     }
 }
 
-/// Rank-based equi-depth assignment of one column. NaNs get [`MISSING_CELL`].
-fn equi_depth_assign(column: &[f64], phi: u32) -> Vec<u16> {
-    let n = column.len();
-    // Sort by value, ties by row, making the split deterministic. `-0.0` is
-    // keyed as `0.0`: `total_cmp` orders the two zeros, but they are equal
-    // values and must tie like any other.
-    let mut present: Vec<(f64, usize)> = (0..n)
-        .filter(|&i| !column[i].is_nan())
-        .map(|i| (if column[i] == 0.0 { 0.0 } else { column[i] }, i))
-        .collect();
-    present.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-    let m = present.len();
-    let mut cells = vec![MISSING_CELL; n];
-    for (rank, &(_, row)) in present.iter().enumerate() {
-        // Range of rank r in a φ-way split of m items: floor(r·φ/m),
-        // clamped for safety at the top.
-        let cell = ((rank as u64 * phi as u64) / m.max(1) as u64).min(phi as u64 - 1);
-        cells[row] = cell as u16;
+/// Rank-based equi-depth assignment of one column into `cells`, through
+/// the reused key buffer `keys`. NaNs get [`MISSING_CELL`].
+///
+/// With `m` present values in `(value, row)` order, range `j` holds ranks
+/// `⌈j·m/φ⌉..⌈(j+1)·m/φ⌉`. Only the φ − 1 boundary ranks are placed, by
+/// [`split_at_boundaries`]; each range's members are then one contiguous,
+/// unordered slice of `keys`.
+fn equi_depth_assign(column: &[f64], phi: u32, keys: &mut Vec<u128>, cells: &mut [u16]) {
+    keys.clear();
+    keys.extend(
+        column
+            .iter()
+            .enumerate()
+            .filter(|(_, v)| !v.is_nan())
+            .map(|(row, &v)| rank_key(v, row)),
+    );
+    let m = keys.len() as u64;
+    let bound = |j: u32| ((u64::from(j) * m).div_ceil(u64::from(phi))) as usize;
+    split_at_boundaries(keys, 0..phi, &bound);
+    cells.fill(MISSING_CELL);
+    for j in 0..phi {
+        for &key in &keys[bound(j)..bound(j + 1)] {
+            cells[key as u64 as usize] = j as u16;
+        }
     }
-    cells
 }
 
-/// Equal-width assignment over the observed min..max. NaNs get
-/// [`MISSING_CELL`]; a constant column puts everything in range 0.
-fn equi_width_assign(column: &[f64], phi: u32) -> Vec<u16> {
+/// The sort key of a present value: its order-preserving bits above its
+/// row, so that integer order is value order with ties by row. `-0.0` is
+/// keyed as `0.0`: the two zeros are one value and must tie like any other.
+fn rank_key(v: f64, row: usize) -> u128 {
+    let bits = if v == 0.0 { 0 } else { v.to_bits() };
+    // Negative values flip every bit, so larger magnitudes sort lower;
+    // non-negative ones set the sign bit to sort above them all.
+    let ordered = if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    };
+    (u128::from(ordered) << 64) | row as u128
+}
+
+/// Partitions `keys`, which hold exactly the ranks `bound(ranges.start)..
+/// bound(ranges.end)`, so that the members of every range in `ranges`
+/// occupy its ranks. The middle boundary is placed first by selection, then
+/// each side recursively: O(m log φ) for `m` keys and φ ranges, where
+/// sorting them costs O(m log m).
+fn split_at_boundaries(
+    keys: &mut [u128],
+    ranges: std::ops::Range<u32>,
+    bound: &impl Fn(u32) -> usize,
+) {
+    if ranges.len() <= 1 || keys.len() <= 1 {
+        return;
+    }
+    let mid = ranges.start + (ranges.end - ranges.start) / 2;
+    let at = bound(mid) - bound(ranges.start);
+    if 0 < at && at < keys.len() {
+        keys.select_nth_unstable(at);
+    }
+    let (below, above) = keys.split_at_mut(at);
+    split_at_boundaries(below, ranges.start..mid, bound);
+    split_at_boundaries(above, mid..ranges.end, bound);
+}
+
+/// Equal-width assignment over the observed min..max into `cells`. NaNs
+/// get [`MISSING_CELL`]; a constant column puts everything in range 0.
+fn equi_width_assign(column: &[f64], phi: u32, cells: &mut [u16]) {
     let mut lo = f64::INFINITY;
     let mut hi = f64::NEG_INFINITY;
     for &v in column {
@@ -216,18 +273,15 @@ fn equi_width_assign(column: &[f64], phi: u32) -> Vec<u16> {
         }
     }
     let width = (hi - lo) / phi as f64;
-    column
-        .iter()
-        .map(|&v| {
-            if v.is_nan() {
-                MISSING_CELL
-            } else if width <= 0.0 || !width.is_finite() {
-                0
-            } else {
-                (((v - lo) / width) as u64).min(phi as u64 - 1) as u16
-            }
-        })
-        .collect()
+    for (cell, &v) in cells.iter_mut().zip(column) {
+        *cell = if v.is_nan() {
+            MISSING_CELL
+        } else if width <= 0.0 || !width.is_finite() {
+            0
+        } else {
+            (((v - lo) / width) as u64).min(phi as u64 - 1) as u16
+        };
+    }
 }
 
 #[cfg(test)]

@@ -1,8 +1,10 @@
 //! Reading a CSV file holds the values and one chunk of text, never the
 //! whole text: measured with the counting allocator, the bytes live at the
 //! peak of `read_path` on a 20,000 × 20 CSV (7.71 MB) stay below the
-//! file's length. Measured: 4.26 MB, the value buffer (doubled to 524,288
-//! numbers) and the 64 KiB chunk. Reading the text whole held 11.90 MB.
+//! file's length. Measured: 3.31 MB, the value buffer (400,000 numbers,
+//! sized from the file's length with 1/64 to spare) and the 64 KiB chunk.
+//! Growing the buffer by doubling held 4.26 MB; reading the text whole
+//! held 11.90 MB.
 //!
 //! This binary holds a single test so no other test's allocations land
 //! between the two counter reads.

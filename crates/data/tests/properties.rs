@@ -1,5 +1,6 @@
 //! Seeded property tests for the data substrate: equi-depth and equi-width
-//! discretization, dataset selection, the generators, and the CSV reader
+//! discretization (equi-depth checked against the sort-based grid its
+//! boundary selection replaced), dataset selection, the generators, and the CSV reader
 //! and writer, including robustness on arbitrary and adversarially quoted
 //! text and a differential check of the tokenizer, whole and fed a few
 //! bytes per read, against a character-at-a-time reference parser. All run
@@ -9,7 +10,7 @@
 use hdoutlier_data::csv::{
     parse_records, read_from, read_str, write_string, ColumnRef, CsvOptions,
 };
-use hdoutlier_data::discretize::{DiscretizeStrategy, Discretized, MISSING_CELL};
+use hdoutlier_data::discretize::{DiscretizeStrategy, Discretized, GridRange, MISSING_CELL};
 use hdoutlier_data::generators::{correlated, uniform, CorrelatedConfig};
 use hdoutlier_data::{DataError, Dataset};
 use hdoutlier_rng::rngs::StdRng;
@@ -99,6 +100,117 @@ fn equi_depth_ties_both_zeros_in_row_order() {
     assert_eq!(cells, [0, 1, 1, 2, 0, 2]);
     let counts: Vec<usize> = (0..3).map(|r| disc.grid_range(0, r).count).collect();
     assert_eq!(counts, [2, 2, 2]);
+}
+
+/// The sort-based equi-depth grid that boundary selection replaced, kept as
+/// the oracle: each column's present values sorted by value (`-0.0` keyed
+/// as `0.0`), ties by row; rank `r` of `m` in range `⌊r·φ/m⌋`; each range's
+/// bounds folded over its members in row order. Returns `cells[dim][row]`
+/// and `ranges[dim][range]`.
+fn oracle_equi_depth(ds: &Dataset, phi: u32) -> (Vec<Vec<u16>>, Vec<Vec<GridRange>>) {
+    let mut all_cells = Vec::new();
+    let mut all_ranges = Vec::new();
+    for dim in 0..ds.n_dims() {
+        let column = ds.column(dim);
+        let mut present: Vec<(f64, usize)> = (0..column.len())
+            .filter(|&i| !column[i].is_nan())
+            .map(|i| (if column[i] == 0.0 { 0.0 } else { column[i] }, i))
+            .collect();
+        present.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let m = present.len();
+        let mut cells = vec![MISSING_CELL; column.len()];
+        for (rank, &(_, row)) in present.iter().enumerate() {
+            let cell = ((rank as u64 * phi as u64) / m.max(1) as u64).min(phi as u64 - 1);
+            cells[row] = cell as u16;
+        }
+        let empty = GridRange {
+            lo: f64::INFINITY,
+            hi: f64::NEG_INFINITY,
+            count: 0,
+        };
+        let mut ranges = vec![empty; phi as usize];
+        for (row, &cell) in cells.iter().enumerate() {
+            if cell != MISSING_CELL {
+                let r = &mut ranges[cell as usize];
+                r.lo = r.lo.min(column[row]);
+                r.hi = r.hi.max(column[row]);
+                r.count += 1;
+            }
+        }
+        all_cells.push(cells);
+        all_ranges.push(ranges);
+    }
+    (all_cells, all_ranges)
+}
+
+/// A value for the discretization oracle: mostly from a small pool, so
+/// ties are heavy, with NaN, both zeros, both infinities, subnormals and
+/// the extremes among them.
+fn awkward_value(rng: &mut StdRng, pool: &[f64]) -> f64 {
+    match rng.gen_range(0..10) {
+        0 => f64::NAN,
+        1 => [0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY][rng.gen_range(0..4usize)],
+        2 => {
+            let subnormal = f64::from_bits(rng.gen_range(1..1 << 52));
+            [subnormal, -subnormal, f64::MIN_POSITIVE, f64::MAX, f64::MIN][rng.gen_range(0..5usize)]
+        }
+        3 => rng.gen_range(-1e6..1e6),
+        _ => pool[rng.gen_range(0..pool.len())],
+    }
+}
+
+/// The shipped equi-depth grid is the sort-based one, cell for cell and
+/// bit for bit in every range's bounds, across heavy ties, NaN, ±0.0,
+/// ±inf, subnormals, all-missing columns, 0 to ~300 present values, and φ
+/// of 1, 2, m − 1, m, m + 1 and 65534 around a column's present count m.
+#[test]
+fn equi_depth_matches_the_sort_based_oracle() {
+    for_each_case(0xda7a_000e, 512, |rng| {
+        let rows = match rng.gen_range(0..4) {
+            0 => rng.gen_range(1..6),
+            1 | 2 => rng.gen_range(1..40),
+            _ => rng.gen_range(40..300),
+        };
+        let dims = rng.gen_range(1..5);
+        let pool: Vec<f64> = (0..rng.gen_range(1..6))
+            .map(|_| awkward_value(rng, &[1.0]))
+            .collect();
+        let all_missing = rng.gen_bool(0.2).then(|| rng.gen_range(0..dims));
+        let values = (0..rows * dims)
+            .map(|i| match all_missing == Some(i % dims) {
+                true => f64::NAN,
+                false => awkward_value(rng, &pool),
+            })
+            .collect();
+        let ds = Dataset::new(values, rows, dims).unwrap();
+        let dim = rng.gen_range(0..dims);
+        let m = (0..rows).filter(|&i| !ds.is_missing(i, dim)).count() as u32;
+        let phi = match rng.gen_range(0..7) {
+            0 => 1,
+            1 => 2,
+            2 => m.saturating_sub(1).max(1),
+            3 => m.max(1),
+            4 => m + 1,
+            5 => 65534,
+            _ => rng.gen_range(1..20),
+        };
+
+        let disc = Discretized::new(&ds, phi, DiscretizeStrategy::EquiDepth).unwrap();
+        let (cells, ranges) = oracle_equi_depth(&ds, phi);
+        for dim in 0..dims {
+            for (row, &cell) in cells[dim].iter().enumerate() {
+                assert_eq!(disc.cell(row, dim), cell, "φ={phi} row {row} dim {dim}");
+            }
+            for (r, want) in ranges[dim].iter().enumerate() {
+                let got = disc.grid_range(dim, r as u16);
+                assert_eq!(
+                    (got.lo.to_bits(), got.hi.to_bits(), got.count),
+                    (want.lo.to_bits(), want.hi.to_bits(), want.count),
+                    "φ={phi} dim {dim} range {r}: {got:?} vs {want:?}"
+                );
+            }
+        }
+    });
 }
 
 #[test]
