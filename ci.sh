@@ -46,7 +46,11 @@ cargo test -q --offline --workspace
 #   hdoutlier_rng::for_each_case, which prints the seed that replays a
 #   failing case. The CSV tokenizer's differential property checks the
 #   whole-text reader and the chunked one, fed 1 to 16 bytes per read,
-#   against a reference parser, and the equi-depth grid, built by boundary
+#   against a reference parser, on texts of up to 96 tokens that put stop
+#   bytes at every offset of the word-at-a-time scan and include characters
+#   sharing the `§` delimiter's first byte and Unicode whitespace; the
+#   stream's `parse_row` has the same cases against its own reference
+#   (crates/stream/src/pipeline.rs). The equi-depth grid, built by boundary
 #   selection, against the sort-based assignment it replaced, cell for cell
 #   and bit for bit in each range's bounds, over ties, NaN, ±0, ±inf,
 #   subnormals and φ up to 65534 (crates/data/tests/properties.rs).

@@ -17,6 +17,15 @@
 //! yielded; [`parse_records`] copies fields into `String`s for the
 //! cleaning passes; the stream pipeline parses one line into its row.
 //!
+//! The tokenizer scans an unquoted run a word at a time: it loads eight
+//! bytes as a `u64`, marks the four bytes that can end the run (`"`, `\n`,
+//! `\r` and the delimiter's first UTF-8 byte) with the zero-byte bit trick
+//! and jumps to the first of them. For a multi-byte delimiter a hit on its
+//! first byte ends the run only where the whole delimiter follows, so one
+//! byte then tells the terminator's kind. Both numeric readers convert a
+//! field by one rule, [`parse_field`]: trimmed, a missing marker is NaN,
+//! anything else goes to `str::parse::<f64>`.
+//!
 //! [`read_path`] and [`read_from`] never hold the whole text: they read it
 //! in 64 KiB chunks, each cut after its last line break outside quotes
 //! and fed through the same record loop as [`read_str`]. Reading a file
@@ -34,6 +43,7 @@
 //! peak of reading a file stay below its length (`tests/csv_peak.rs`).
 
 use crate::dataset::{DataError, Dataset};
+use std::collections::HashMap;
 use std::io::{self, Read};
 use std::path::Path;
 
@@ -260,9 +270,9 @@ struct Records<'o> {
     label: Result<Option<usize>, DataError>,
     values: Vec<f64>,
     labels: Vec<u32>,
-    /// Label strings in order of first appearance; a label's code is its
-    /// position here.
-    label_codes: Vec<String>,
+    /// Each label seen, with its code: the number of distinct labels
+    /// before its first appearance.
+    label_codes: HashMap<String, u32>,
     n_rows: usize,
     /// The first data record's width, which every record must have.
     width: usize,
@@ -280,7 +290,7 @@ impl<'o> Records<'o> {
             label: label_index(options, None),
             values: Vec::new(),
             labels: Vec::new(),
-            label_codes: Vec::new(),
+            label_codes: HashMap::new(),
             n_rows: 0,
             width: 0,
             ragged: None,
@@ -315,20 +325,19 @@ impl<'o> Records<'o> {
             ..
         } = self;
         let mut convert = |j: usize, field: &str| {
-            let t = field.trim();
             if Some(j) == label_idx {
-                let code = match label_codes.iter().position(|c| c == t) {
-                    Some(c) => c,
+                let t = trim(field);
+                let code = match label_codes.get(t) {
+                    Some(&c) => c,
                     None => {
-                        label_codes.push(t.to_string());
-                        label_codes.len() - 1
+                        let c = label_codes.len() as u32;
+                        label_codes.insert(t.to_string(), c);
+                        c
                     }
                 };
-                labels.push(code as u32);
-            } else if options.missing_markers.iter().any(|m| m == t) {
-                values.push(f64::NAN);
+                labels.push(code);
             } else {
-                values.push(t.parse::<f64>().unwrap_or(f64::NAN));
+                values.push(parse_field(field, &options.missing_markers).unwrap_or(f64::NAN));
             }
         };
         while let Some(n) = tokens.next_record(&mut convert)? {
@@ -407,6 +416,33 @@ impl<'o> Records<'o> {
             ds.set_labels(self.labels)?;
         }
         Ok(ds)
+    }
+}
+
+/// A field's number: NaN when the trimmed field is one of the `missing`
+/// markers, else the trimmed field parsed by `str::parse::<f64>`.
+///
+/// # Errors
+/// The trimmed field, when it is not a marker and does not parse; each
+/// caller decides whether that is a missing value or an error.
+pub fn parse_field<'f>(field: &'f str, missing: &[String]) -> Result<f64, &'f str> {
+    let t = trim(field);
+    if missing.iter().any(|m| m == t) {
+        return Ok(f64::NAN);
+    }
+    t.parse::<f64>().map_err(|_| t)
+}
+
+/// `field.trim()`, which a field whose first and last bytes are ASCII
+/// other than whitespace leaves as it is; only other fields are scanned.
+fn trim(field: &str) -> &str {
+    // `char::is_whitespace` in ASCII: tab, line feed, vertical tab, form
+    // feed, carriage return and space.
+    let kept = |b: u8| b.is_ascii() && !matches!(b, b'\t'..=b'\r' | b' ');
+    match field.as_bytes() {
+        [first, .., last] if kept(*first) && kept(*last) => field,
+        [only] if kept(*only) => field,
+        _ => field.trim(),
     }
 }
 
@@ -572,17 +608,51 @@ impl<'t> Tokenizer<'t> {
         &mut self,
         mut field: impl FnMut(usize, &str),
     ) -> Result<Option<usize>, DataError> {
+        let text = self.text;
+        let bytes = text.as_bytes();
         loop {
-            if self.pos == self.text.len() {
+            if self.pos == bytes.len() {
                 return Ok(None);
             }
             let mut n = 0;
             loop {
-                let (value, quoted, end) = self.next_field()?;
-                let value = match value {
-                    Value::Slice(start, end) => &self.text[start..end],
-                    Value::Unescaped => self.unescaped.as_str(),
+                let start = self.pos;
+                let quoted = bytes.get(start) == Some(&b'"');
+                let (value, stop) = if quoted {
+                    let close = self.closing_quote(start + 1)?;
+                    let stop = self.run_end(close + 1);
+                    let value = match self.quoted_value(start + 1, close, stop) {
+                        Value::Slice(from, to) => &text[from..to],
+                        Value::Unescaped => self.unescaped.as_str(),
+                    };
+                    (value, stop)
+                } else {
+                    let stop = self.run_end(start);
+                    (&text[start..stop], stop)
                 };
+                // `run_end` stops only at a quote, a line break or a whole
+                // delimiter, so one byte tells them apart. A delimiter's
+                // first byte is tested before the line breaks, which it may
+                // be.
+                let (end, next) = match bytes.get(stop) {
+                    None => (End::Text, stop),
+                    // The run before this quote is not empty: a quote
+                    // opening a field starts a quoted one, and a closing
+                    // quote is never followed by another (that would be a
+                    // `""` escape).
+                    Some(b'"') => {
+                        return Err(DataError::Parse(format!(
+                            "unexpected quote inside unquoted field at record {}",
+                            self.records + 1
+                        )))
+                    }
+                    Some(&b) if b == self.delimiter[0] => {
+                        (End::Delimiter, stop + self.delimiter_len)
+                    }
+                    Some(b'\r') if bytes.get(stop + 1) == Some(&b'\n') => (End::Line, stop + 2),
+                    Some(_) => (End::Line, stop + 1),
+                };
+                self.pos = next;
                 if n == 0 && end == End::Line && !quoted && value.is_empty() {
                     break; // a blank line
                 }
@@ -594,39 +664,6 @@ impl<'t> Tokenizer<'t> {
                 }
             }
         }
-    }
-
-    /// Scans the field at `pos` and moves `pos` past its terminator.
-    /// Returns the value, whether the field was quoted, and how it ended.
-    fn next_field(&mut self) -> Result<(Value, bool, End), DataError> {
-        let bytes = self.text.as_bytes();
-        let start = self.pos;
-        let quoted = bytes.get(start) == Some(&b'"');
-        let (value, stop) = if quoted {
-            let close = self.closing_quote(start + 1)?;
-            let stop = self.run_end(close + 1);
-            (self.quoted_value(start + 1, close, stop), stop)
-        } else {
-            let stop = self.run_end(start);
-            (Value::Slice(start, stop), stop)
-        };
-        let (end, next) = match bytes.get(stop) {
-            None => (End::Text, stop),
-            // The run before this quote is not empty: a quote opening a
-            // field starts a quoted one, and a closing quote is never
-            // followed by another (that would be a `""` escape).
-            Some(b'"') => {
-                return Err(DataError::Parse(format!(
-                    "unexpected quote inside unquoted field at record {}",
-                    self.records + 1
-                )))
-            }
-            Some(_) if self.is_delimiter(stop) => (End::Delimiter, stop + self.delimiter_len),
-            Some(b'\r') if bytes.get(stop + 1) == Some(&b'\n') => (End::Line, stop + 2),
-            Some(_) => (End::Line, stop + 1),
-        };
-        self.pos = next;
-        Ok((value, quoted, end))
     }
 
     /// A quoted field's value: the content from `content` to the closing
@@ -665,22 +702,63 @@ impl<'t> Tokenizer<'t> {
 
     /// The end of the unquoted run starting at `from`: the next quote,
     /// delimiter or line break, or the end of the text.
-    fn run_end(&self, from: usize) -> usize {
+    ///
+    /// The run is scanned eight bytes at a time for the four stop bytes:
+    /// `"`, `\n`, `\r` and the delimiter's first byte. For a multi-byte
+    /// delimiter that byte also starts other characters, so a hit on it
+    /// ends the run only where the whole delimiter follows.
+    fn run_end(&self, mut from: usize) -> usize {
         let bytes = self.text.as_bytes();
-        let mut i = from;
-        while let Some(&b) = bytes.get(i) {
-            if matches!(b, b'"' | b'\n' | b'\r') || (b == self.delimiter[0] && self.is_delimiter(i))
+        loop {
+            let stop = self.next_stop(from);
+            if self.delimiter_len == 1
+                || bytes.get(stop) != Some(&self.delimiter[0])
+                || self.is_delimiter(stop)
             {
-                break;
+                return stop;
             }
-            i += 1;
+            from = stop + 1;
         }
-        i
+    }
+
+    /// The first stop byte at or after `from`, or the end of the text.
+    fn next_stop(&self, mut from: usize) -> usize {
+        let bytes = self.text.as_bytes();
+        let lead = self.delimiter[0];
+        while let Some(word) = bytes.get(from..from + 8) {
+            let word = u64::from_le_bytes(word.try_into().expect("eight bytes"));
+            let hits = zero_bytes(word ^ splat(b'"'))
+                | zero_bytes(word ^ splat(b'\n'))
+                | zero_bytes(word ^ splat(b'\r'))
+                | zero_bytes(word ^ splat(lead));
+            if hits != 0 {
+                // The lowest marked byte is the first stop byte.
+                return from + (hits.trailing_zeros() / 8) as usize;
+            }
+            from += 8;
+        }
+        bytes[from..]
+            .iter()
+            .position(|&b| matches!(b, b'"' | b'\n' | b'\r') || b == lead)
+            .map_or(bytes.len(), |i| from + i)
     }
 
     fn is_delimiter(&self, i: usize) -> bool {
         self.text.as_bytes()[i..].starts_with(&self.delimiter[..self.delimiter_len])
     }
+}
+
+/// `byte` in each of a word's eight bytes.
+const fn splat(byte: u8) -> u64 {
+    u64::from_le_bytes([byte; 8])
+}
+
+/// A word with the high bit set in each byte of `word` that is zero, and
+/// possibly in bytes above one that is zero: a borrow out of a zero byte
+/// can mark the byte above it. The lowest set bit therefore always marks
+/// the first zero byte, also when several such words are or-ed together.
+const fn zero_bytes(word: u64) -> u64 {
+    word.wrapping_sub(splat(0x01)) & !word & splat(0x80)
 }
 
 #[cfg(test)]
@@ -757,6 +835,40 @@ mod tests {
         let recs = parse_records("\"\"\nx\n", ',').unwrap();
         assert_eq!(recs.len(), 2);
         assert_eq!(recs[0], vec![String::new()]);
+    }
+
+    #[test]
+    fn trim_agrees_with_str_trim() {
+        let ends = (0..128u8)
+            .map(char::from)
+            .chain(['\u{85}', '\u{a0}', '\u{3000}', 'é']);
+        for c in ends {
+            for field in [
+                c.to_string(),
+                format!("{c}1"),
+                format!("1{c}"),
+                format!("{c}1{c}"),
+            ] {
+                assert_eq!(trim(&field), field.trim(), "{field:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn labels_are_coded_in_order_of_first_appearance() {
+        // Thousands of distinct labels, each seen again later.
+        let ids: Vec<usize> = (0..5_000).chain((0..5_000).rev()).collect();
+        let mut text = String::from("x,id\n");
+        for id in &ids {
+            text.push_str(&format!("1, L{} \n", id * 7 % 5_000));
+        }
+        let options = CsvOptions {
+            label_column: Some(ColumnRef::Name("id".into())),
+            ..CsvOptions::default()
+        };
+        let ds = read_str(&text, &options).unwrap();
+        let want: Vec<u32> = ids.iter().map(|&i| i as u32).collect();
+        assert_eq!(ds.labels(), Some(&want[..]));
     }
 
     #[test]

@@ -45,6 +45,9 @@ pub struct BoundedBest<T> {
     capacity: usize,
     // Max-heap on score: the root is the *worst* member, evicted first.
     heap: std::collections::BinaryHeap<Entry<T>>,
+    /// Items inserted so far: the next item's `seq`, so that among tied
+    /// members the newest is evicted first.
+    inserted: u64,
 }
 
 #[derive(Debug, Clone)]
@@ -78,6 +81,7 @@ impl<T> BoundedBest<T> {
         Self {
             capacity,
             heap: std::collections::BinaryHeap::with_capacity(capacity + 1),
+            inserted: 0,
         }
     }
 
@@ -120,7 +124,8 @@ impl<T> BoundedBest<T> {
 
     /// Inserts an admitted item, evicting the worst member when full.
     fn insert(&mut self, score: f64, item: T) -> Option<T> {
-        let seq = self.heap.len() as u64;
+        let seq = self.inserted;
+        self.inserted += 1;
         let evicted = if self.heap.len() == self.capacity {
             self.heap.pop().map(|e| e.item)
         } else {
@@ -141,11 +146,14 @@ impl<T> BoundedBest<T> {
     }
 
     /// Consumes the collection, returning `(score, item)` pairs sorted
-    /// ascending by score (best first).
+    /// ascending by score (best first), tied items in the order they were
+    /// pushed.
     pub fn into_sorted(self) -> Vec<(f64, T)> {
-        let mut v: Vec<(f64, T)> = self.heap.into_iter().map(|e| (e.score, e.item)).collect();
-        v.sort_by(|a, b| cmp_nan_last(a.0, b.0));
-        v
+        self.heap
+            .into_sorted_vec()
+            .into_iter()
+            .map(|e| (e.score, e.item))
+            .collect()
     }
 
     /// Iterates over retained items in unspecified order.
@@ -205,6 +213,16 @@ mod tests {
         assert!(b.push(1.5, "e"));
         assert_eq!(b.len(), 2);
         assert_eq!(b.into_sorted(), vec![(1.0, "a"), (1.5, "e")]);
+    }
+
+    #[test]
+    fn ties_evict_the_newest_once_full() {
+        let mut b = BoundedBest::new(2);
+        for (score, item) in [(5.0, "A"), (5.0, "B"), (3.0, "C"), (3.0, "D"), (1.0, "E")] {
+            b.push(score, item);
+        }
+        // D and C tie for worst when E arrives; the newer one, D, goes.
+        assert_eq!(b.into_sorted(), vec![(1.0, "E"), (3.0, "C")]);
     }
 
     #[test]

@@ -354,17 +354,25 @@ fn ranks_invert_argsort() {
 #[test]
 fn bounded_best_equals_the_naive_top_m() {
     for_each_case(0x57a7_000c, 256, |rng| {
-        let scores = floats(rng, 0..80, -1e3, 1e3);
+        let coarse = rng.gen_bool(0.5);
+        // Half the cases draw from nine scores, so that ties are common;
+        // `+ 0.0` turns −0.0 into 0.0, which the set ties with it but
+        // `total_cmp` would not.
+        let scores: Vec<f64> = floats(rng, 0..80, -1e3, 1e3)
+            .into_iter()
+            .map(|s| if coarse { (s / 250.0).round() + 0.0 } else { s })
+            .collect();
         let m = rng.gen_range(0usize..20);
         let mut best = BoundedBest::new(m);
         for (i, &s) in scores.iter().enumerate() {
             best.push(s, i);
         }
-        let got: Vec<f64> = best.into_sorted().into_iter().map(|(s, _)| s).collect();
-        let mut want = scores.clone();
-        want.sort_by(f64::total_cmp);
+        // A stable sort keeps the earlier of two tied items first, which
+        // is the one the set keeps.
+        let mut want: Vec<(f64, usize)> = scores.iter().copied().zip(0..).collect();
+        want.sort_by(|a, b| a.0.total_cmp(&b.0));
         want.truncate(m);
-        assert_eq!(got, want, "m = {m}");
+        assert_eq!(best.into_sorted(), want, "m = {m}");
     });
 }
 
