@@ -14,10 +14,11 @@
 //!
 //! With `--assert-against <BENCH_detect.json>` the `threads` command becomes
 //! the regression gate for the shipped brute-force search and for
-//! `explain`'s view ranking: the one-worker time per scored cube
-//! (`threads-1`) and per ranked view (`explain-1`), each the fastest of
-//! three runs, go through [`assert_against`] against the baseline's stages
-//! of the same names.
+//! `explain`'s view ranking: the one-worker time per scored cube on each
+//! side of the walker's kernel selection (`threads-1` at φ = 5, k = 4, and
+//! `fallback-1` at φ = 16, k = 3) and per ranked view (`explain-1`), each
+//! the fastest of three runs, go through [`assert_against`] against the
+//! baseline's stages of the same names.
 
 use hdoutlier_bench::bench_json::{
     assert_against, reject_unknown_flags, take_flag, BenchReport, Percentiles,
@@ -96,7 +97,8 @@ fn main() {
                 .expect("the threads experiment measures every gated stage");
             elapsed_s * 1e6 / *records as f64
         };
-        let readings = ["threads-1", "explain-1"].map(|stage| (stage, us_per_record(stage)));
+        let readings =
+            ["threads-1", "fallback-1", "explain-1"].map(|stage| (stage, us_per_record(stage)));
         assert_against(&path, TOLERANCE, &readings);
     }
 }
@@ -242,6 +244,20 @@ fn run_threads(seed: Option<u64>) -> Vec<(String, u64, f64)> {
         "Best-m sets verified identical at every worker count. Speedup is \
          bounded by the hardware threads actually available."
     );
+    // φ = 16 puts every depth-(k−2) node on the partition fallback's side
+    // of the walker's kernel selection; the default shape is on the pair
+    // kernel's side.
+    let fallback = threads_exp::run(&threads_exp::Config {
+        phi: 16,
+        k: 3,
+        threads: vec![1],
+        ..config.clone()
+    });
+    println!(
+        "phi = 16, k = 3, one worker: {} cubes in {:.1} ms",
+        fallback[0].scored,
+        fallback[0].elapsed_s * 1e3
+    );
     let (views, elapsed_s) = threads_exp::explain_views(5_000, 40, config.seed);
     println!(
         "explain ranking, one worker: {views} views of one record at k = 1, 2, 3 \
@@ -253,6 +269,11 @@ fn run_threads(seed: Option<u64>) -> Vec<(String, u64, f64)> {
         .iter()
         .map(|r| (format!("threads-{}", r.threads), r.scored, r.elapsed_s))
         .collect();
+    stages.push((
+        "fallback-1".to_string(),
+        fallback[0].scored,
+        fallback[0].elapsed_s,
+    ));
     stages.push(("explain-1".to_string(), views, elapsed_s));
     stages
 }

@@ -10,6 +10,10 @@
 //! kept, which filters scheduler noise out of the `repro threads
 //! --assert-against` gate.
 //!
+//! `repro threads` also runs [`run`] at φ = 16, k = 3, one worker, where
+//! every depth-(k−2) node of the walker takes the partition fallback
+//! instead of the local posting index, so the gate covers both kernels.
+//!
 //! The same gate times `explain`'s view ranking at one worker
 //! ([`explain_views`]): every view of one record at k = 1, 2, 3, each
 //! needing one exact binomial tail, so a tail that goes back to summing

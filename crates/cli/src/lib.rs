@@ -72,8 +72,12 @@ pub fn run_to(argv: &[String], sink: &mut impl std::io::Write) -> (i32, String) 
         "detect" => commands::detect::run_to(rest, sink),
         "score" => emit(commands::score::run(rest), sink),
         "stream" => {
-            let stdin = std::io::stdin();
-            commands::stream::run_streaming(rest, stdin.lock(), sink)
+            // The pipeline flushes the sink before every refill, so the
+            // buffer size sets the reads and flushes a file costs (std's
+            // 8 KiB: 128 per MiB). A pipe's read returns what is already
+            // there, so a live feed still sees each verdict at once.
+            let stdin = std::io::BufReader::with_capacity(64 * 1024, std::io::stdin().lock());
+            commands::stream::run_streaming(rest, stdin, sink)
         }
         "serve" => commands::serve::run(rest),
         "explain" => commands::explain::run_to(rest, sink),

@@ -7,21 +7,39 @@
 //! tree depth-first, dimensions ascending and then ranges ascending, so
 //! memory stays `O(k)` bitmaps instead of materializing `R_i`.
 //!
-//! One walker, one counting kernel:
+//! One walker, two leaf kernels:
 //!
-//! - **Internal nodes** carry their partial cube as a bitmap. A depth-1
-//!   node reads its posting straight from the index; deeper nodes AND the
-//!   parent's bitmap with one posting into a per-depth scratch buffer.
-//! - **Depth k−1 nodes** extract their member rows once, then count every
-//!   leaf below them with one pass per remaining dimension over the index's
-//!   column-major code table: a φ+1 histogram of the members' ranges gives
-//!   the occupancy of all φ leaves along that dimension. Missing cells land
-//!   in the extra bucket, so they cover no cube (paper §1.2).
+//! - **Internal nodes above depth k−2** carry their partial cube as a
+//!   bitmap over all N rows. A depth-1 node reads its posting straight from
+//!   the index; deeper nodes AND the parent's bitmap with one posting into
+//!   a per-depth scratch buffer.
+//! - **Depth k−2 nodes** list their m member rows once and count the two
+//!   levels below them over those rows alone, with whichever kernel its
+//!   work estimate makes cheaper:
+//!   - the *pair kernel* builds a **local posting index**: for every later
+//!     dimension and range, a `⌈m/64⌉`-word bitmap over the members, filled
+//!     from the index's column-major code table in one pass per dimension.
+//!     A depth-(k−1) partial cube is one of these bitmaps, and each leaf is
+//!     the AND + popcount of two of them: `φ² · ⌈m/64⌉` word operations per
+//!     dimension pair.
+//!   - the *partition fallback* copies the members' codes into a **local
+//!     code table** (one `m`-long column per later dimension, so later
+//!     reads stay in cache), groups the members by their range on the
+//!     depth-(k−1) dimension with one counting sort, then counts every
+//!     group's φ leaves along each later dimension with one φ+1 histogram:
+//!     `m` code reads per dimension pair.
+//!
+//!   The pair kernel runs when `φ² · ⌈m/64⌉ ≤ 2m`: a code read costs about
+//!   two word operations (EXPERIMENTS.md "Local posting index"). At k = 2
+//!   the depth-0 node is the task root, whose members are all rows, so its
+//!   local tables are the index's own postings and code table. Missing
+//!   cells carry code φ, a bucket neither kernel reads, so they cover no
+//!   cube (paper §1.2).
 //! - **Leaves** copy their cube into the best-set only when it would be
 //!   admitted, into storage recycled from the member it evicts.
 //!
-//! Every buffer is allocated once per task, so the search allocates a
-//! constant amount per first dimension, not per node.
+//! Every buffer belongs to its task and only grows, so the search
+//! allocates a few times per first dimension, never per node.
 //!
 //! Two sound accelerations (results are identical to the naive sweep):
 //!
@@ -42,11 +60,17 @@ use hdoutlier_index::{BitmapCounter, GridIndex};
 use hdoutlier_obs as obs;
 use hdoutlier_stats::rank::BoundedBest;
 use hdoutlier_stats::SparsityParams;
+use std::ops::RangeInclusive;
 
 /// Profiler frame target: these spans exist for `--profile-out` stack
 /// attribution (one relaxed atomic load when profiling is off), not for
 /// the event log — the per-node rate would swamp any sink.
 const TARGET: &str = "hdoutlier.core";
+
+/// How many word operations (AND + popcount of two `u64`s) cost as much as
+/// one code read (a gather from the column-major code table plus a
+/// histogram increment): the exchange rate of [`pair_kernel_pays`].
+const WORD_OPS_PER_CODE_READ: u64 = 2;
 
 /// Configuration for [`brute_force_search_incremental_parallel`].
 #[derive(Debug, Clone)]
@@ -128,7 +152,7 @@ pub fn brute_force_search_incremental_parallel(
     };
     let tasks = hdoutlier_pool::map(threads, &first_dims, |_, &dim| {
         let _enumerate = obs::profile_span(TARGET, "enumerate");
-        Task::new(index, k, params, &task_config).run(dim)
+        Task::new(index, k, params, &task_config, dim).run(dim)
     });
     merge(&tasks, k, config.m, d)
 }
@@ -192,6 +216,29 @@ fn merge(tasks: &[TaskOutcome], k: usize, m: usize, d: usize) -> BruteForceOutco
 /// The depth-first walk of one task, with all of its scratch space.
 struct Task<'a> {
     index: &'a GridIndex,
+    tally: Tally<'a>,
+    /// Member rows of the current depth-(k−2) node below the root,
+    /// ascending: the first `m` entries, followed by scratch slots for
+    /// [`set_bits`]. Every such node lies inside one posting of the task's
+    /// dimension, so the largest of those postings bounds `m`.
+    members: Vec<u32>,
+    /// The pair kernel's local posting index: `⌈m/64⌉` words per later
+    /// dimension and code. It and the fallback's buffers grow to the
+    /// largest node that uses them (see [`grown`]).
+    postings: Vec<u64>,
+    /// The partition fallback's local code table (`m` codes per later
+    /// dimension), its members' positions grouped by range, and the group
+    /// bounds: group `c` is `groups[bounds[c]..bounds[c + 1]]`.
+    codes: Vec<u16>,
+    groups: Vec<u32>,
+    bounds: Vec<usize>,
+    /// Leaf occupancies along one dimension; bucket φ collects missing
+    /// cells.
+    hist: Vec<u32>,
+}
+
+/// The cube under construction and everything its leaves are scored into.
+struct Tally<'a> {
     config: &'a BruteForceConfig,
     params: SparsityParams,
     d: usize,
@@ -199,13 +246,6 @@ struct Task<'a> {
     phi: u16,
     /// The cube under construction, dimensions ascending.
     chosen: Vec<(u32, u16)>,
-    /// Member rows of the current depth-(k−1) partial cube: the first
-    /// `n_members` entries, followed by scratch slots for [`set_bits`].
-    members: Vec<u32>,
-    n_members: usize,
-    /// Per-range occupancy among `members` of one dimension; bucket φ
-    /// collects missing cells.
-    hist: Vec<u32>,
     best: BoundedBest<(usize, usize)>,
     /// m + 1 cube slots: the m members of `best` plus `spare`, the slot the
     /// next admitted leaf is written to.
@@ -222,52 +262,75 @@ impl<'a> Task<'a> {
         k: usize,
         params: SparsityParams,
         config: &'a BruteForceConfig,
+        dim: usize,
     ) -> Self {
         let phi = index.phi() as u16;
+        let members_len = if k > 2 {
+            let max_members = (0..phi).map(|range| index.posting(dim as u32, range).count());
+            max_members.max().unwrap_or(0) + SET_BITS_SLACK
+        } else {
+            0
+        };
         Self {
             index,
-            config,
-            params,
-            d: index.n_dims(),
-            k,
-            phi,
-            chosen: Vec::with_capacity(k),
-            members: vec![0; index.n_rows() + SET_BITS_SLACK],
-            n_members: 0,
+            tally: Tally {
+                config,
+                params,
+                d: index.n_dims(),
+                k,
+                phi,
+                chosen: Vec::with_capacity(k),
+                best: BoundedBest::new(config.m),
+                cubes: vec![(0, 0); (config.m + 1) * k],
+                spare: 0,
+                candidates: 0,
+                scored: 0,
+                budget_hit: false,
+            },
+            members: vec![0; members_len],
+            postings: Vec::new(),
+            codes: Vec::new(),
+            groups: Vec::new(),
+            bounds: vec![0; phi as usize + 3],
             hist: vec![0; phi as usize + 1],
-            best: BoundedBest::new(config.m),
-            cubes: vec![(0, 0); (config.m + 1) * k],
-            spare: 0,
-            candidates: 0,
-            scored: 0,
-            budget_hit: false,
         }
     }
 
     /// Walks every cube whose lowest dimension is `dim`.
     fn run(mut self, dim: usize) -> TaskOutcome {
-        if self.k == 1 {
-            self.score_leaves(dim);
-        } else {
-            // One bitmap per depth 2..k−1; depth 1 is a posting.
-            let n_words = self.index.n_rows().div_ceil(64);
-            let mut stack = vec![vec![0u64; n_words]; self.k - 2];
-            let index = self.index;
-            for range in 0..self.phi {
-                let posting = index.posting(dim as u32, range).words();
-                let nonempty = posting.iter().any(|&w| w != 0);
-                self.visit(dim, range, posting, nonempty, &mut stack);
-                if self.budget_hit {
-                    break;
+        match self.tally.k {
+            1 => {
+                {
+                    let _histogram = obs::profile_span(TARGET, "histogram");
+                    for &code in self.index.codes(dim as u32) {
+                        self.hist[code as usize] += 1;
+                    }
+                }
+                self.tally.score_leaves(dim, &self.hist);
+            }
+            2 => self.last_two_levels(dim..=dim, self.index.n_rows()),
+            k => {
+                // One bitmap per depth 2..=k−2; depth 1 is a posting.
+                let n_words = self.index.n_rows().div_ceil(64);
+                let mut stack = vec![vec![0u64; n_words]; k - 3];
+                let index = self.index;
+                for range in 0..self.tally.phi {
+                    let posting = index.posting(dim as u32, range).words();
+                    let nonempty = posting.iter().any(|&w| w != 0);
+                    self.visit(dim, range, posting, nonempty, &mut stack);
+                    if self.tally.budget_hit {
+                        break;
+                    }
                 }
             }
         }
+        let tally = self.tally;
         TaskOutcome {
-            best: self.best,
-            cubes: self.cubes,
-            candidates: self.candidates,
-            scored: self.scored,
-            completed: !self.budget_hit,
+            best: tally.best,
+            cubes: tally.cubes,
+            candidates: tally.candidates,
+            scored: tally.scored,
+            completed: !tally.budget_hit,
         }
     }
 
@@ -281,27 +344,23 @@ impl<'a> Task<'a> {
         nonempty: bool,
         stack: &mut [Vec<u64>],
     ) {
-        self.chosen.push((dim as u32, range));
-        if nonempty || !self.config.require_nonempty {
+        self.tally.chosen.push((dim as u32, range));
+        if nonempty || !self.tally.config.require_nonempty {
             self.node(partial, stack, dim);
         } else {
-            self.skip_subtree(dim);
+            self.tally.skip_subtree(dim);
         }
-        self.chosen.pop();
+        self.tally.chosen.pop();
     }
 
-    /// A node at depth `chosen.len()` in `1..k` with partial cube `partial`
-    /// and last chosen dimension `last_dim`.
+    /// A node at depth `chosen.len()` in `1..=k−2` with partial cube
+    /// `partial` and last chosen dimension `last_dim`.
     fn node(&mut self, partial: &[u64], stack: &mut [Vec<u64>], last_dim: usize) {
-        let depth = self.chosen.len();
-        if depth + 1 == self.k {
-            self.n_members = set_bits(partial, &mut self.members);
-            for dim in last_dim + 1..self.d {
-                self.score_leaves(dim);
-                if self.budget_hit {
-                    return;
-                }
-            }
+        let (d, k, phi) = (self.tally.d, self.tally.k, self.tally.phi);
+        let depth = self.tally.chosen.len();
+        if depth + 2 == k {
+            let m = set_bits(partial, &mut self.members);
+            self.last_two_levels(last_dim + 1..=d - 2, m);
             return;
         }
         let (child, rest) = stack
@@ -309,41 +368,205 @@ impl<'a> Task<'a> {
             .expect("one scratch bitmap per inner depth");
         let index = self.index;
         // Enough dimensions must remain to reach depth k.
-        for dim in last_dim + 1..=self.d - (self.k - depth) {
-            for range in 0..self.phi {
+        for dim in last_dim + 1..=d - (k - depth) {
+            for range in 0..phi {
                 let posting = index.posting(dim as u32, range).words();
                 let nonempty = {
                     let _intersect = obs::profile_span(TARGET, "intersect");
                     and_into(child, partial, posting)
                 };
                 self.visit(dim, range, child, nonempty, rest);
-                if self.budget_hit {
+                if self.tally.budget_hit {
                     return;
                 }
             }
         }
     }
 
-    /// Scores the φ leaves that extend the current cube by `dim`: one pass
-    /// over `dim`'s codes for the member rows (all rows when k = 1).
-    fn score_leaves(&mut self, dim: usize) {
-        let codes = self.index.codes(dim as u32);
-        self.hist.fill(0);
-        {
-            let _histogram = obs::profile_span(TARGET, "histogram");
-            if self.chosen.is_empty() {
-                for &code in codes {
-                    self.hist[code as usize] += 1;
+    /// Walks the two levels below the depth-(k−2) node whose member rows
+    /// are `members[..m]` (all rows at the task root); its children take
+    /// their dimension from `dims`. Each kernel reads a local table over the
+    /// members, one column per dimension from `dims.start()` on; at the
+    /// root those are the index's own postings and codes.
+    fn last_two_levels(&mut self, dims: RangeInclusive<usize>, m: usize) {
+        let (d, phi) = (self.tally.d, self.tally.phi as usize);
+        let index = self.index;
+        let root = self.tally.chosen.is_empty();
+        let first = *dims.start();
+        if pair_kernel_pays(phi, m) {
+            let _pairs = obs::profile_span(TARGET, "pairs");
+            if root {
+                let bitmap = |dim: usize, range: u16| index.posting(dim as u32, range).words();
+                pair_leaves(&mut self.tally, &mut self.hist, dims, bitmap);
+                return;
+            }
+            let (w, phi1) = (m.div_ceil(64), phi + 1);
+            let postings = grown(&mut self.postings, (d - first) * phi1 * w);
+            {
+                let _local = obs::profile_span(TARGET, "local_index");
+                let members = &self.members[..m];
+                for (slot, dim) in (first..d).enumerate() {
+                    let codes = index.codes(dim as u32);
+                    let bitmaps = &mut postings[slot * phi1 * w..][..phi1 * w];
+                    bitmaps.fill(0);
+                    for (i, &row) in members.iter().enumerate() {
+                        bitmaps[codes[row as usize] as usize * w + i / 64] |= 1 << (i % 64);
+                    }
                 }
-            } else {
-                for &row in &self.members[..self.n_members] {
-                    self.hist[codes[row as usize] as usize] += 1;
+            }
+            let postings = &*postings;
+            let bitmap = |dim: usize, range: u16| {
+                &postings[((dim - first) * phi1 + range as usize) * w..][..w]
+            };
+            pair_leaves(&mut self.tally, &mut self.hist, dims, bitmap);
+            return;
+        }
+        let _histogram = obs::profile_span(TARGET, "histogram");
+        let scratch = (
+            grown(&mut self.groups, m),
+            &mut self.bounds[..],
+            &mut self.hist[..],
+        );
+        if root {
+            let column = |dim: usize| index.codes(dim as u32);
+            group_leaves(&mut self.tally, scratch, dims, column);
+            return;
+        }
+        let local = grown(&mut self.codes, (d - first) * m);
+        {
+            let _local = obs::profile_span(TARGET, "local_index");
+            let members = &self.members[..m];
+            for (slot, dim) in (first..d).enumerate() {
+                let codes = index.codes(dim as u32);
+                for (code, &row) in local[slot * m..][..m].iter_mut().zip(members) {
+                    *code = codes[row as usize];
                 }
             }
         }
-        for range in 0..self.phi {
+        let codes = &*local;
+        let column = |dim: usize| &codes[(dim - first) * m..][..m];
+        group_leaves(&mut self.tally, scratch, dims, column);
+    }
+}
+
+/// The partition fallback below a depth-(k−2) node with `m` members:
+/// `column(dim)` is the node's local code column of `dim`, one code per
+/// member. Per child dimension, one counting sort groups the members by
+/// range; each group then counts its φ leaves along every later dimension
+/// with one histogram. `scratch` holds the grouped positions, the group
+/// bounds and the histogram.
+fn group_leaves<'b>(
+    tally: &mut Tally,
+    (positions, bounds, hist): (&mut [u32], &mut [usize], &mut [u32]),
+    dims: RangeInclusive<usize>,
+    column: impl Fn(usize) -> &'b [u16],
+) {
+    for d1 in dims {
+        // Counting sort, stable: the positions of code c end up, ascending,
+        // in positions[bounds[c]..bounds[c + 1]].
+        let codes = column(d1);
+        bounds.fill(0);
+        for &code in codes {
+            bounds[code as usize + 2] += 1;
+        }
+        for c in 2..bounds.len() {
+            bounds[c] += bounds[c - 1];
+        }
+        for (position, &code) in (0..).zip(codes) {
+            let slot = &mut bounds[code as usize + 1];
+            positions[*slot] = position;
+            *slot += 1;
+        }
+        for r1 in 0..tally.phi {
+            let group = &positions[bounds[r1 as usize]..bounds[r1 as usize + 1]];
+            tally.child(d1, r1, !group.is_empty(), |tally| {
+                for d2 in d1 + 1..tally.d {
+                    let codes = column(d2);
+                    hist.fill(0);
+                    for &position in group {
+                        hist[codes[position as usize] as usize] += 1;
+                    }
+                    tally.score_leaves(d2, hist);
+                    if tally.budget_hit {
+                        return;
+                    }
+                }
+            });
+            if tally.budget_hit {
+                return;
+            }
+        }
+    }
+}
+
+/// The pair kernel below a depth-(k−2) node: `bitmap(dim, range)` is the
+/// node's local posting of `(dim, range)`, so a child's partial cube is one
+/// bitmap and a leaf's occupancy the popcount of two ANDed.
+fn pair_leaves<'b>(
+    tally: &mut Tally,
+    hist: &mut [u32],
+    dims: RangeInclusive<usize>,
+    bitmap: impl Fn(usize, u16) -> &'b [u64],
+) {
+    let phi = tally.phi;
+    for d1 in dims {
+        for r1 in 0..phi {
+            let partial = bitmap(d1, r1);
+            tally.child(d1, r1, partial.iter().any(|&w| w != 0), |tally| {
+                for d2 in d1 + 1..tally.d {
+                    for (r2, count) in (0..phi).zip(hist.iter_mut()) {
+                        *count = and_count(partial, bitmap(d2, r2));
+                    }
+                    tally.score_leaves(d2, hist);
+                    if tally.budget_hit {
+                        return;
+                    }
+                }
+            });
+            if tally.budget_hit {
+                return;
+            }
+        }
+    }
+}
+
+/// The first `len` slots of `buffer`, which grows to fit but never
+/// shrinks: a task's scratch is sized by its largest node, and reallocated
+/// only when a node outgrows every one before it.
+fn grown<T: Copy + Default>(buffer: &mut Vec<T>, len: usize) -> &mut [T] {
+    if buffer.len() < len {
+        buffer.resize(len, T::default());
+    }
+    &mut buffer[..len]
+}
+
+/// Whether a depth-(k−2) node with `m` members counts its leaves faster
+/// with the pair kernel (`φ² · ⌈m/64⌉` word operations per dimension pair)
+/// than with the partition fallback (`m` code reads per dimension pair).
+fn pair_kernel_pays(phi: usize, m: usize) -> bool {
+    let word_ops = (phi as u64 * phi as u64).saturating_mul(m.div_ceil(64) as u64);
+    word_ops <= WORD_OPS_PER_CODE_READ * m as u64
+}
+
+impl Tally<'_> {
+    /// Enters the child `(dim, range)` of the current node and runs `walk`
+    /// on it, or skips its subtree when it is empty and pruning is on.
+    fn child(&mut self, dim: usize, range: u16, nonempty: bool, walk: impl FnOnce(&mut Self)) {
+        self.chosen.push((dim as u32, range));
+        if nonempty || !self.config.require_nonempty {
+            walk(self);
+        } else {
+            self.skip_subtree(dim);
+        }
+        self.chosen.pop();
+    }
+
+    /// Scores the φ leaves that extend the current cube by `dim`, whose
+    /// occupancies are `counts[..φ]`.
+    fn score_leaves(&mut self, dim: usize, counts: &[u32]) {
+        for (range, &count) in (0..self.phi).zip(counts) {
             self.chosen.push((dim as u32, range));
-            self.score_leaf(self.hist[range as usize] as usize);
+            self.score_leaf(count as usize);
             self.chosen.pop();
             if self.budget_hit {
                 return;
@@ -427,6 +650,11 @@ fn and_into(out: &mut [u64], a: &[u64], b: &[u64]) -> bool {
     any != 0
 }
 
+/// The number of bits set in both `a` and `b`.
+fn and_count(a: &[u64], b: &[u64]) -> u32 {
+    a.iter().zip(b).map(|(&x, &y)| (x & y).count_ones()).sum()
+}
+
 /// Exact binomial coefficient in u64 (saturating).
 fn binomial_u64(n: u64, k: u64) -> u64 {
     if k > n {
@@ -449,7 +677,7 @@ mod tests {
     use crate::fitness::SparsityFitness;
     use hdoutlier_data::discretize::{DiscretizeStrategy, Discretized};
     use hdoutlier_data::generators::{planted_outliers, uniform, PlantedConfig};
-    use hdoutlier_index::{Cube, CubeCounter};
+    use hdoutlier_index::{Cube, CubeCounter, NaiveCounter};
 
     fn fixture(n: usize, d: usize, phi: u32, seed: u64) -> BitmapCounter {
         let ds = uniform(n, d, seed);
@@ -735,6 +963,42 @@ mod tests {
                     assert_eq!(a.count, b.count);
                 }
             }
+        }
+    }
+
+    #[test]
+    fn local_tables_fit_every_node_of_a_task() {
+        // Dimension 1 is missing wherever dimension 0 is in its lowest
+        // quarter and equals dimension 0 elsewhere. So task 0's nodes
+        // (0, 0, 1, ·) are empty and skipped; the first depth-2 nodes to
+        // count, (0, 0, 2, ·), hold ~75 rows and need local columns for
+        // dimensions 3–4; and (0, 1, 1, 0) holds ~225 rows and needs them
+        // for 2–4. The local tables must fit the task, not the first node
+        // that uses them.
+        let rows: Vec<Vec<f64>> = uniform(1200, 5, 31)
+            .rows()
+            .map(|row| {
+                let mut row = row.to_vec();
+                row[1] = if row[0] < 0.25 { f64::NAN } else { row[0] };
+                row
+            })
+            .collect();
+        let ds = hdoutlier_data::Dataset::from_rows(rows).unwrap();
+        let disc = Discretized::new(&ds, 4, DiscretizeStrategy::EquiDepth).unwrap();
+        let counter = BitmapCounter::new(&disc);
+        let config = BruteForceConfig {
+            m: 100,
+            ..BruteForceConfig::default()
+        };
+        let out = search(&counter, 4, &config);
+        assert!(out.completed);
+        // C(5,4)·4⁴ cubes.
+        assert_eq!(out.candidates, 1280);
+        assert_eq!(out.best.len(), 100);
+        let naive = NaiveCounter::new(&disc);
+        for s in &out.best {
+            let cube = s.projection.to_cube().unwrap();
+            assert_eq!(s.count, naive.count(&cube), "{}", s.projection);
         }
     }
 

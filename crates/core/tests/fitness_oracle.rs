@@ -10,7 +10,7 @@
 //!
 //! Finally the brute-force walker is checked, outcome for outcome, against
 //! an exhaustive enumeration over [`NaiveCounter`] on grids with missing
-//! cells.
+//! cells, with draws that reach both of its leaf kernels.
 
 use hdoutlier_core::brute::{brute_force_search_incremental_parallel, BruteForceConfig};
 use hdoutlier_core::projection::STAR;
@@ -320,16 +320,26 @@ fn oracle(
 #[test]
 fn brute_force_matches_exhaustive_naive_enumeration_with_missing_values() {
     let mut rng = XorShift(0xB2C7);
-    for case in 0..16u64 {
-        let k = 1 + (case % 4) as usize;
-        let phi = 2 + rng.below(5) as u32;
-        let d = k + rng.below(7 - k as u64 + 1) as usize;
-        let n = 40 + rng.below(260) as usize;
+    for case in 0..20u64 {
+        let k = 1 + (case % 5) as usize;
+        // φ up to 16 and n up to 700 put depth-(k−2) nodes on both sides
+        // of the walker's kernel selection, with member lists that end on
+        // either side of a 64-bit word boundary.
+        let phi = 2 + rng.below(if k <= 3 { 15 } else { 4 }) as u32;
+        let n = 40 + rng.below(661) as usize;
+        let space = |d: usize| {
+            (d - k + 1..=d).product::<usize>() / (1..=k).product::<usize>()
+                * (phi as usize).pow(k as u32)
+        };
+        // The oracle recounts every cube by a row scan: keep it to 40,000.
+        let mut d = k + rng.below(8 - k as u64) as usize;
+        while space(d) > 40_000 {
+            d -= 1;
+        }
+        let space = space(d);
         let ds = with_missing(n, d, case);
         let disc = Discretized::new(&ds, phi, DiscretizeStrategy::EquiDepth).unwrap();
         let counter = BitmapCounter::new(&disc);
-        let space = (d - k + 1..=d).product::<usize>() / (1..=k).product::<usize>()
-            * (phi as usize).pow(k as u32);
         for require_nonempty in [true, false] {
             for max_candidates in [None, Some(1 + space as u64 / 3)] {
                 let config = BruteForceConfig {

@@ -8,8 +8,12 @@
 //!
 //! Beside the postings the index keeps the grid cells as a column-major code
 //! table ([`GridIndex::codes`]): given the member rows of a partial cube,
-//! one pass over a column counts all φ completions along that dimension at
-//! once, which is how brute force scores its leaves.
+//! one pass over a column reads every member's range on that dimension.
+//! Brute force makes that pass once per later dimension at each
+//! depth-(k−2) node, to fill either a local posting index over the node's
+//! members (one bitmap per dimension and range, ANDed pairwise per leaf) or
+//! a local code table, whose histograms count the φ completions along a
+//! dimension at once.
 //!
 //! Missing values never appear in any posting and are coded `φ` in the code
 //! table — one past the last range — so a record with a missing attribute
