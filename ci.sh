@@ -139,9 +139,9 @@ cargo run -q --offline --release -p hdoutlier-bench --bin stream_throughput -- \
 # Detect (tolerance 1.0, BENCH_detect.json): the one-worker time per scored
 # cube of the brute-force search `detect --search brute` ships, on each side
 # of its leaf-kernel selection — `threads-1` (φ = 5, k = 4: the local
-# posting index) and `fallback-1` (φ = 16, k = 3: the partition fallback) —
-# and `explain-1`, the one-worker time per view of `explain`'s ranking at
-# k = 1, 2, 3 (one exact binomial tail per view), all timed by
+# posting index) and `fallback-1` (φ = 16, k = 3: the walk's histogram
+# leaves) — and `explain-1`, the one-worker time per view of `explain`'s
+# ranking at k = 1, 2, 3 (one exact binomial tail per view), all timed by
 # `repro threads`.
 cargo run -q --offline --release -p hdoutlier-bench --bin repro -- threads \
     --assert-against BENCH_detect.json

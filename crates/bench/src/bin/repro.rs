@@ -15,8 +15,9 @@
 //! With `--assert-against <BENCH_detect.json>` the `threads` command becomes
 //! the regression gate for the shipped brute-force search and for
 //! `explain`'s view ranking: the one-worker time per scored cube on each
-//! side of the walker's kernel selection (`threads-1` at φ = 5, k = 4, and
-//! `fallback-1` at φ = 16, k = 3) and per ranked view (`explain-1`), each
+//! side of the walker's kernel selection (`threads-1` at φ = 5, k = 4, on
+//! the local posting index, and `fallback-1` at φ = 16, k = 3, on the
+//! walk's histogram leaves) and per ranked view (`explain-1`), each
 //! the fastest of three runs, go through [`assert_against`] against the
 //! baseline's stages of the same names.
 
@@ -244,8 +245,8 @@ fn run_threads(seed: Option<u64>) -> Vec<(String, u64, f64)> {
         "Best-m sets verified identical at every worker count. Speedup is \
          bounded by the hardware threads actually available."
     );
-    // φ = 16 puts every depth-(k−2) node on the partition fallback's side
-    // of the walker's kernel selection; the default shape is on the pair
+    // φ = 16 puts every depth-(k−2) node on the histogram leaves' side of
+    // the walker's kernel selection; the default shape is on the pair
     // kernel's side.
     let fallback = threads_exp::run(&threads_exp::Config {
         phi: 16,

@@ -11,8 +11,9 @@
 //! --assert-against` gate.
 //!
 //! `repro threads` also runs [`run`] at φ = 16, k = 3, one worker, where
-//! every depth-(k−2) node of the walker takes the partition fallback
-//! instead of the local posting index, so the gate covers both kernels.
+//! no depth-(k−2) node of the walker builds a local posting index: each
+//! gathers a code table and counts its leaves with the walk's histograms,
+//! so the gate covers both leaf kernels.
 //!
 //! The same gate times `explain`'s view ranking at one worker
 //! ([`explain_views`]): every view of one record at k = 1, 2, 3, each

@@ -134,24 +134,40 @@ impl Parsed {
         &self.positional
     }
 
-    /// Typed optional value.
-    pub fn opt<T: FromStr>(&self, flag: &str, ty: &'static str) -> Result<Option<T>, ArgError> {
+    /// Typed optional value. A NaN is refused like any unparsable value:
+    /// every comparison with it is false, so no flag can mean it.
+    pub fn opt<T: FromStr + PartialEq>(
+        &self,
+        flag: &str,
+        ty: &'static str,
+    ) -> Result<Option<T>, ArgError> {
         match self.get(flag) {
             None => Ok(None),
-            Some(raw) => raw
-                .parse::<T>()
-                .map(Some)
-                .map_err(|_| ArgError::BadValue(flag.to_string(), raw.to_string(), ty)),
+            Some(raw) => match raw.parse::<T>() {
+                // Only a NaN is unequal to itself.
+                #[allow(clippy::eq_op)]
+                Ok(value) if value == value => Ok(Some(value)),
+                _ => Err(ArgError::BadValue(flag.to_string(), raw.to_string(), ty)),
+            },
         }
     }
 
     /// Typed value with a default.
-    pub fn or<T: FromStr>(&self, flag: &str, ty: &'static str, default: T) -> Result<T, ArgError> {
+    pub fn or<T: FromStr + PartialEq>(
+        &self,
+        flag: &str,
+        ty: &'static str,
+        default: T,
+    ) -> Result<T, ArgError> {
         Ok(self.opt(flag, ty)?.unwrap_or(default))
     }
 
     /// Typed required value.
-    pub fn required<T: FromStr>(&self, flag: &str, ty: &'static str) -> Result<T, ArgError> {
+    pub fn required<T: FromStr + PartialEq>(
+        &self,
+        flag: &str,
+        ty: &'static str,
+    ) -> Result<T, ArgError> {
         self.opt(flag, ty)?
             .ok_or_else(|| ArgError::Required(flag.to_string()))
     }
@@ -225,6 +241,15 @@ mod tests {
             p.opt::<u32>("phi", "integer"),
             Err(ArgError::BadValue(_, _, "integer"))
         ));
+        for nan in ["nan", "NaN", "-nan"] {
+            let p = spec().parse(&argv(&["--phi", nan])).unwrap();
+            assert_eq!(
+                p.opt::<f64>("phi", "number"),
+                Err(ArgError::BadValue("phi".into(), nan.into(), "number"))
+            );
+        }
+        let p = spec().parse(&argv(&["--phi", "-inf"])).unwrap();
+        assert_eq!(p.opt::<f64>("phi", "number"), Ok(Some(f64::NEG_INFINITY)));
     }
 
     #[test]

@@ -45,6 +45,13 @@ pub fn run(argv: &[String]) -> (i32, String) {
         Ok(t) => t,
         Err(e) => return super::usage_err(e, HELP),
     };
+    // Eq. 2 divides N by s²: an infinite or zero target has no k*.
+    if !target.is_finite() || target == 0.0 {
+        return (
+            exit::USAGE,
+            format!("--target must be finite and nonzero, got {target}\n\n{HELP}"),
+        );
+    }
     let n: u64 = match parsed.opt::<u64>("records", "integer") {
         Err(e) => return super::usage_err(e, HELP),
         Ok(Some(n)) => n,

@@ -131,6 +131,20 @@ fn advise_runs_standalone() {
     assert!(out.status.success());
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("phi ="), "{text}");
+    // Eq. 2 has no k* for a NaN, infinite or zero target.
+    for target in ["nan", "inf", "-inf", "0"] {
+        let out = binary()
+            .args(["advise", "--records", "452", "--json", "--target", target])
+            .output()
+            .expect("spawn");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "--target {target}: {stderr}");
+        assert!(
+            stderr.starts_with("--target"),
+            "--target {target}: {stderr}"
+        );
+        assert!(out.stdout.is_empty());
+    }
 }
 
 #[test]
@@ -158,7 +172,8 @@ fn runtime_errors_go_to_stderr_with_code_1() {
 }
 
 /// Parameters outside a search's domain are refused before the search
-/// runs, with a message and exit 1, not a panic.
+/// runs, with a message and exit 1, not a panic; a NaN, which no numeric
+/// flag can mean, is a usage error (exit 2).
 #[test]
 fn degenerate_detect_parameters_are_refused() {
     let csv = write_planted_csv("degenerate-parameters");
@@ -187,6 +202,18 @@ fn degenerate_detect_parameters_are_refused() {
             "{search} {flags:?}: {stderr}"
         );
     }
+    let out = binary()
+        .args(["detect", "--threshold", "nan"])
+        .arg(&csv)
+        .output()
+        .expect("spawn");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.starts_with("--threshold: cannot parse \"nan\""),
+        "{stderr}"
+    );
+    assert!(out.stdout.is_empty());
 }
 
 /// Records read from a file arrive many to a read, and `stream` flushes its

@@ -5,41 +5,40 @@
 //! most negative sparsity coefficients. The paper builds candidates
 //! bottom-up (`R_i = R_{i−1} ⊕ Q_1`); this implementation walks the same
 //! tree depth-first, dimensions ascending and then ranges ascending, so
-//! memory stays `O(k)` bitmaps instead of materializing `R_i`.
+//! memory stays one node table per depth instead of materializing `R_i`.
 //!
-//! One walker, two leaf kernels:
+//! One walker, `walk`. A node holds a **code table** over its m member
+//! rows: one m-long column of grid ranges per later dimension. At the task
+//! root that is the index's own column-major table. Per child dimension,
+//! one counting sort (`partition`) groups the members by range, and each
+//! group is one child, so a child's members are a group of its parent's,
+//! as `R_i` extends `R_{i−1}` by one constraint:
 //!
-//! - **Internal nodes above depth k−2** carry their partial cube as a
-//!   bitmap over all N rows. A depth-1 node reads its posting straight from
-//!   the index; deeper nodes AND the parent's bitmap with one posting into
-//!   a per-depth scratch buffer.
-//! - **Depth k−2 nodes** list their m member rows once and count the two
-//!   levels below them over those rows alone, with whichever kernel its
-//!   work estimate makes cheaper:
-//!   - the *pair kernel* builds a **local posting index**: for every later
-//!     dimension and range, a `⌈m/64⌉`-word bitmap over the members, filled
-//!     from the index's column-major code table in one pass per dimension.
-//!     A depth-(k−1) partial cube is one of these bitmaps, and each leaf is
-//!     the AND + popcount of two of them: `φ² · ⌈m/64⌉` word operations per
-//!     dimension pair.
-//!   - the *partition fallback* copies the members' codes into a **local
-//!     code table** (one `m`-long column per later dimension, so later
-//!     reads stay in cache), groups the members by their range on the
-//!     depth-(k−1) dimension with one counting sort, then counts every
-//!     group's φ leaves along each later dimension with one φ+1 histogram:
-//!     `m` code reads per dimension pair.
+//! - a **depth-(k−1) child** counts its φ leaves along each later dimension
+//!   with one φ+1 histogram over its positions in the parent's table: `m`
+//!   code reads per dimension pair;
+//! - a **depth-(k−2) child** whose work estimate favours the *pair kernel*
+//!   builds a **local posting index** from the parent's columns at its
+//!   positions: one `⌈m/64⌉`-word bitmap per later dimension and range. A
+//!   depth-(k−1) partial cube is then one of these bitmaps, and each leaf
+//!   the AND + popcount of two: `φ² · ⌈m/64⌉` word operations per dimension
+//!   pair. The kernel runs when `φ² · ⌈m/64⌉ ≤ 2m`: a code read costs about
+//!   two word operations (EXPERIMENTS.md "Local posting index");
+//! - **any other child** gathers its own code table from the parent's
+//!   columns at its positions and recurses, so only the task root's
+//!   children gather from N-long columns; deeper ones read their parent's
+//!   m-long columns, which stay in cache.
 //!
-//!   The pair kernel runs when `φ² · ⌈m/64⌉ ≤ 2m`: a code read costs about
-//!   two word operations (EXPERIMENTS.md "Local posting index"). At k = 2
-//!   the depth-0 node is the task root, whose members are all rows, so its
-//!   local tables are the index's own postings and code table. Missing
-//!   cells carry code φ, a bucket neither kernel reads, so they cover no
-//!   cube (paper §1.2).
-//! - **Leaves** copy their cube into the best-set only when it would be
-//!   admitted, into storage recycled from the member it evicts.
+//! At k = 1 a task is one histogram of its dimension; at k = 2 the task
+//! root is the depth-(k−2) node, and when the pair kernel pays for all N
+//! rows its local posting index is the index's own postings. Missing cells
+//! carry code φ, a group no child is made of and a histogram bucket no
+//! leaf reads, so they cover no cube (paper §1.2). **Leaves** copy their
+//! cube into the best-set only when it would be admitted, into storage
+//! recycled from the member it evicts.
 //!
-//! Every buffer belongs to its task and only grows, so the search
-//! allocates a few times per first dimension, never per node.
+//! Every buffer belongs to one depth of one task and only grows, so the
+//! search allocates a few times per first dimension, never per node.
 //!
 //! Two sound accelerations (results are identical to the naive sweep):
 //!
@@ -152,7 +151,7 @@ pub fn brute_force_search_incremental_parallel(
     };
     let tasks = hdoutlier_pool::map(threads, &first_dims, |_, &dim| {
         let _enumerate = obs::profile_span(TARGET, "enumerate");
-        Task::new(index, k, params, &task_config, dim).run(dim)
+        run_task(index, k, params, &task_config, dim)
     });
     merge(&tasks, k, config.m, d)
 }
@@ -213,28 +212,20 @@ fn merge(tasks: &[TaskOutcome], k: usize, m: usize, d: usize) -> BruteForceOutco
     }
 }
 
-/// The depth-first walk of one task, with all of its scratch space.
-struct Task<'a> {
-    index: &'a GridIndex,
-    tally: Tally<'a>,
-    /// Member rows of the current depth-(k−2) node below the root,
-    /// ascending: the first `m` entries, followed by scratch slots for
-    /// [`set_bits`]. Every such node lies inside one posting of the task's
-    /// dimension, so the largest of those postings bounds `m`.
-    members: Vec<u32>,
-    /// The pair kernel's local posting index: `⌈m/64⌉` words per later
-    /// dimension and code. It and the fallback's buffers grow to the
-    /// largest node that uses them (see [`grown`]).
-    postings: Vec<u64>,
-    /// The partition fallback's local code table (`m` codes per later
-    /// dimension), its members' positions grouped by range, and the group
-    /// bounds: group `c` is `groups[bounds[c]..bounds[c + 1]]`.
-    codes: Vec<u16>,
-    groups: Vec<u32>,
+/// The scratch of one depth of a task's walk, shared by every node there.
+/// Each buffer grows to the largest node that uses it (see [`grown`]).
+#[derive(Default)]
+struct Level {
+    /// The node's member positions grouped by range on the current child
+    /// dimension, and the group bounds: group `c` is
+    /// `positions[bounds[c]..bounds[c + 1]]`.
+    positions: Vec<u32>,
     bounds: Vec<usize>,
-    /// Leaf occupancies along one dimension; bucket φ collects missing
-    /// cells.
-    hist: Vec<u32>,
+    /// The current child's local table, gathered from the node's: a code
+    /// table (`m` codes per later dimension) or, below a depth-(k−3) node,
+    /// a local posting index (`⌈m/64⌉` words per later dimension and code).
+    codes: Vec<u16>,
+    postings: Vec<u64>,
 }
 
 /// The cube under construction and everything its leaves are scored into.
@@ -256,246 +247,171 @@ struct Tally<'a> {
     budget_hit: bool,
 }
 
-impl<'a> Task<'a> {
-    fn new(
-        index: &'a GridIndex,
-        k: usize,
-        params: SparsityParams,
-        config: &'a BruteForceConfig,
-        dim: usize,
-    ) -> Self {
-        let phi = index.phi() as u16;
-        let members_len = if k > 2 {
-            let max_members = (0..phi).map(|range| index.posting(dim as u32, range).count());
-            max_members.max().unwrap_or(0) + SET_BITS_SLACK
-        } else {
-            0
-        };
-        Self {
-            index,
-            tally: Tally {
-                config,
-                params,
-                d: index.n_dims(),
-                k,
-                phi,
-                chosen: Vec::with_capacity(k),
-                best: BoundedBest::new(config.m),
-                cubes: vec![(0, 0); (config.m + 1) * k],
-                spare: 0,
-                candidates: 0,
-                scored: 0,
-                budget_hit: false,
-            },
-            members: vec![0; members_len],
-            postings: Vec::new(),
-            codes: Vec::new(),
-            groups: Vec::new(),
-            bounds: vec![0; phi as usize + 3],
-            hist: vec![0; phi as usize + 1],
-        }
-    }
-
-    /// Walks every cube whose lowest dimension is `dim`.
-    fn run(mut self, dim: usize) -> TaskOutcome {
-        match self.tally.k {
-            1 => {
-                {
-                    let _histogram = obs::profile_span(TARGET, "histogram");
-                    for &code in self.index.codes(dim as u32) {
-                        self.hist[code as usize] += 1;
-                    }
-                }
-                self.tally.score_leaves(dim, &self.hist);
-            }
-            2 => self.last_two_levels(dim..=dim, self.index.n_rows()),
-            k => {
-                // One bitmap per depth 2..=k−2; depth 1 is a posting.
-                let n_words = self.index.n_rows().div_ceil(64);
-                let mut stack = vec![vec![0u64; n_words]; k - 3];
-                let index = self.index;
-                for range in 0..self.tally.phi {
-                    let posting = index.posting(dim as u32, range).words();
-                    let nonempty = posting.iter().any(|&w| w != 0);
-                    self.visit(dim, range, posting, nonempty, &mut stack);
-                    if self.tally.budget_hit {
-                        break;
-                    }
-                }
-            }
-        }
-        let tally = self.tally;
-        TaskOutcome {
-            best: tally.best,
-            cubes: tally.cubes,
-            candidates: tally.candidates,
-            scored: tally.scored,
-            completed: !tally.budget_hit,
-        }
-    }
-
-    /// Enters the child `(dim, range)` of the current node, whose partial
-    /// cube is `partial`; an empty child is pruned when allowed.
-    fn visit(
-        &mut self,
-        dim: usize,
-        range: u16,
-        partial: &[u64],
-        nonempty: bool,
-        stack: &mut [Vec<u64>],
-    ) {
-        self.tally.chosen.push((dim as u32, range));
-        if nonempty || !self.tally.config.require_nonempty {
-            self.node(partial, stack, dim);
-        } else {
-            self.tally.skip_subtree(dim);
-        }
-        self.tally.chosen.pop();
-    }
-
-    /// A node at depth `chosen.len()` in `1..=k−2` with partial cube
-    /// `partial` and last chosen dimension `last_dim`.
-    fn node(&mut self, partial: &[u64], stack: &mut [Vec<u64>], last_dim: usize) {
-        let (d, k, phi) = (self.tally.d, self.tally.k, self.tally.phi);
-        let depth = self.tally.chosen.len();
-        if depth + 2 == k {
-            let m = set_bits(partial, &mut self.members);
-            self.last_two_levels(last_dim + 1..=d - 2, m);
-            return;
-        }
-        let (child, rest) = stack
-            .split_first_mut()
-            .expect("one scratch bitmap per inner depth");
-        let index = self.index;
-        // Enough dimensions must remain to reach depth k.
-        for dim in last_dim + 1..=d - (k - depth) {
-            for range in 0..phi {
-                let posting = index.posting(dim as u32, range).words();
-                let nonempty = {
-                    let _intersect = obs::profile_span(TARGET, "intersect");
-                    and_into(child, partial, posting)
-                };
-                self.visit(dim, range, child, nonempty, rest);
-                if self.tally.budget_hit {
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Walks the two levels below the depth-(k−2) node whose member rows
-    /// are `members[..m]` (all rows at the task root); its children take
-    /// their dimension from `dims`. Each kernel reads a local table over the
-    /// members, one column per dimension from `dims.start()` on; at the
-    /// root those are the index's own postings and codes.
-    fn last_two_levels(&mut self, dims: RangeInclusive<usize>, m: usize) {
-        let (d, phi) = (self.tally.d, self.tally.phi as usize);
-        let index = self.index;
-        let root = self.tally.chosen.is_empty();
-        let first = *dims.start();
-        if pair_kernel_pays(phi, m) {
-            let _pairs = obs::profile_span(TARGET, "pairs");
-            if root {
-                let bitmap = |dim: usize, range: u16| index.posting(dim as u32, range).words();
-                pair_leaves(&mut self.tally, &mut self.hist, dims, bitmap);
-                return;
-            }
-            let (w, phi1) = (m.div_ceil(64), phi + 1);
-            let postings = grown(&mut self.postings, (d - first) * phi1 * w);
+/// Walks every cube whose lowest dimension is `dim`.
+fn run_task(
+    index: &GridIndex,
+    k: usize,
+    params: SparsityParams,
+    config: &BruteForceConfig,
+    dim: usize,
+) -> TaskOutcome {
+    let phi = index.phi() as u16;
+    let mut tally = Tally {
+        config,
+        params,
+        d: index.n_dims(),
+        k,
+        phi,
+        chosen: Vec::with_capacity(k),
+        best: BoundedBest::new(config.m),
+        cubes: vec![(0, 0); (config.m + 1) * k],
+        spare: 0,
+        candidates: 0,
+        scored: 0,
+        budget_hit: false,
+    };
+    // Leaf occupancies along one dimension; bucket φ collects missing cells.
+    let mut hist = vec![0; phi as usize + 1];
+    match k {
+        1 => {
             {
-                let _local = obs::profile_span(TARGET, "local_index");
-                let members = &self.members[..m];
-                for (slot, dim) in (first..d).enumerate() {
-                    let codes = index.codes(dim as u32);
-                    let bitmaps = &mut postings[slot * phi1 * w..][..phi1 * w];
-                    bitmaps.fill(0);
-                    for (i, &row) in members.iter().enumerate() {
-                        bitmaps[codes[row as usize] as usize * w + i / 64] |= 1 << (i % 64);
-                    }
+                let _histogram = obs::profile_span(TARGET, "histogram");
+                for &code in index.codes(dim as u32) {
+                    hist[code as usize] += 1;
                 }
             }
-            let postings = &*postings;
-            let bitmap = |dim: usize, range: u16| {
-                &postings[((dim - first) * phi1 + range as usize) * w..][..w]
-            };
-            pair_leaves(&mut self.tally, &mut self.hist, dims, bitmap);
-            return;
+            tally.score_leaves(dim, &hist);
         }
-        let _histogram = obs::profile_span(TARGET, "histogram");
-        let scratch = (
-            grown(&mut self.groups, m),
-            &mut self.bounds[..],
-            &mut self.hist[..],
-        );
-        if root {
+        // The task root is the depth-(k−2) node, and its local posting index
+        // is the index's own postings.
+        2 if pair_kernel_pays(phi as usize, index.n_rows()) => {
+            let _pairs = obs::profile_span(TARGET, "pairs");
+            let bitmap = |dim: usize, range: u16| index.posting(dim as u32, range).words();
+            pair_leaves(&mut tally, &mut hist, dim..=dim, bitmap);
+        }
+        // The task root's members are all rows, and its code table is the
+        // index's own. Depths 0..=k−2 group their members, one level each.
+        _ => {
+            let mut levels: Vec<Level> = (1..k).map(|_| Level::default()).collect();
             let column = |dim: usize| index.codes(dim as u32);
-            group_leaves(&mut self.tally, scratch, dims, column);
-            return;
+            walk(&mut tally, &mut hist, &mut levels, &column, dim..=dim);
         }
-        let local = grown(&mut self.codes, (d - first) * m);
-        {
-            let _local = obs::profile_span(TARGET, "local_index");
-            let members = &self.members[..m];
-            for (slot, dim) in (first..d).enumerate() {
-                let codes = index.codes(dim as u32);
-                for (code, &row) in local[slot * m..][..m].iter_mut().zip(members) {
-                    *code = codes[row as usize];
-                }
-            }
-        }
-        let codes = &*local;
-        let column = |dim: usize| &codes[(dim - first) * m..][..m];
-        group_leaves(&mut self.tally, scratch, dims, column);
+    }
+    TaskOutcome {
+        best: tally.best,
+        cubes: tally.cubes,
+        candidates: tally.candidates,
+        scored: tally.scored,
+        completed: !tally.budget_hit,
     }
 }
 
-/// The partition fallback below a depth-(k−2) node with `m` members:
-/// `column(dim)` is the node's local code column of `dim`, one code per
-/// member. Per child dimension, one counting sort groups the members by
-/// range; each group then counts its φ leaves along every later dimension
-/// with one histogram. `scratch` holds the grouped positions, the group
-/// bounds and the histogram.
-fn group_leaves<'b>(
+/// Walks the subtree of the current node, at depth `chosen.len()` in
+/// `0..=k−2`: `column(dim)` is the node's code table column of a later
+/// dimension, one code per member, and its children take their dimension
+/// from `dims`. `levels[0]` is this depth's scratch and the rest its
+/// descendants'.
+///
+/// Per child dimension, [`partition`] groups the members by range, and each
+/// group is one child: a depth-(k−1) child counts its φ leaves along each
+/// later dimension with one histogram over its positions; a depth-(k−2)
+/// child takes the pair kernel when [`pair_kernel_pays`]; any other child
+/// gathers its own code table and recurses.
+fn walk<'t>(
     tally: &mut Tally,
-    (positions, bounds, hist): (&mut [u32], &mut [usize], &mut [u32]),
+    hist: &mut [u32],
+    levels: &mut [Level],
+    column: &dyn Fn(usize) -> &'t [u16],
     dims: RangeInclusive<usize>,
-    column: impl Fn(usize) -> &'b [u16],
 ) {
+    let (d, k, phi) = (tally.d, tally.k, tally.phi as usize);
+    let depth = tally.chosen.len();
+    let (level, deeper) = levels.split_first_mut().expect("one level per inner depth");
     for d1 in dims {
-        // Counting sort, stable: the positions of code c end up, ascending,
-        // in positions[bounds[c]..bounds[c + 1]].
         let codes = column(d1);
-        bounds.fill(0);
-        for &code in codes {
-            bounds[code as usize + 2] += 1;
-        }
-        for c in 2..bounds.len() {
-            bounds[c] += bounds[c - 1];
-        }
-        for (position, &code) in (0..).zip(codes) {
-            let slot = &mut bounds[code as usize + 1];
-            positions[*slot] = position;
-            *slot += 1;
-        }
-        for r1 in 0..tally.phi {
-            let group = &positions[bounds[r1 as usize]..bounds[r1 as usize + 1]];
-            tally.child(d1, r1, !group.is_empty(), |tally| {
-                for d2 in d1 + 1..tally.d {
-                    let codes = column(d2);
-                    hist.fill(0);
-                    for &position in group {
-                        hist[codes[position as usize] as usize] += 1;
+        let positions = grown(&mut level.positions, codes.len());
+        partition(codes, positions, grown(&mut level.bounds, phi + 3));
+        for r1 in 0..phi {
+            let group = &level.positions[level.bounds[r1]..level.bounds[r1 + 1]];
+            let m = group.len();
+            // The child's first later dimension, which a local table holds
+            // in its first slot.
+            let first = d1 + 1;
+            tally.child(d1, r1 as u16, m > 0, |tally| {
+                if depth + 2 == k {
+                    let _histogram = obs::profile_span(TARGET, "histogram");
+                    for d2 in first..d {
+                        let codes = column(d2);
+                        hist.fill(0);
+                        for &position in group {
+                            hist[codes[position as usize] as usize] += 1;
+                        }
+                        tally.score_leaves(d2, hist);
+                        if tally.budget_hit {
+                            return;
+                        }
                     }
-                    tally.score_leaves(d2, hist);
-                    if tally.budget_hit {
-                        return;
+                } else if depth + 3 == k && pair_kernel_pays(phi, m) {
+                    let _pairs = obs::profile_span(TARGET, "pairs");
+                    let (w, phi1) = (m.div_ceil(64), phi + 1);
+                    let postings = grown(&mut level.postings, (d - first) * phi1 * w);
+                    {
+                        let _local = obs::profile_span(TARGET, "local_index");
+                        for dim in first..d {
+                            let codes = column(dim);
+                            let bitmaps = &mut postings[(dim - first) * phi1 * w..][..phi1 * w];
+                            bitmaps.fill(0);
+                            for (i, &position) in group.iter().enumerate() {
+                                bitmaps[codes[position as usize] as usize * w + i / 64] |=
+                                    1 << (i % 64);
+                            }
+                        }
                     }
+                    let postings = &*postings;
+                    let bitmap = |dim: usize, range: u16| {
+                        &postings[((dim - first) * phi1 + range as usize) * w..][..w]
+                    };
+                    pair_leaves(tally, hist, first..=d - 2, bitmap);
+                } else {
+                    let codes = grown(&mut level.codes, (d - first) * m);
+                    {
+                        let _local = obs::profile_span(TARGET, "local_table");
+                        for dim in first..d {
+                            let parent = column(dim);
+                            let local = &mut codes[(dim - first) * m..][..m];
+                            for (code, &position) in local.iter_mut().zip(group) {
+                                *code = parent[position as usize];
+                            }
+                        }
+                    }
+                    let codes = &*codes;
+                    let column = |dim: usize| &codes[(dim - first) * m..][..m];
+                    // Enough dimensions must remain to reach depth k.
+                    walk(tally, hist, deeper, &column, first..=d - (k - depth - 1));
                 }
             });
             if tally.budget_hit {
                 return;
             }
         }
+    }
+}
+
+/// Groups the positions `0..codes.len()` by code with one stable counting
+/// sort: the positions of code `c` end up, ascending, in
+/// `positions[bounds[c]..bounds[c + 1]]`. `bounds` has φ + 3 slots.
+fn partition(codes: &[u16], positions: &mut [u32], bounds: &mut [usize]) {
+    bounds.fill(0);
+    for &code in codes {
+        bounds[code as usize + 2] += 1;
+    }
+    for c in 2..bounds.len() {
+        bounds[c] += bounds[c - 1];
+    }
+    for (position, &code) in (0..).zip(codes) {
+        let slot = &mut bounds[code as usize + 1];
+        positions[*slot] = position;
+        *slot += 1;
     }
 }
 
@@ -542,7 +458,8 @@ fn grown<T: Copy + Default>(buffer: &mut Vec<T>, len: usize) -> &mut [T] {
 
 /// Whether a depth-(k−2) node with `m` members counts its leaves faster
 /// with the pair kernel (`φ² · ⌈m/64⌉` word operations per dimension pair)
-/// than with the partition fallback (`m` code reads per dimension pair).
+/// than with histograms over its own code table (`m` code reads per
+/// dimension pair).
 fn pair_kernel_pays(phi: usize, m: usize) -> bool {
     let word_ops = (phi as u64 * phi as u64).saturating_mul(m.div_ceil(64) as u64);
     word_ops <= WORD_OPS_PER_CODE_READ * m as u64
@@ -611,43 +528,6 @@ impl Tally<'_> {
             }
         }
     }
-}
-
-/// Slots [`set_bits`] may write past the last index it reports.
-const SET_BITS_SLACK: usize = 1;
-
-/// Writes the indices of the set bits of `words`, ascending, to the front
-/// of `out` and returns how many there are. `out` needs
-/// [`SET_BITS_SLACK`] slot past the last index.
-///
-/// Partial cubes are sparse: most words hold no bit or one, and which is a
-/// coin flip. So every word's lowest bit is written unconditionally (a
-/// zero word's slot is overwritten by the next word), leaving a branch only
-/// for the rarer word with two or more bits.
-fn set_bits(words: &[u64], out: &mut [u32]) -> usize {
-    let mut n = 0;
-    for (wi, &word) in words.iter().enumerate() {
-        let base = wi * 64;
-        out[n] = (base + word.trailing_zeros() as usize) as u32;
-        n += (word != 0) as usize;
-        let mut w = word & word.wrapping_sub(1);
-        while w != 0 {
-            out[n] = (base + w.trailing_zeros() as usize) as u32;
-            n += 1;
-            w &= w - 1;
-        }
-    }
-    n
-}
-
-/// `out = a & b` word by word; returns whether any bit survived.
-fn and_into(out: &mut [u64], a: &[u64], b: &[u64]) -> bool {
-    let mut any = 0u64;
-    for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
-        *o = x & y;
-        any |= *o;
-    }
-    any != 0
 }
 
 /// The number of bits set in both `a` and `b`.
@@ -968,14 +848,22 @@ mod tests {
 
     #[test]
     fn local_tables_fit_every_node_of_a_task() {
-        // Dimension 1 is missing wherever dimension 0 is in its lowest
-        // quarter and equals dimension 0 elsewhere. So task 0's nodes
-        // (0, 0, 1, ·) are empty and skipped; the first depth-2 nodes to
-        // count, (0, 0, 2, ·), hold ~75 rows and need local columns for
-        // dimensions 3–4; and (0, 1, 1, 0) holds ~225 rows and needs them
-        // for 2–4. The local tables must fit the task, not the first node
-        // that uses them.
-        let rows: Vec<Vec<f64>> = uniform(1200, 5, 31)
+        // A level's local tables must fit the largest node of the task, not
+        // the first one that uses them. Two inputs:
+        //
+        // - k = 4. Dimension 1 is missing wherever dimension 0 is in its
+        //   lowest quarter and equals dimension 0 elsewhere. So task 0's
+        //   nodes (0, 0, 1, ·) are empty and skipped; the first depth-2
+        //   nodes to count, (0, 0, 2, ·), hold ~75 rows and need local
+        //   postings for dimensions 3–4; and (0, 1, 1, 0) holds ~225 rows
+        //   and needs them for 2–4.
+        // - k = 5. Every value is the square root of a uniform draw, cut
+        //   equi-width, so range r holds (2r + 1)/16 of a dimension's rows
+        //   and each task's first node at a depth is among its smallest:
+        //   the depth-1 and depth-2 code tables and the depth-3 local
+        //   tables (code tables below 8 members, postings above) each
+        //   meet larger nodes later, with more later dimensions.
+        let missing: Vec<Vec<f64>> = uniform(1200, 5, 31)
             .rows()
             .map(|row| {
                 let mut row = row.to_vec();
@@ -983,42 +871,32 @@ mod tests {
                 row
             })
             .collect();
-        let ds = hdoutlier_data::Dataset::from_rows(rows).unwrap();
-        let disc = Discretized::new(&ds, 4, DiscretizeStrategy::EquiDepth).unwrap();
-        let counter = BitmapCounter::new(&disc);
-        let config = BruteForceConfig {
-            m: 100,
-            ..BruteForceConfig::default()
-        };
-        let out = search(&counter, 4, &config);
-        assert!(out.completed);
-        // C(5,4)·4⁴ cubes.
-        assert_eq!(out.candidates, 1280);
-        assert_eq!(out.best.len(), 100);
-        let naive = NaiveCounter::new(&disc);
-        for s in &out.best {
-            let cube = s.projection.to_cube().unwrap();
-            assert_eq!(s.count, naive.count(&cube), "{}", s.projection);
+        let skewed: Vec<Vec<f64>> = uniform(2000, 6, 32)
+            .rows()
+            .map(|row| row.iter().map(|x| x.sqrt()).collect())
+            .collect();
+        // C(5,4)·4⁴ and C(6,5)·4⁵ cubes.
+        for (rows, k, strategy, cubes) in [
+            (missing, 4, DiscretizeStrategy::EquiDepth, 1280),
+            (skewed, 5, DiscretizeStrategy::EquiWidth, 6144),
+        ] {
+            let ds = hdoutlier_data::Dataset::from_rows(rows).unwrap();
+            let disc = Discretized::new(&ds, 4, strategy).unwrap();
+            let counter = BitmapCounter::new(&disc);
+            let config = BruteForceConfig {
+                m: 100,
+                ..BruteForceConfig::default()
+            };
+            let out = search(&counter, k, &config);
+            assert!(out.completed);
+            assert_eq!(out.candidates, cubes, "k = {k}");
+            assert_eq!(out.best.len(), 100);
+            let naive = NaiveCounter::new(&disc);
+            for s in &out.best {
+                let cube = s.projection.to_cube().unwrap();
+                assert_eq!(s.count, naive.count(&cube), "{}", s.projection);
+            }
         }
-    }
-
-    #[test]
-    fn and_into_reports_emptiness() {
-        let mut out = [u64::MAX; 2];
-        assert!(and_into(&mut out, &[0b1100, 0], &[0b0110, 0]));
-        assert_eq!(out, [0b0100, 0]);
-        assert!(!and_into(&mut out, &[0b1000, 1], &[0b0110, 2]));
-        assert_eq!(out, [0, 0]);
-    }
-
-    #[test]
-    fn set_bits_lists_indices_in_order() {
-        let words = [0b1011, 0, u64::MAX, 1 << 63];
-        let mut out = [0u32; 64 + 3 + 1 + SET_BITS_SLACK];
-        let n = set_bits(&words, &mut out);
-        let want: Vec<u32> = [0, 1, 3].into_iter().chain(128..192).chain([255]).collect();
-        assert_eq!(&out[..n], &want[..]);
-        assert_eq!(set_bits(&[0, 0], &mut out), 0);
     }
 
     #[test]

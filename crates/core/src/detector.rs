@@ -298,9 +298,9 @@ impl OutlierDetector {
         // doubling the rich Info "search" event below at default filtering.
         let search_span = obs::span(obs::Level::Debug, TARGET, "search");
         // Every thread count routes through the same pooled per-dimension
-        // decomposition of the incremental-intersection fast path, so the
-        // report is byte-identical whether one worker runs the tasks in
-        // sequence or eight race through them.
+        // decomposition of the brute-force walk, so the report is
+        // byte-identical whether one worker runs the tasks in sequence or
+        // eight race through them.
         let outcome = crate::brute::brute_force_search_incremental_parallel(
             counter,
             k,

@@ -1,11 +1,11 @@
-//! The brute-force search allocates per task, never per node: the scratch
-//! bitmaps of the depths above k−2, the depth-(k−2) member list, the pair
-//! kernel's local posting index, the partition fallback's local code
-//! table, groups and bounds, the histogram and the best-set storage all
-//! belong to one first dimension's task, and the local tables grow only
-//! when a node outgrows every earlier one. Measured with the counting
-//! allocator, the whole search must allocate fewer than one block per
-//! hundred scored cubes.
+//! The brute-force search allocates per task, never per node: each
+//! depth's buffers — its nodes' grouped member positions and group bounds,
+//! and the local table a child gathers from them (a code table, or the pair
+//! kernel's local posting index) — the histogram and the best-set storage
+//! all belong to one first dimension's task, and each buffer grows only
+//! when a node outgrows every earlier one at its depth. Measured with the
+//! counting allocator, the whole search must allocate fewer than one block
+//! per hundred scored cubes.
 //!
 //! This binary holds a single test so no other test's allocations land
 //! between the two counter reads.

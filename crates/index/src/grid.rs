@@ -3,17 +3,18 @@
 //! One bitmap per `(dimension, range)` pair, each marking the rows whose
 //! value on that dimension falls in that range. Cube occupancy is then a
 //! k-way bitmap intersection — `O(k · N / 64)` per cube and cache-friendly,
-//! which is what makes brute-force enumeration feasible at all for the
-//! low-dimensional Table-1 datasets and keeps GA fitness evaluations cheap.
+//! which keeps GA fitness evaluations cheap; brute force at k = 2 and a
+//! small φ ANDs pairs of postings directly.
 //!
 //! Beside the postings the index keeps the grid cells as a column-major code
 //! table ([`GridIndex::codes`]): given the member rows of a partial cube,
 //! one pass over a column reads every member's range on that dimension.
-//! Brute force makes that pass once per later dimension at each
-//! depth-(k−2) node, to fill either a local posting index over the node's
-//! members (one bitmap per dimension and range, ANDed pairwise per leaf) or
-//! a local code table, whose histograms count the φ completions along a
-//! dimension at once.
+//! It is the code table of brute force's task roots: a root groups all rows
+//! by range on its dimension with one counting sort over a column, and each
+//! child gathers its members' codes from the other columns into a local
+//! table of its own (or into a local posting index, one bitmap per
+//! dimension and range, ANDed pairwise per leaf); deeper nodes gather from
+//! their parent's local table instead.
 //!
 //! Missing values never appear in any posting and are coded `φ` in the code
 //! table — one past the last range — so a record with a missing attribute

@@ -7,7 +7,7 @@
 //! accumulates collapsed-stack counts. The result renders as:
 //!
 //! - **folded-stack text** ([`ProfileReport::to_folded`]) — one line per
-//!   distinct stack, `hdoutlier.core.search;hdoutlier.core.intersect 412`,
+//!   distinct stack, `hdoutlier.core.search;hdoutlier.core.pairs 412`,
 //!   the format `inferno`, `flamegraph.pl`, and speedscope ingest;
 //! - an **SVG flamegraph** ([`ProfileReport::to_svg`]) rendered in-tree,
 //!   no external tool required;
