@@ -7,7 +7,7 @@
 //! The paper's §1 critique of this definition — that λ is nearly impossible
 //! to pick in high dimension because all pairwise distances crowd into a
 //! thin shell — is demonstrated quantitatively by `repro figure1` using
-//! [`lambda_sensitivity`].
+//! [`suggest_lambda`].
 
 use crate::distance::Metric;
 use crate::BaselineError;
@@ -90,26 +90,6 @@ pub fn suggest_lambda(
         .ok_or_else(|| BaselineError::BadParams("no distances sampled".into()))
 }
 
-/// How the DB(k, λ) outlier count responds to λ — the λ-sensitivity curve
-/// behind the paper's "all points are outliers / no point is an outlier"
-/// observation (§1). Returns `(λ, outlier_count)` pairs for λ swept across
-/// the given quantiles of the pairwise-distance distribution.
-pub fn lambda_sensitivity(
-    dataset: &Dataset,
-    k: usize,
-    quantiles: &[f64],
-    metric: Metric,
-) -> Result<Vec<(f64, usize)>, BaselineError> {
-    quantiles
-        .iter()
-        .map(|&q| {
-            let lambda = suggest_lambda(dataset, q, metric)?;
-            let outliers = knorr_ng_outliers(dataset, k, lambda, metric)?;
-            Ok((lambda, outliers.len()))
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -174,18 +154,6 @@ mod tests {
         assert!(lo > 0.0);
         assert!(lo < hi);
         assert!(hi < 3f64.sqrt() + 1e-9); // diameter of the unit cube
-    }
-
-    #[test]
-    fn sensitivity_curve_is_monotone_decreasing() {
-        let ds = uniform(150, 2, 6);
-        let curve =
-            lambda_sensitivity(&ds, 3, &[0.01, 0.1, 0.3, 0.6, 0.9], Metric::Euclidean).unwrap();
-        assert_eq!(curve.len(), 5);
-        for w in curve.windows(2) {
-            assert!(w[0].0 <= w[1].0, "lambdas ascend");
-            assert!(w[0].1 >= w[1].1, "outlier count must not grow with λ");
-        }
     }
 
     #[test]

@@ -23,7 +23,11 @@
 //!   depth-(k−1) partial cube is then one of these bitmaps, and each leaf
 //!   the AND + popcount of two: `φ² · ⌈m/64⌉` word operations per dimension
 //!   pair. The kernel runs when `φ² · ⌈m/64⌉ ≤ 2m`: a code read costs about
-//!   two word operations (EXPERIMENTS.md "Local posting index");
+//!   two word operations (EXPERIMENTS.md "Local posting index"). Its two
+//!   loops, the posting build and the AND + popcount, are the `kernels`
+//!   module's: one portable body each, compiled again for AVX-512 and AVX2,
+//!   with the widest tier the CPU reports chosen once per process and
+//!   dispatched on at every call;
 //! - **any other child** gathers its own code table from the parent's
 //!   columns at its positions and recurses, so only the task root's
 //!   children gather from N-long columns; deeper ones read their parent's
@@ -53,6 +57,7 @@
 //!   "was unable to terminate in a reasonable amount of time" on the
 //!   160-dimensional musk data.
 
+use crate::kernels;
 use crate::projection::{Projection, STAR};
 use crate::report::ScoredProjection;
 use hdoutlier_index::{BitmapCounter, GridIndex};
@@ -68,7 +73,9 @@ const TARGET: &str = "hdoutlier.core";
 
 /// How many word operations (AND + popcount of two `u64`s) cost as much as
 /// one code read (a gather from the column-major code table plus a
-/// histogram increment): the exchange rate of [`pair_kernel_pays`].
+/// histogram increment): the exchange rate of [`pair_kernel_pays`]. One
+/// value for every kernel tier, though the tiers' crossovers differ
+/// (EXPERIMENTS.md "Vector kernels").
 const WORD_OPS_PER_CODE_READ: u64 = 2;
 
 /// Configuration for [`brute_force_search_incremental_parallel`].
@@ -358,13 +365,8 @@ fn walk<'t>(
                     {
                         let _local = obs::profile_span(TARGET, "local_index");
                         for dim in first..d {
-                            let codes = column(dim);
                             let bitmaps = &mut postings[(dim - first) * phi1 * w..][..phi1 * w];
-                            bitmaps.fill(0);
-                            for (i, &position) in group.iter().enumerate() {
-                                bitmaps[codes[position as usize] as usize * w + i / 64] |=
-                                    1 << (i % 64);
-                            }
+                            kernels::local_postings(column(dim), group, bitmaps);
                         }
                     }
                     let postings = &*postings;
@@ -431,7 +433,7 @@ fn pair_leaves<'b>(
             tally.child(d1, r1, partial.iter().any(|&w| w != 0), |tally| {
                 for d2 in d1 + 1..tally.d {
                     for (r2, count) in (0..phi).zip(hist.iter_mut()) {
-                        *count = and_count(partial, bitmap(d2, r2));
+                        *count = kernels::and_count(partial, bitmap(d2, r2));
                     }
                     tally.score_leaves(d2, hist);
                     if tally.budget_hit {
@@ -528,11 +530,6 @@ impl Tally<'_> {
             }
         }
     }
-}
-
-/// The number of bits set in both `a` and `b`.
-fn and_count(a: &[u64], b: &[u64]) -> u32 {
-    a.iter().zip(b).map(|(&x, &y)| (x & y).count_ones()).sum()
 }
 
 /// Exact binomial coefficient in u64 (saturating).

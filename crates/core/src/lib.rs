@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 //! The Aggarwal–Yu subspace outlier detector (SIGMOD 2001).
 //!
@@ -50,6 +51,8 @@ pub mod detector;
 pub mod drill;
 pub mod evolutionary;
 pub mod fitness;
+#[allow(unsafe_code)]
+mod kernels;
 pub mod model;
 pub mod multi_k;
 pub mod mutation;

@@ -162,29 +162,11 @@ impl Dataset {
     /// The value at `(row, dim)`; NaN means missing.
     ///
     /// # Panics
-    /// Panics if either index is out of bounds (debug-friendly hot path; use
-    /// [`Dataset::try_value`] for checked access).
+    /// Panics if either index is out of bounds (debug-friendly hot path).
     #[inline]
     pub fn value(&self, row: usize, dim: usize) -> f64 {
         debug_assert!(row < self.n_rows && dim < self.n_dims);
         self.values[row * self.n_dims + dim]
-    }
-
-    /// Checked access to the value at `(row, dim)`.
-    pub fn try_value(&self, row: usize, dim: usize) -> Result<f64, DataError> {
-        if row >= self.n_rows {
-            return Err(DataError::RowIndexOutOfBounds {
-                index: row,
-                n_rows: self.n_rows,
-            });
-        }
-        if dim >= self.n_dims {
-            return Err(DataError::ColumnIndexOutOfBounds {
-                index: dim,
-                n_dims: self.n_dims,
-            });
-        }
-        Ok(self.value(row, dim))
     }
 
     /// Whether `(row, dim)` is a missing entry.
@@ -444,20 +426,6 @@ mod tests {
         assert!(ds.set_names(vec!["p", "q"]).is_ok());
         assert!(ds.set_labels(vec![1, 2]).is_err());
         assert!(ds.set_labels(vec![7]).is_ok());
-    }
-
-    #[test]
-    fn try_value_bounds() {
-        let ds = sample();
-        assert_eq!(ds.try_value(0, 0), Ok(1.0));
-        assert!(matches!(
-            ds.try_value(9, 0),
-            Err(DataError::RowIndexOutOfBounds { .. })
-        ));
-        assert!(matches!(
-            ds.try_value(0, 9),
-            Err(DataError::ColumnIndexOutOfBounds { .. })
-        ));
     }
 
     #[test]

@@ -92,14 +92,6 @@ impl Bitmap {
             current: self.words.first().copied().unwrap_or(0),
         }
     }
-
-    /// In-place union with another bitmap of the same length.
-    pub fn union_with(&mut self, other: &Bitmap) {
-        assert_eq!(self.len, other.len, "length mismatch");
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a |= b;
-        }
-    }
 }
 
 /// Iterator over set-bit indices.
@@ -188,21 +180,5 @@ mod tests {
             assert_eq!(b.iter_ones().collect::<Vec<_>>(), members);
             assert_eq!(b.count(), members.len());
         });
-    }
-
-    #[test]
-    fn union_with_accumulates() {
-        let mut a = Bitmap::new(70);
-        a.set(1);
-        let mut b = Bitmap::new(70);
-        b.set(69);
-        a.union_with(&b);
-        assert_eq!(a.iter_ones().collect::<Vec<_>>(), vec![1, 69]);
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn union_length_mismatch_panics() {
-        Bitmap::new(10).union_with(&Bitmap::new(11));
     }
 }

@@ -49,22 +49,6 @@ impl Cube {
     pub fn pairs(&self) -> &[(u32, u16)] {
         &self.pairs
     }
-
-    /// The paper's string notation for a `d`-dimensional problem: one symbol
-    /// per dimension, `*` for unconstrained, the 1-based range otherwise
-    /// (e.g. `*3*9` for a 4-dimensional problem).
-    pub fn to_projection_string(&self, d: usize) -> String {
-        let mut out = String::new();
-        let mut next = self.pairs.iter().peekable();
-        for dim in 0..d as u32 {
-            if let Some((_, range)) = next.next_if(|&&(d, _)| d == dim) {
-                out.push_str(&(range + 1).to_string());
-            } else {
-                out.push('*');
-            }
-        }
-        out
-    }
 }
 
 impl fmt::Display for Cube {
@@ -97,29 +81,6 @@ mod tests {
     fn rejects_empty_and_duplicates() {
         assert!(Cube::new([]).is_none());
         assert!(Cube::new([(3, 1), (3, 2)]).is_none());
-    }
-
-    #[test]
-    fn projection_string_matches_paper_notation() {
-        // Paper §2.2 example: *3*9 — 4-dimensional, ranges on dims 2 and 4
-        // (1-based), i.e. 0-based dims 1 and 3 with 1-based ranges 3 and 9.
-        let c = Cube::new([(1, 2), (3, 8)]).unwrap();
-        assert_eq!(c.to_projection_string(4), "*3*9");
-        let c = Cube::new([(0, 0)]).unwrap();
-        assert_eq!(c.to_projection_string(3), "1**");
-        // Any cube over d = 6 with φ = 9: one character per dimension, a
-        // star wherever the cube is unconstrained.
-        hdoutlier_rng::for_each_case(0xc0be_0001, 256, |rng| {
-            use hdoutlier_rng::Rng;
-            let mut dims: Vec<u32> = (0..6).filter(|_| rng.gen_bool(0.5)).collect();
-            if dims.is_empty() {
-                dims.push(rng.gen_range(0..6));
-            }
-            let c = Cube::new(dims.iter().map(|&d| (d, rng.gen_range(0..9)))).unwrap();
-            let s = c.to_projection_string(6);
-            assert_eq!(s.chars().count(), 6, "{s}");
-            assert_eq!(s.chars().filter(|&ch| ch == '*').count(), 6 - c.k(), "{s}");
-        });
     }
 
     #[test]
