@@ -36,7 +36,9 @@ cargo build --offline --examples
 # deletion cannot leave a dangling link behind. `--lib` because the umbrella
 # library and the CLI binary are both named `hdoutlier`.
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps --lib
-cargo test -q --offline --workspace
+# --no-fail-fast: a failing test binary does not stop the others, so a red
+# run reports every failure at once (the step still fails).
+cargo test -q --offline --workspace --no-fail-fast
 
 # The workspace run above builds and runs every test target once, the root
 # package's included. Among them:
@@ -57,6 +59,9 @@ cargo test -q --offline --workspace
 # - Bounded CSV read: under the counting allocator, the bytes live at the
 #   peak of `csv::read_path` on a 7.7 MB file stay below its length
 #   (crates/data/tests/csv_peak.rs).
+# - One grid table: under the counting allocator, `BitmapCounter::new` on a
+#   50,000 × 20 grid at φ = 5 allocates its postings and no second copy of
+#   the grid's code table (crates/index/tests/shared_table.rs).
 # - Observability: unit tests for the in-tree tracing/metrics crate
 #   (hdoutlier-obs), then an end-to-end smoke run of `detect --log-json
 #   --metrics-out` validated with the in-tree JSON parser

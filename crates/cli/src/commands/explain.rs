@@ -125,10 +125,8 @@ pub fn run_to(argv: &[String], sink: &mut impl std::io::Write) -> (i32, String) 
         Ok(d) => d,
         Err(e) => return (exit::RUNTIME, format!("discretization failed: {e}")),
     };
-    let present = disc
-        .row(row)
-        .iter()
-        .filter(|&&c| c != hdoutlier_data::discretize::MISSING_CELL)
+    let present = (0..disc.n_dims())
+        .filter(|&d| !disc.is_missing(row, d))
         .count();
     if let Some(&bad) = ks.iter().find(|&&k| k == 0 || k > present) {
         return (

@@ -10,7 +10,6 @@
 //! exact significance so different `k` are comparable (§1.1's
 //! comparability desideratum).
 
-use hdoutlier_data::discretize::MISSING_CELL;
 use hdoutlier_data::Discretized;
 use hdoutlier_index::{Cube, CubeCounter};
 use hdoutlier_stats::SparsityParams;
@@ -64,12 +63,9 @@ fn enumerate_view_cubes<C: CubeCounter>(
     ks: &[usize],
 ) -> Vec<(SparsityParams, Cube)> {
     assert!(row < disc.n_rows(), "row {row} out of bounds");
-    let cells = disc.row(row);
-    let present: Vec<(u32, u16)> = cells
-        .iter()
-        .enumerate()
-        .filter(|&(_, &c)| c != MISSING_CELL)
-        .map(|(d, &c)| (d as u32, c))
+    let present: Vec<(u32, u16)> = (0..disc.n_dims())
+        .filter(|&d| !disc.is_missing(row, d))
+        .map(|d| (d as u32, disc.cell(row, d)))
         .collect();
     let n = counter.n_rows() as u64;
     let phi = counter.phi();

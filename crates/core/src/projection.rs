@@ -129,10 +129,9 @@ impl Projection {
     }
 
     /// Whether a discretized record covers this projection: every
-    /// constrained position must match the record's cell (a missing cell —
-    /// any value ≥ the grid's φ, e.g.
-    /// [`hdoutlier_data::discretize::MISSING_CELL`] — never matches, which
-    /// is exactly the paper's missing-data semantics).
+    /// constrained position must match the record's cell (a missing cell,
+    /// coded φ, never matches, which is exactly the paper's missing-data
+    /// semantics).
     pub fn covers(&self, cells: &[u16]) -> bool {
         debug_assert_eq!(cells.len(), self.d());
         self.genes

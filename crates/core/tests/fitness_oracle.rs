@@ -43,10 +43,10 @@ impl XorShift {
 fn naive_rows(disc: &Discretized, genes: &[u16]) -> Vec<usize> {
     (0..disc.n_rows())
         .filter(|&r| {
-            disc.row(r)
+            genes
                 .iter()
-                .zip(genes)
-                .all(|(&cell, &g)| g == STAR || cell == g)
+                .enumerate()
+                .all(|(d, &g)| g == STAR || disc.cell(r, d) == g)
         })
         .collect()
 }

@@ -11,15 +11,15 @@
 //! recursive selection in O(N log φ) per column, where sorting the column
 //! would cost O(N log N).
 //!
-//! Missing values never land in a range: a record covers a k-dimensional
-//! cube only if all k attributes are present and inside the cube's ranges
-//! (this is what lets the method mine datasets with missing attributes,
-//! §1.2).
+//! The grid is one column-major table of `u16` codes, a column per
+//! attribute, which the posting index and brute force read in place.
+//! Missing values never land in a range: they are coded `φ`, one past the
+//! last range, so a record covers a k-dimensional cube only if all k
+//! attributes are present and inside the cube's ranges (this is what lets
+//! the method mine datasets with missing attributes, §1.2).
 
 use crate::dataset::{DataError, Dataset};
-
-/// Sentinel cell for a missing attribute value.
-pub const MISSING_CELL: u16 = u16::MAX;
+use std::sync::Arc;
 
 /// How attribute values are mapped to the φ grid ranges.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,7 +60,9 @@ pub struct GridRange {
 /// to interpret cells back as value intervals.
 #[derive(Debug, Clone)]
 pub struct Discretized {
-    cells: Vec<u16>,
+    /// `codes[dim * n_rows + row]`: the row's range on `dim`, or `phi` when
+    /// the value is missing. Shared, never copied, with the posting index.
+    codes: Arc<Vec<u16>>,
     n_rows: usize,
     n_dims: usize,
     phi: u32,
@@ -73,8 +75,7 @@ pub struct Discretized {
 impl Discretized {
     /// Discretizes a dataset into `phi` ranges per dimension.
     ///
-    /// Errors on an empty dataset, `phi` of 0, or `phi > u16::MAX - 1`
-    /// (cell ids must fit `u16` with one sentinel reserved).
+    /// Errors on an empty dataset or a `phi` outside `1..u16::MAX`.
     pub fn new(
         dataset: &Dataset,
         phi: u32,
@@ -83,29 +84,22 @@ impl Discretized {
         if dataset.n_rows() == 0 || dataset.n_dims() == 0 {
             return Err(DataError::Empty);
         }
-        if phi == 0 || phi >= u16::MAX as u32 {
-            return Err(DataError::Parse(format!(
-                "phi must be in 1..{}, got {phi}",
-                u16::MAX
-            )));
-        }
+        check_phi(phi)?;
         let n_rows = dataset.n_rows();
         let n_dims = dataset.n_dims();
-        let mut cells = vec![MISSING_CELL; n_rows * n_dims];
+        let mut codes = vec![0; n_rows * n_dims];
         let mut ranges = Vec::with_capacity(n_dims);
-        // One column of values, one of cells and one of sort keys, reused
-        // across all the columns.
+        // One column of values and one of sort keys, reused across all the
+        // columns; each column's codes go straight into its slice of the
+        // table.
         let mut column = Vec::with_capacity(n_rows);
-        let mut assignment = vec![MISSING_CELL; n_rows];
         let mut keys = Vec::new();
-        for dim in 0..n_dims {
+        for (dim, cells) in codes.chunks_exact_mut(n_rows).enumerate() {
             column.clear();
             column.extend((0..n_rows).map(|row| dataset.value(row, dim)));
             match strategy {
-                DiscretizeStrategy::EquiDepth => {
-                    equi_depth_assign(&column, phi, &mut keys, &mut assignment)
-                }
-                DiscretizeStrategy::EquiWidth => equi_width_assign(&column, phi, &mut assignment),
+                DiscretizeStrategy::EquiDepth => equi_depth_assign(&column, phi, &mut keys, cells),
+                DiscretizeStrategy::EquiWidth => equi_width_assign(&column, phi, cells),
             }
             let mut dim_ranges = vec![
                 GridRange {
@@ -115,10 +109,9 @@ impl Discretized {
                 };
                 phi as usize
             ];
-            for (row, (&cell, &v)) in assignment.iter().zip(&column).enumerate() {
-                cells[row * n_dims + dim] = cell;
-                if cell != MISSING_CELL {
-                    let r = &mut dim_ranges[cell as usize];
+            // The missing code φ has no range.
+            for (&cell, &v) in cells.iter().zip(&column) {
+                if let Some(r) = dim_ranges.get_mut(cell as usize) {
                     r.lo = r.lo.min(v);
                     r.hi = r.hi.max(v);
                     r.count += 1;
@@ -127,7 +120,7 @@ impl Discretized {
             ranges.push(dim_ranges);
         }
         Ok(Self {
-            cells,
+            codes: Arc::new(codes),
             n_rows,
             n_dims,
             phi,
@@ -157,22 +150,24 @@ impl Discretized {
         self.strategy
     }
 
-    /// The grid cell of `(row, dim)`: `0..phi`, or [`MISSING_CELL`].
+    /// The grid cell of `(row, dim)`: `0..phi`, or `phi` when missing.
     #[inline]
     pub fn cell(&self, row: usize, dim: usize) -> u16 {
         debug_assert!(row < self.n_rows && dim < self.n_dims);
-        self.cells[row * self.n_dims + dim]
+        self.codes[dim * self.n_rows + row]
     }
 
     /// Whether `(row, dim)` was missing in the source data.
     #[inline]
     pub fn is_missing(&self, row: usize, dim: usize) -> bool {
-        self.cell(row, dim) == MISSING_CELL
+        u32::from(self.cell(row, dim)) == self.phi
     }
 
-    /// The cells of one record.
-    pub fn row(&self, row: usize) -> &[u16] {
-        &self.cells[row * self.n_dims..(row + 1) * self.n_dims]
+    /// The whole grid as one column-major table: `n_dims` columns of
+    /// `n_rows` codes, [`Discretized::cell`]'s values. The posting index
+    /// holds a clone of this `Arc`, not a copy of the table.
+    pub fn codes(&self) -> &Arc<Vec<u16>> {
+        &self.codes
     }
 
     /// Value interval and occupancy of `range` on `dim`.
@@ -196,8 +191,21 @@ impl Discretized {
     }
 }
 
+/// Checks that `phi` is a grid size the `u16` codes can hold: `1..u16::MAX`,
+/// so that the missing code `phi` stays below the projection wildcard
+/// `u16::MAX`.
+pub(crate) fn check_phi(phi: u32) -> Result<(), DataError> {
+    if phi == 0 || phi >= u32::from(u16::MAX) {
+        return Err(DataError::Parse(format!(
+            "phi must be in 1..{}, got {phi}",
+            u16::MAX
+        )));
+    }
+    Ok(())
+}
+
 /// Rank-based equi-depth assignment of one column into `cells`, through
-/// the reused key buffer `keys`. NaNs get [`MISSING_CELL`].
+/// the reused key buffer `keys`. NaNs get `phi`.
 ///
 /// With `m` present values in `(value, row)` order, range `j` holds ranks
 /// `⌈j·m/φ⌉..⌈(j+1)·m/φ⌉`. Only the φ − 1 boundary ranks are placed, by
@@ -215,7 +223,7 @@ fn equi_depth_assign(column: &[f64], phi: u32, keys: &mut Vec<u128>, cells: &mut
     let m = keys.len() as u64;
     let bound = |j: u32| ((u64::from(j) * m).div_ceil(u64::from(phi))) as usize;
     split_at_boundaries(keys, 0..phi, &bound);
-    cells.fill(MISSING_CELL);
+    cells.fill(phi as u16);
     for j in 0..phi {
         for &key in &keys[bound(j)..bound(j + 1)] {
             cells[key as u64 as usize] = j as u16;
@@ -262,7 +270,7 @@ fn split_at_boundaries(
 }
 
 /// Equal-width assignment over the observed min..max into `cells`. NaNs
-/// get [`MISSING_CELL`]; a constant column puts everything in range 0.
+/// get `phi`; a constant column puts everything in range 0.
 fn equi_width_assign(column: &[f64], phi: u32, cells: &mut [u16]) {
     let mut lo = f64::INFINITY;
     let mut hi = f64::NEG_INFINITY;
@@ -275,7 +283,7 @@ fn equi_width_assign(column: &[f64], phi: u32, cells: &mut [u16]) {
     let width = (hi - lo) / phi as f64;
     for (cell, &v) in cells.iter_mut().zip(column) {
         *cell = if v.is_nan() {
-            MISSING_CELL
+            phi as u16
         } else if width <= 0.0 || !width.is_finite() {
             0
         } else {
@@ -393,7 +401,7 @@ mod tests {
         .unwrap();
         let disc = Discretized::new(&ds, 2, DiscretizeStrategy::EquiDepth).unwrap();
         assert!(disc.is_missing(1, 0));
-        assert_eq!(disc.cell(1, 0), MISSING_CELL);
+        assert_eq!(disc.cell(1, 0), 2);
         assert_eq!(disc.present_count(0), 4);
         assert_eq!(disc.grid_range(0, 0).count, 2);
         assert_eq!(disc.grid_range(0, 1).count, 2);
@@ -459,12 +467,11 @@ mod tests {
     }
 
     #[test]
-    fn row_accessor_matches_cells() {
+    fn code_table_is_column_major() {
         let ds = uniform_dataset(20, 4);
         let disc = Discretized::new(&ds, 4, DiscretizeStrategy::EquiDepth).unwrap();
-        for i in 0..20 {
-            let row = disc.row(i);
-            for (j, &cell) in row.iter().enumerate() {
+        for (j, column) in disc.codes().chunks_exact(20).enumerate() {
+            for (i, &cell) in column.iter().enumerate() {
                 assert_eq!(cell, disc.cell(i, j));
             }
         }

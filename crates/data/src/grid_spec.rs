@@ -13,7 +13,7 @@
 //! ranges.
 
 use crate::dataset::DataError;
-use crate::discretize::{Discretized, MISSING_CELL};
+use crate::discretize::{check_phi, Discretized};
 
 /// Fitted per-dimension cell boundaries.
 ///
@@ -77,8 +77,9 @@ impl GridSpec {
     ///
     /// # Errors
     /// [`DataError::NameCountMismatch`] if `names` and `uppers` disagree on
-    /// dimensionality; [`DataError::Parse`] if any dimension's boundary list
-    /// is not `phi − 1` ascending finite values.
+    /// dimensionality; [`DataError::Parse`] if `phi` is outside
+    /// `1..u16::MAX`, the range [`Discretized::new`] accepts, or any
+    /// dimension's boundary list is not `phi − 1` ascending finite values.
     pub fn from_parts(
         uppers: Vec<Vec<f64>>,
         phi: u32,
@@ -90,9 +91,7 @@ impl GridSpec {
                 n_names: names.len(),
             });
         }
-        if phi == 0 {
-            return Err(DataError::Parse("phi must be positive".into()));
-        }
+        check_phi(phi)?;
         for (dim, bounds) in uppers.iter().enumerate() {
             if bounds.len() != (phi - 1) as usize {
                 return Err(DataError::Parse(format!(
@@ -131,10 +130,11 @@ impl GridSpec {
         &self.names
     }
 
-    /// Cell of a single value on dimension `dim` (NaN → [`MISSING_CELL`]).
+    /// Cell of a single value on dimension `dim`: `0..phi`, or `phi` for
+    /// NaN, as [`Discretized`] codes a missing value.
     pub fn cell_of(&self, dim: usize, value: f64) -> u16 {
         if value.is_nan() {
-            return MISSING_CELL;
+            return self.phi as u16;
         }
         self.uppers[dim].partition_point(|&b| b < value) as u16
     }
@@ -212,7 +212,7 @@ mod tests {
         let (_, _, spec) = fitted();
         assert_eq!(spec.cell_of(0, -1e9), 0);
         assert_eq!(spec.cell_of(0, 1e9), 4);
-        assert_eq!(spec.cell_of(0, f64::NAN), MISSING_CELL);
+        assert_eq!(spec.cell_of(0, f64::NAN), 5);
     }
 
     #[test]
@@ -254,6 +254,9 @@ mod tests {
         // Validation failures.
         assert!(GridSpec::from_parts(vec![vec![1.0]], 5, vec!["a".into(), "b".into()]).is_err());
         assert!(GridSpec::from_parts(vec![vec![1.0]], 0, vec!["a".into()]).is_err());
+        let wide = |phi: u32| vec![(1..phi).map(f64::from).collect()];
+        assert!(GridSpec::from_parts(wide(65534), 65534, vec!["a".into()]).is_ok());
+        assert!(GridSpec::from_parts(wide(65535), 65535, vec!["a".into()]).is_err());
         assert!(GridSpec::from_parts(vec![vec![1.0]], 5, vec!["a".into()]).is_err()); // wrong len
         assert!(GridSpec::from_parts(vec![vec![2.0, 1.0]], 3, vec!["a".into()]).is_err()); // order
         assert!(GridSpec::from_parts(vec![vec![f64::NAN, 1.0]], 3, vec!["a".into()]).is_err());

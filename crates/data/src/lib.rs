@@ -20,6 +20,7 @@
 //!   for the ablation that shows why the paper chose equi-depth.
 //! - [`grid_spec`]: fitted grid boundaries detached from their data, for
 //!   assigning cells to *new* records (the train/apply split).
+//! - [`hash`]: FNV-1a, the stable hash behind every persisted fingerprint.
 //! - [`generators`]: seeded synthetic workloads, including the UCI-shaped
 //!   simulacra used by the reproduction (see DESIGN.md §4 for the
 //!   substitution rationale) and planted-subspace-outlier benchmarks with
@@ -31,6 +32,7 @@ pub mod dataset;
 pub mod discretize;
 pub mod generators;
 pub mod grid_spec;
+pub mod hash;
 
 pub use dataset::{DataError, Dataset, DatasetBuilder};
 pub use discretize::{DiscretizeStrategy, Discretized, GridRange};

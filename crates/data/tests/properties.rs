@@ -10,7 +10,7 @@
 use hdoutlier_data::csv::{
     parse_records, read_from, read_str, write_string, ColumnRef, CsvOptions,
 };
-use hdoutlier_data::discretize::{DiscretizeStrategy, Discretized, GridRange, MISSING_CELL};
+use hdoutlier_data::discretize::{DiscretizeStrategy, Discretized, GridRange};
 use hdoutlier_data::generators::{correlated, uniform, CorrelatedConfig};
 use hdoutlier_data::{DataError, Dataset};
 use hdoutlier_rng::rngs::StdRng;
@@ -118,7 +118,7 @@ fn oracle_equi_depth(ds: &Dataset, phi: u32) -> (Vec<Vec<u16>>, Vec<Vec<GridRang
             .collect();
         present.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         let m = present.len();
-        let mut cells = vec![MISSING_CELL; column.len()];
+        let mut cells = vec![phi as u16; column.len()];
         for (rank, &(_, row)) in present.iter().enumerate() {
             let cell = ((rank as u64 * phi as u64) / m.max(1) as u64).min(phi as u64 - 1);
             cells[row] = cell as u16;
@@ -130,7 +130,7 @@ fn oracle_equi_depth(ds: &Dataset, phi: u32) -> (Vec<Vec<u16>>, Vec<Vec<GridRang
         };
         let mut ranges = vec![empty; phi as usize];
         for (row, &cell) in cells.iter().enumerate() {
-            if cell != MISSING_CELL {
+            if u32::from(cell) < phi {
                 let r = &mut ranges[cell as usize];
                 r.lo = r.lo.min(column[row]);
                 r.hi = r.hi.max(column[row]);
@@ -222,7 +222,8 @@ fn discretization_preserves_missingness() {
             let disc = Discretized::new(&ds, phi, strategy).unwrap();
             for i in 0..ds.n_rows() {
                 for j in 0..ds.n_dims() {
-                    assert_eq!(ds.is_missing(i, j), disc.cell(i, j) == MISSING_CELL);
+                    assert_eq!(ds.is_missing(i, j), disc.cell(i, j) == phi as u16);
+                    assert_eq!(ds.is_missing(i, j), disc.is_missing(i, j));
                     if !ds.is_missing(i, j) {
                         assert!(disc.cell(i, j) < phi as u16, "{strategy:?} ({i},{j})");
                     }

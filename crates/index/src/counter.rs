@@ -20,7 +20,7 @@
 use crate::cube::Cube;
 use crate::grid::GridIndex;
 use crate::key::CubeMap;
-use hdoutlier_data::discretize::{Discretized, MISSING_CELL};
+use hdoutlier_data::discretize::Discretized;
 use std::cell::{Cell, RefCell};
 
 /// Anything that can report cube occupancy for a fixed dataset.
@@ -97,16 +97,17 @@ pub struct NaiveCounter {
 }
 
 impl NaiveCounter {
-    /// Wraps a discretized dataset (clones it; the oracle is not a hot path).
+    /// Wraps a discretized dataset (a clone, which shares its code table).
     pub fn new(disc: &Discretized) -> Self {
         Self { disc: disc.clone() }
     }
 
+    /// A pair's range is below φ, so a missing cell (coded φ) never
+    /// matches it.
     fn covers(&self, row: usize, pairs: &[(u32, u16)]) -> bool {
-        pairs.iter().all(|&(d, r)| {
-            let cell = self.disc.cell(row, d as usize);
-            cell != MISSING_CELL && cell == r
-        })
+        pairs
+            .iter()
+            .all(|&(d, r)| self.disc.cell(row, d as usize) == r)
     }
 }
 

@@ -6,8 +6,9 @@
 //! which keeps GA fitness evaluations cheap; brute force at k = 2 and a
 //! small φ ANDs pairs of postings directly.
 //!
-//! Beside the postings the index keeps the grid cells as a column-major code
-//! table ([`GridIndex::codes`]): given the member rows of a partial cube,
+//! Beside the postings the index reads the grid's one column-major code
+//! table ([`GridIndex::codes`]), shared with the [`Discretized`] it was
+//! built from rather than copied: given the member rows of a partial cube,
 //! one pass over a column reads every member's range on that dimension.
 //! It is the code table of brute force's task roots: a root groups all rows
 //! by range on its dimension with one counting sort over a column, and each
@@ -23,36 +24,37 @@
 
 use crate::bitmap::Bitmap;
 use crate::cube::Cube;
-use hdoutlier_data::discretize::{Discretized, MISSING_CELL};
+use hdoutlier_data::discretize::Discretized;
+use std::sync::Arc;
 
 /// An inverted index from `(dimension, range)` to the set of matching rows.
 #[derive(Debug, Clone)]
 pub struct GridIndex {
     /// `postings[dim * phi + range]`.
     postings: Vec<Bitmap>,
-    /// `codes[dim * n_rows + row]`: the row's range on `dim`, or `phi` when
-    /// the cell is missing.
-    codes: Vec<u16>,
+    /// The grid's table, [`Discretized::codes`].
+    codes: Arc<Vec<u16>>,
     n_rows: usize,
     n_dims: usize,
     phi: u32,
 }
 
 impl GridIndex {
-    /// Builds the index from a discretized dataset in one pass.
+    /// Builds the postings from a discretized dataset, one column at a
+    /// time, and shares its code table.
     pub fn new(disc: &Discretized) -> Self {
         let n_rows = disc.n_rows();
-        let n_dims = disc.n_dims();
-        let phi = disc.phi();
-        let mut postings = vec![Bitmap::new(n_rows); n_dims * phi as usize];
-        // `Discretized` caps φ below `u16::MAX`, so the missing code fits.
-        let mut codes = vec![phi as u16; n_rows * n_dims];
-        for row in 0..n_rows {
-            for dim in 0..n_dims {
-                let cell = disc.cell(row, dim);
-                if cell != MISSING_CELL {
-                    postings[dim * phi as usize + cell as usize].set(row);
-                    codes[dim * n_rows + row] = cell;
+        let phi = disc.phi() as usize;
+        let codes = Arc::clone(disc.codes());
+        let mut postings = vec![Bitmap::new(n_rows); disc.n_dims() * phi];
+        for (column, dim_postings) in codes
+            .chunks_exact(n_rows)
+            .zip(postings.chunks_exact_mut(phi))
+        {
+            for (row, &cell) in column.iter().enumerate() {
+                // The missing code φ has no posting.
+                if let Some(posting) = dim_postings.get_mut(cell as usize) {
+                    posting.set(row);
                 }
             }
         }
@@ -60,8 +62,8 @@ impl GridIndex {
             postings,
             codes,
             n_rows,
-            n_dims,
-            phi,
+            n_dims: disc.n_dims(),
+            phi: disc.phi(),
         }
     }
 
@@ -156,8 +158,8 @@ impl GridIndex {
         })
     }
 
-    /// Memory footprint of the postings and the code table in bytes
-    /// (diagnostics/benches).
+    /// Memory footprint of the postings and the code table they are read
+    /// with, in bytes (diagnostics/benches).
     pub fn memory_bytes(&self) -> usize {
         self.postings.len() * self.n_rows.div_ceil(64) * 8
             + self.codes.len() * std::mem::size_of::<u16>()
@@ -249,6 +251,12 @@ mod tests {
                 assert!(index.posting(dim, code).get(row));
             }
         }
+    }
+
+    #[test]
+    fn codes_are_the_discretized_table() {
+        let (disc, index) = small_grid();
+        assert!(Arc::ptr_eq(disc.codes(), &index.codes));
     }
 
     #[test]

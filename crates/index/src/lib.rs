@@ -11,7 +11,9 @@
 //! - [`grid`]: a [`grid::GridIndex`] holding one posting bitmap per
 //!   `(dimension, range)` pair; a cube's occupancy is the popcount of the
 //!   intersection of its k postings, folded word by word — `O(k · N / 64)`
-//!   per cube instead of the naive `O(k · N)` row scan.
+//!   per cube instead of the naive `O(k · N)` row scan. Beside them it
+//!   reads the grid's one column-major code table (a missing value coded
+//!   φ), shared with the `Discretized` it was built from, not copied.
 //! - [`counter`]: the [`counter::CubeCounter`] abstraction, which counts a
 //!   cube given as borrowed `(dimension, range)` pairs sorted by dimension,
 //!   with a naive scanning implementation (used to cross-check the bitmaps

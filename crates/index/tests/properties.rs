@@ -13,9 +13,19 @@ use hdoutlier_rng::{for_each_case, Rng};
 use std::collections::HashSet;
 use std::ops::Range;
 
+/// Both grid strategies: each codes a missing value the same way, and the
+/// counters must agree on either.
+const STRATEGIES: [DiscretizeStrategy; 2] =
+    [DiscretizeStrategy::EquiDepth, DiscretizeStrategy::EquiWidth];
+
 /// A 2–59-row dataset of `dims` columns in `±100` with about one value in
-/// nine missing, discretized equi-depth at a random `φ < phi_below`.
-fn grid_with_missing(rng: &mut StdRng, dims: Range<usize>, phi_below: u32) -> Discretized {
+/// nine missing, discretized under `strategy` at a random `φ < phi_below`.
+fn grid_with_missing(
+    rng: &mut StdRng,
+    dims: Range<usize>,
+    phi_below: u32,
+    strategy: DiscretizeStrategy,
+) -> Discretized {
     let (n, d) = (rng.gen_range(2..60), rng.gen_range(dims));
     let values = (0..n * d)
         .map(|_| {
@@ -28,7 +38,7 @@ fn grid_with_missing(rng: &mut StdRng, dims: Range<usize>, phi_below: u32) -> Di
         .collect();
     let ds = Dataset::new(values, n, d).unwrap();
     let phi = rng.gen_range(1..phi_below);
-    Discretized::new(&ds, phi, DiscretizeStrategy::EquiDepth).unwrap()
+    Discretized::new(&ds, phi, strategy).unwrap()
 }
 
 /// A cube over 1–4 distinct dimensions of the grid, with random ranges.
@@ -62,13 +72,15 @@ fn cube_on(rng: &mut StdRng, dims: &[u32], disc: &Discretized) -> Cube {
 #[test]
 fn bitmap_counter_matches_the_naive_scan_with_missing_values() {
     for_each_case(0x1dec_0001, 256, |rng| {
-        let disc = grid_with_missing(rng, 2..6, 8);
-        let bitmap = BitmapCounter::new(&disc);
-        let naive = NaiveCounter::new(&disc);
-        for _ in 0..10 {
-            let cube = random_cube(rng, &disc);
-            assert_eq!(bitmap.count(&cube), naive.count(&cube), "count of {cube}");
-            assert_eq!(bitmap.rows(&cube), naive.rows(&cube), "rows of {cube}");
+        for strategy in STRATEGIES {
+            let disc = grid_with_missing(rng, 2..6, 8, strategy);
+            let bitmap = BitmapCounter::new(&disc);
+            let naive = NaiveCounter::new(&disc);
+            for _ in 0..10 {
+                let cube = random_cube(rng, &disc);
+                assert_eq!(bitmap.count(&cube), naive.count(&cube), "count of {cube}");
+                assert_eq!(bitmap.rows(&cube), naive.rows(&cube), "rows of {cube}");
+            }
         }
     });
 }
@@ -76,13 +88,15 @@ fn bitmap_counter_matches_the_naive_scan_with_missing_values() {
 #[test]
 fn cached_counter_is_transparent() {
     for_each_case(0x1dec_0002, 256, |rng| {
-        let disc = grid_with_missing(rng, 2..6, 6);
-        let naive = NaiveCounter::new(&disc);
-        let cached = CachedCounter::new(BitmapCounter::new(&disc));
-        let cube = random_cube(rng, &disc);
-        for _ in 0..3 {
-            assert_eq!(cached.count(&cube), naive.count(&cube), "{cube}");
-            assert_eq!(cached.rows(&cube), naive.rows(&cube), "{cube}");
+        for strategy in STRATEGIES {
+            let disc = grid_with_missing(rng, 2..6, 6, strategy);
+            let naive = NaiveCounter::new(&disc);
+            let cached = CachedCounter::new(BitmapCounter::new(&disc));
+            let cube = random_cube(rng, &disc);
+            for _ in 0..3 {
+                assert_eq!(cached.count(&cube), naive.count(&cube), "{cube}");
+                assert_eq!(cached.rows(&cube), naive.rows(&cube), "{cube}");
+            }
         }
     });
 }
@@ -90,7 +104,8 @@ fn cached_counter_is_transparent() {
 #[test]
 fn counters_agree_through_the_cube_and_its_sorted_pairs() {
     for_each_case(0x1dec_0003, 128, |rng| {
-        let disc = grid_with_missing(rng, 12..16, 6);
+        let strategy = STRATEGIES[rng.gen_range(0..2usize)];
+        let disc = grid_with_missing(rng, 12..16, 6, strategy);
         let naive = NaiveCounter::new(&disc);
         let bitmap = BitmapCounter::new(&disc);
         let cached = CachedCounter::new(BitmapCounter::new(&disc));

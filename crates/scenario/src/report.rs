@@ -3,20 +3,9 @@
 
 use crate::Invariant;
 use hdoutlier_core::OutlierReport;
+use hdoutlier_data::hash::fnv1a;
 use hdoutlier_data::Dataset;
 use hdoutlier_json::{FieldChain, Json};
-
-/// FNV-1a over a byte stream — the same cheap stable hash the serve replay
-/// cache uses. Keeps large artifacts (datasets, NDJSON verdict streams)
-/// out of the goldens while still pinning their exact bytes.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
 
 /// Renders a 64-bit fingerprint the way goldens store it.
 pub fn hex64(x: u64) -> String {
@@ -165,12 +154,6 @@ pub fn envelope(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fnv1a_matches_reference_vectors() {
-        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
-    }
 
     #[test]
     fn top_rows_orders_by_score_then_row() {

@@ -12,6 +12,7 @@
 //! sessions — a tripped breaker, a drifted grid, or a checkpoint failure in
 //! one session is invisible to every other.
 
+use hdoutlier_data::hash::fnv1a;
 use hdoutlier_json::{FieldChain, Json, JsonError};
 use hdoutlier_stream::checkpoint::prev_path;
 use hdoutlier_stream::{
@@ -181,6 +182,8 @@ pub enum ReplayLookup {
 /// One remembered score response.
 struct ReplayEntry {
     request_id: String,
+    /// FNV-1a of the request body, so an id reused with different records
+    /// is detected instead of silently replayed.
     body_hash: u64,
     status: u16,
     body: String,
@@ -242,17 +245,6 @@ impl ReplayCache {
             json_error,
         });
     }
-}
-
-/// FNV-1a over bytes — fingerprints a request body so an id reused with
-/// different records is detected instead of silently replayed.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 /// One live scoring session.

@@ -22,6 +22,7 @@
 
 use crate::scorer::OnlineScorer;
 use hdoutlier_core::FittedModel;
+use hdoutlier_data::hash::fnv1a;
 use hdoutlier_json::{FieldChain, Json, JsonError};
 use std::path::{Path, PathBuf};
 
@@ -60,24 +61,16 @@ impl std::error::Error for CheckpointError {}
 /// grids discretize identically, which is exactly when drift occupancy
 /// transfers between them.
 pub fn grid_fingerprint(model: &FittedModel) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut hash = OFFSET;
-    let mut fold = |v: u64| {
-        for byte in v.to_le_bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(PRIME);
-        }
-    };
     let grid = model.grid();
-    fold(u64::from(grid.phi()));
-    fold(grid.n_dims() as u64);
+    let mut bytes = Vec::new();
+    bytes.extend(u64::from(grid.phi()).to_le_bytes());
+    bytes.extend((grid.n_dims() as u64).to_le_bytes());
     for dim in 0..grid.n_dims() {
         for &b in grid.boundaries(dim) {
-            fold(b.to_bits());
+            bytes.extend(b.to_bits().to_le_bytes());
         }
     }
-    hash
+    fnv1a(&bytes)
 }
 
 /// The sibling path [`Checkpoint::save_atomic`] stages into before the
@@ -503,6 +496,20 @@ mod tests {
             }
         }
         assert_eq!(resumed.outliers_flagged(), reference.outliers_flagged());
+    }
+
+    /// Saved checkpoints store the fingerprint, so its value must not
+    /// change: a different hash would refuse every checkpoint on resume.
+    #[test]
+    fn fingerprint_value_is_pinned() {
+        let grid = hdoutlier_data::GridSpec::from_parts(
+            vec![vec![-1.5, 0.0, 2.25], vec![0.125, 0.5, 1e9]],
+            4,
+            vec!["a".into(), "b".into()],
+        )
+        .unwrap();
+        let model = FittedModel::new(grid, Vec::new());
+        assert_eq!(grid_fingerprint(&model), 0x0d73_efb1_aeb5_ad70);
     }
 
     #[test]

@@ -12,7 +12,6 @@
 //! be re-fit — exactly the signal the online scorer surfaces.
 
 use hdoutlier_data::dataset::DataError;
-use hdoutlier_data::discretize::MISSING_CELL;
 use hdoutlier_stats::gamma::gamma_q;
 
 /// Accumulates per-dimension range occupancy of arriving records and tests
@@ -95,7 +94,8 @@ impl DriftMonitor {
     }
 
     /// Folds in one record already discretized under the *trained* grid
-    /// (cells `< phi` or [`MISSING_CELL`], which is skipped per dimension).
+    /// (cells `< phi`, or `phi` for a missing value, which is skipped per
+    /// dimension).
     ///
     /// # Errors
     /// [`DataError::ShapeMismatch`] on a record of the wrong width;
@@ -108,10 +108,10 @@ impl DriftMonitor {
             });
         }
         for (dim, &c) in cells.iter().enumerate() {
-            if c == MISSING_CELL {
+            if u32::from(c) == self.phi {
                 continue;
             }
-            if c as u32 >= self.phi {
+            if u32::from(c) > self.phi {
                 return Err(DataError::Parse(format!(
                     "dimension {dim}: cell {c} out of range for phi {}",
                     self.phi
@@ -269,7 +269,7 @@ mod tests {
     fn missing_cells_are_skipped() {
         let mut mon = DriftMonitor::new(2, 4).unwrap();
         for i in 0..100u16 {
-            mon.observe_cells(&[MISSING_CELL, i % 4]).unwrap();
+            mon.observe_cells(&[4, i % 4]).unwrap();
         }
         assert_eq!(mon.records_observed(), 100);
         assert!(mon.check_dim(0).is_none()); // dim 0 saw nothing
@@ -294,7 +294,7 @@ mod tests {
         assert!(DriftMonitor::new(2, 1).is_err());
         let mut mon = DriftMonitor::new(2, 4).unwrap();
         assert!(mon.observe_cells(&[0]).is_err());
-        assert!(mon.observe_cells(&[0, 4]).is_err());
+        assert!(mon.observe_cells(&[0, 5]).is_err());
         assert!(mon.observe_cells(&[0, 3]).is_ok());
     }
 }

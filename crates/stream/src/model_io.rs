@@ -260,6 +260,27 @@ mod tests {
         assert!(matches!(from_json_text(bad), Err(ModelIoError::Schema(_))));
     }
 
+    /// A grid at φ ≥ `u16::MAX` is refused: its ranges would not fit the
+    /// `u16` genes below the wildcard `STAR`, and a top gene of 65535 would
+    /// read as a star, dropping its constraint.
+    #[test]
+    fn grids_past_the_u16_cells_are_rejected() {
+        for phi in [65535u32, 65536] {
+            let bounds: Vec<String> = (1..phi).map(|b| b.to_string()).collect();
+            let text = format!(
+                r#"{{"format":1,"grid":{{"phi":{phi},"names":["a","b"],
+                    "boundaries":[[{b}],[{b}]]}},
+                    "projections":[{{"genes":[{top},0],"sparsity":-3,"count":1}}]}}"#,
+                b = bounds.join(","),
+                top = phi - 1,
+            );
+            assert!(
+                matches!(from_json_text(&text), Err(ModelIoError::Grid(_))),
+                "phi {phi}"
+            );
+        }
+    }
+
     #[test]
     fn stars_serialize_as_null() {
         let (model, _) = fitted();

@@ -99,7 +99,8 @@ fn mostly_missing_dataset_still_detects() {
     for (s, rows) in report.projections.iter().zip(&report.rows_by_projection) {
         assert_eq!(s.count, rows.len());
         for &r in rows {
-            assert!(s.projection.covers(disc.row(r)));
+            let cells: Vec<u16> = (0..disc.n_dims()).map(|d| disc.cell(r, d)).collect();
+            assert!(s.projection.covers(&cells));
         }
     }
 }

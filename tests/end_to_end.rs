@@ -241,6 +241,8 @@ fn equi_width_detector_is_selectable_and_differs() {
     // They may overlap but are not required to agree; the grids differ.
     let d1 = Discretized::new(&ds, 4, DiscretizeStrategy::EquiDepth).unwrap();
     let d2 = Discretized::new(&ds, 4, DiscretizeStrategy::EquiWidth).unwrap();
-    let differing = (0..ds.n_rows()).filter(|&r| d1.row(r) != d2.row(r)).count();
+    let differing = (0..ds.n_rows())
+        .filter(|&r| (0..ds.n_dims()).any(|d| d1.cell(r, d) != d2.cell(r, d)))
+        .count();
     assert!(differing > 100, "grids should differ on skewed data");
 }
